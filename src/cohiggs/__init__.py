@@ -2,8 +2,8 @@
 
 Subpackages by theme:
 
-* :mod:`cohiggs.exactalg` - rationals, bivariate polynomials, 2x2 matrices,
-  conjugation and chart involutions (the arithmetic substrate);
+* :mod:`cohiggs.exactalg` - rationals, bivariate polynomials, 2x2 matrices
+  and conjugation (the arithmetic substrate);
 * :mod:`cohiggs.cohomology` - line bundles O(a,b): cohomology dimensions,
   monomial section bases, slopes for the polarization C0 + F;
 * :mod:`cohiggs.chern` - Chern-class reduction and the moduli existence
@@ -11,7 +11,7 @@ Subpackages by theme:
 * :mod:`cohiggs.higgs` - Higgs fields on split bundles: shapes,
   integrability, stability classification, graded objects, normal forms;
 * :mod:`cohiggs.extension` - the c1 = -F, c2 = 1 family on extensions of
-  O(-1,1) by O(0,-1): transition matrices, closed-form sections, dimension
+  O(-1,1) by O(0,-1): chart transitions, closed-form sections, dimension
   counts, the integrability dichotomy and the moduli strata;
 * :mod:`cohiggs.spectral` - the Hitchin map, its image constraint, spectral
   fibres and decomposability diagnostics;
@@ -21,7 +21,7 @@ Subpackages by theme:
 __version__ = "0.1.0"
 
 from .exactalg import BiPoly, PolyMat2, Rat, RatFn  # noqa: F401
-from .cohomology import LineBundle, h_dims, monomial_basis, slope, slope_rank2  # noqa: F401
+from .cohomology import LineBundle, h_dims, monomial_basis, slope_rank2  # noqa: F401
 from .chern import ChernData, NumericalInvariants, ReducedClass, ReducedTag  # noqa: F401
 from .higgs import DecomposableBundle, HiggsField, StabilityClass  # noqa: F401
 from .spectral import SpectralData, SpectralPoint  # noqa: F401

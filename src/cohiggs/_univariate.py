@@ -1,13 +1,16 @@
 """Dense univariate polynomial helpers over the rationals.
 
 Coefficient lists indexed by degree ([c0, c1, ...]); the zero polynomial is
-the empty list.  Used for binary-form gcds, root bookkeeping and the
-quartic discriminant; deliberately minimal.
+the empty list.  Only what the library calls: gcds of the eigenvector
+quadratics, evaluation, and the resultant behind the quartic discriminant,
+which hands its Sylvester matrix to :func:`cohiggs.linalg.eliminate`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from .linalg import eliminate
 
 Poly = list[Fraction]
 
@@ -22,38 +25,10 @@ def deg(p: Poly) -> int:
     return len(p) - 1
 
 
-def is_zero(p: Poly) -> bool:
-    return not p
-
-
 def scale(p: Poly, c: Fraction) -> Poly:
     if not c:
         return []
     return [x * c for x in p]
-
-
-def add(f: Poly, g: Poly) -> Poly:
-    n = max(len(f), len(g))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(f):
-        out[i] += c
-    for i, c in enumerate(g):
-        out[i] += c
-    return trim(out)
-
-
-def sub(f: Poly, g: Poly) -> Poly:
-    return add(f, scale(g, Fraction(-1)))
-
-
-def mul(f: Poly, g: Poly) -> Poly:
-    if not f or not g:
-        return []
-    out = [Fraction(0)] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] += a * b
-    return trim(out)
 
 
 def divmod_poly(f: Poly, g: Poly) -> tuple[Poly, Poly]:
@@ -94,42 +69,17 @@ def evaluate(p: Poly, x: Fraction) -> Fraction:
 
 
 def resultant(f: Poly, g: Poly) -> Fraction:
-    """Resultant via the Sylvester matrix (exact fraction elimination).
+    """Determinant of the Sylvester matrix of f and g.
 
     Zero iff f and g share a root (or one of them is zero).
     """
     if not f or not g:
         return Fraction(0)
     m, n = deg(f), deg(g)
-    if m == 0:
-        return f[0] ** n
-    if n == 0:
-        return g[0] ** m
     size = m + n
-    rows: list[list[Fraction]] = []
     rf = list(reversed(f))
     rg = list(reversed(g))
-    for k in range(n):
-        rows.append([Fraction(0)] * k + rf + [Fraction(0)] * (size - k - len(rf)))
-    for k in range(m):
-        rows.append([Fraction(0)] * k + rg + [Fraction(0)] * (size - k - len(rg)))
-    det = Fraction(1)
-    for col in range(size):
-        pivot = None
-        for i in range(col, size):
-            if rows[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        pv = rows[col][col]
-        det *= pv
-        inv = 1 / pv
-        for i in range(col + 1, size):
-            if rows[i][col]:
-                factor = rows[i][col] * inv
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[col])]
-    return det
+    rows = [[Fraction(0)] * k + rf + [Fraction(0)] * (n - 1 - k) for k in range(n)]
+    rows += [[Fraction(0)] * k + rg + [Fraction(0)] * (m - 1 - k) for k in range(m)]
+    r, det = eliminate(rows)
+    return det if r == size else Fraction(0)

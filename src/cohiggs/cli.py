@@ -118,9 +118,12 @@ def _cmd_moduli_nonempty(args) -> int:
             grid = grid.get("tuples")
         if not isinstance(grid, list):
             raise ValueError("batch grid must be a list of [alpha, beta, gamma] tuples")
-        logger.debug("batch of %d tuples", len(grid))
-        for entry in grid:
-            alpha, beta, gamma = (int(x) for x in entry)
+        # check every tuple before the first line is printed
+        tuples = [[jsonio.int_from_json(x, "batch entry") for x in entry] for entry in grid]
+        if any(len(t) != 3 for t in tuples):
+            raise ValueError("batch tuples must have three entries")
+        logger.debug("batch of %d tuples", len(tuples))
+        for alpha, beta, gamma in tuples:
             payload = _nonempty_payload(alpha, beta, gamma)
             payload["alpha"], payload["beta"], payload["gamma"] = alpha, beta, gamma
             _emit(payload)

@@ -24,16 +24,8 @@ class LineBundle:
     b: int
 
     def slope(self) -> int:
+        """H-slope for H = C0 + F."""
         return self.a + self.b
-
-    def dual(self) -> "LineBundle":
-        return LineBundle(-self.a, -self.b)
-
-    def tensor(self, other: "LineBundle") -> "LineBundle":
-        return LineBundle(self.a + other.a, self.b + other.b)
-
-    def twist(self, a: int, b: int) -> "LineBundle":
-        return LineBundle(self.a + a, self.b + b)
 
     def __str__(self) -> str:
         return f"O({self.a},{self.b})"
@@ -67,11 +59,6 @@ def monomial_basis(a: int, b: int) -> list[tuple[int, int]]:
     grid = [(i, j) for i in range(a + 1) for j in range(b + 1)]
     grid.sort(key=lambda ij: (ij[0] + ij[1], -ij[0]))
     return grid
-
-
-def slope(a: int, b: int) -> int:
-    """H-slope of O(a,b) for H = C0 + F."""
-    return a + b
 
 
 def slope_rank2(c) -> Fraction:

@@ -22,10 +22,6 @@ class SingularAutomorphism(CoHiggsError):
     """Conjugation attempted by a matrix with identically zero determinant."""
 
 
-class DegreeBoundViolation(CoHiggsError):
-    """Chart involution would produce negative exponents."""
-
-
 class BundleMismatch(CoHiggsError):
     """Operation requires matching underlying bundles."""
 

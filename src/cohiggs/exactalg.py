@@ -6,9 +6,13 @@ Everything downstream is built from four value types:
   stored gcd-reduced with a positive denominator, zero is 0/1),
 * :class:`BiPoly` - bivariate polynomials in the affine chart coordinates
   ``(z1, z2)`` with ``Rat`` coefficients and non-negative exponents,
-* :class:`RatFn` - quotients of two ``BiPoly`` (denominator nonzero),
-* :class:`PolyMat2` - 2x2 matrices whose entries are ``BiPoly`` or ``RatFn``.
+* :class:`PolyMat2` - 2x2 matrices of ``BiPoly`` entries,
+* :class:`RatFn` - a quotient of two ``BiPoly`` (denominator nonzero); it is
+  what :func:`conjugate2` returns entrywise and carries no arithmetic.
 
+All arithmetic is polynomial: ``PolyMat2`` products, commutators and
+determinants stay inside ``BiPoly``, and a ``RatFn`` is only normalized,
+compared by cross-multiplication, printed, or divided out exactly.
 All values are immutable after construction and all operations are pure
 functions, so everything here is safe to share between threads.
 
@@ -22,7 +26,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
-from .errors import DegreeBoundViolation, SingularAutomorphism
+from .errors import SingularAutomorphism
 
 Rat = Fraction
 
@@ -121,9 +125,6 @@ class BiPoly:
             max(i for i, _ in self._terms),
             max(j for _, j in self._terms),
         )
-
-    def deg(self, axis: int) -> float:
-        return self.bidegree()[0 if axis == 1 else 1]
 
     def leading_coefficient(self) -> Fraction:
         for _, _, c in self.terms():
@@ -238,7 +239,7 @@ class BiPoly:
     def __hash__(self):
         return hash(frozenset(self._terms.items()))
 
-    # -- evaluation and calculus -------------------------------------------
+    # -- evaluation and division ------------------------------------------
 
     def evaluate(self, z1: Scalar, z2: Scalar) -> Fraction:
         z1 = _as_rat(z1)
@@ -247,25 +248,6 @@ class BiPoly:
         for (i, j), c in self._terms.items():
             total += c * z1**i * z2**j
         return total
-
-    def derivative(self, axis: int) -> "BiPoly":
-        res: dict[Term, Fraction] = {}
-        for (i, j), c in self._terms.items():
-            if axis == 1 and i > 0:
-                res[(i - 1, j)] = c * i
-            elif axis == 2 and j > 0:
-                res[(i, j - 1)] = c * j
-        out = BiPoly.__new__(BiPoly)
-        out._terms = res
-        return out
-
-    def shift(self, di: int, dj: int) -> "BiPoly":
-        """Multiply by the monomial z1^di z2^dj (di, dj >= 0)."""
-        if di < 0 or dj < 0:
-            raise ValueError("shift exponents must be non-negative")
-        out = BiPoly.__new__(BiPoly)
-        out._terms = {(i + di, j + dj): c for (i, j), c in self._terms.items()}
-        return out
 
     def exact_div(self, d: "BiPoly") -> "BiPoly | None":
         """Return self / d when d divides self exactly, else None.
@@ -379,54 +361,10 @@ class RatFn:
     def __bool__(self) -> bool:
         return bool(self.num)
 
-    def __add__(self, other):
-        other = _coerce_ratfn(other)
-        if other is None:
-            return NotImplemented
-        return RatFn(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFn(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = _coerce_ratfn(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce_ratfn(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = _coerce_ratfn(other)
-        if other is None:
-            return NotImplemented
-        return RatFn(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce_ratfn(other)
-        if other is None:
-            return NotImplemented
-        if not other.num:
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFn(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = _coerce_ratfn(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
     def __eq__(self, other):
-        other = _coerce_ratfn(other)
-        if other is None:
+        if isinstance(other, (int, Fraction, BiPoly)):
+            other = RatFn(other)
+        if not isinstance(other, RatFn):
             return NotImplemented
         return self.num * other.den == other.num * self.den
 
@@ -451,19 +389,15 @@ def _coerce_bipoly(x) -> BiPoly:
     raise TypeError(f"cannot interpret {type(x).__name__} as a polynomial")
 
 
-def _coerce_ratfn(x) -> RatFn | None:
-    if isinstance(x, RatFn):
-        return x
-    if isinstance(x, (int, Fraction, BiPoly)):
-        return RatFn(x)
-    return None
-
-
 Entry = Union[BiPoly, RatFn]
 
 
 class PolyMat2:
-    """2x2 matrix of polynomials or rational functions."""
+    """2x2 matrix of polynomials.
+
+    The one with RatFn entries that :func:`conjugate2` returns supports only
+    entry access, equality, ``is_zero`` and ``to_bipoly``.
+    """
 
     __slots__ = ("_e",)
 
@@ -496,9 +430,6 @@ class PolyMat2:
 
     def entry(self, i: int, j: int) -> Entry:
         return self._e[i][j]
-
-    def rows(self):
-        return self._e
 
     def __add__(self, other):
         if not isinstance(other, PolyMat2):
@@ -552,15 +483,8 @@ class PolyMat2:
     def __eq__(self, other):
         if not isinstance(other, PolyMat2):
             return NotImplemented
-        for i in range(2):
-            for j in range(2):
-                a, b = self._e[i][j], other._e[i][j]
-                if isinstance(a, RatFn) or isinstance(b, RatFn):
-                    if RatFn(a) != RatFn(b):
-                        return False
-                elif a != b:
-                    return False
-        return True
+        # a RatFn entry compares with a BiPoly entry by cross-multiplication
+        return self._e == other._e
 
     def __hash__(self):
         # hashable exactly when every entry is (entries are BiPoly in all
@@ -580,59 +504,29 @@ class PolyMat2:
 # ---------------------------------------------------------------------------
 
 
-def eval_poly(p: BiPoly, z1: Scalar, z2: Scalar) -> Fraction:
-    """Exact evaluation of p at the rational point (z1, z2)."""
-    return p.evaluate(z1, z2)
-
-
 def commutator2(x: PolyMat2, y: PolyMat2) -> PolyMat2:
     """XY - YX."""
     return (x @ y) - (y @ x)
 
 
-def det2(x: PolyMat2):
-    """Determinant; a BiPoly when all entries are polynomial, else a RatFn."""
-    d = x.entry(0, 0) * x.entry(1, 1) - x.entry(0, 1) * x.entry(1, 0)
-    if isinstance(d, RatFn) and d.is_polynomial():
-        return d.as_bipoly()
-    return d
+def det2(x: PolyMat2) -> BiPoly:
+    """Determinant of a polynomial matrix."""
+    return x.entry(0, 0) * x.entry(1, 1) - x.entry(0, 1) * x.entry(1, 0)
 
 
 def conjugate2(phi: PolyMat2, psi: PolyMat2) -> PolyMat2:
-    """psi . phi . psi^{-1}, exactly, with RatFn entries.
+    """psi . phi . psi^{-1} for polynomial matrices, exactly, with RatFn entries.
 
+    Each entry is the matching entry of psi . phi . adj(psi) over det(psi).
     Trace and determinant are preserved identically.  Raises
     SingularAutomorphism when det(psi) vanishes identically.
     """
-    d = RatFn(psi.entry(0, 0)) * psi.entry(1, 1) - RatFn(psi.entry(0, 1)) * psi.entry(1, 0)
+    d = det2(psi)
     if not d:
         raise SingularAutomorphism("conjugating matrix has identically zero determinant")
     adj = PolyMat2(
         [[psi.entry(1, 1), -psi.entry(0, 1)], [-psi.entry(1, 0), psi.entry(0, 0)]]
     )
     raw = (psi @ phi) @ adj
-    return raw.map_entries(lambda x: RatFn(x) / d)
+    return raw.map_entries(lambda x: RatFn(x, d))
 
-
-def chart_involution(p: BiPoly, bound: tuple[int, int], axis: int) -> BiPoly:
-    """Representative of p in the opposite chart along one axis.
-
-    Substitutes ``z_axis -> 1/z_axis`` and clears denominators by the slot
-    bound: exponent ``e`` along the axis becomes ``bound_axis - e``.  The
-    result is polynomial exactly when the bound dominates the degree;
-    otherwise DegreeBoundViolation is raised.  Applying the involution twice
-    with the same bound is the identity.
-    """
-    if axis not in (1, 2):
-        raise ValueError("axis must be 1 or 2")
-    cap = bound[0] if axis == 1 else bound[1]
-    res: dict[Term, Fraction] = {}
-    for i, j, c in p.terms():
-        e = i if axis == 1 else j
-        flipped = cap - e
-        if flipped < 0:
-            raise DegreeBoundViolation(
-                f"monomial z1^{i} z2^{j} exceeds the axis-{axis} bound {cap}"
-            )
-        res[(flipped, j) if axis == 1 else (i, flipped)] = c
-    return BiPoly(res)

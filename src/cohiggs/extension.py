@@ -36,9 +36,9 @@ from .errors import (
     SlotViolation,
     TrivialExtension,
 )
-from .exactalg import BiPoly, PolyMat2, RatFn, commutator2, conjugate2
+from .exactalg import BiPoly, PolyMat2, commutator2, conjugate2
 from .higgs import DecomposableBundle, HiggsField, validate_field
-from .linalg import kernel_dimension
+from .linalg import rank
 
 O = LineBundle
 
@@ -106,16 +106,6 @@ class TrivialFieldData:
 # ---------------------------------------------------------------------------
 # transitions
 # ---------------------------------------------------------------------------
-
-
-def transition_matrices(e: ExtParams) -> tuple[PolyMat2, PolyMat2]:
-    """(g12, g13) of the extension bundle, with rational-function entries."""
-    z1 = BiPoly.variable(1)
-    z2 = BiPoly.variable(2)
-    ext = z1 * e.u + BiPoly.const(e.v)
-    g12 = PolyMat2([[RatFn(1, z2), RatFn(ext)], [RatFn(0), RatFn(z2)]])
-    g13 = PolyMat2([[RatFn(1), RatFn(0)], [RatFn(0), RatFn(1, z1)]])
-    return g12, g13
 
 
 def _ext_cocycle(e: ExtParams) -> lau.LPoly:
@@ -382,7 +372,7 @@ def _ansatz_kernel_dim(e: ExtParams, twist: Twist) -> int:
                             (chart, comp_out, ti, tj), [Fraction(0)] * n
                         )
                         row[k] += c
-    return kernel_dimension(list(rows.values()), n)
+    return n - rank(list(rows.values()))
 
 
 # ---------------------------------------------------------------------------

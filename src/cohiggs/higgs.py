@@ -40,7 +40,7 @@ from .errors import (
     ZeroC,
     ZeroC1,
 )
-from .exactalg import BiPoly, PolyMat2, RatFn, commutator2, conjugate2, det2
+from .exactalg import BiPoly, PolyMat2, commutator2, conjugate2, det2
 
 O = LineBundle
 
@@ -93,8 +93,6 @@ def fits_slot(p: BiPoly, slot: LineBundle) -> bool:
 def _entry_poly(x) -> BiPoly:
     if isinstance(x, BiPoly):
         return x
-    if isinstance(x, RatFn):
-        return x.as_bipoly()
     if isinstance(x, (int, Fraction)):
         return BiPoly.const(x)
     raise TypeError(f"matrix entry of type {type(x).__name__} is not polynomial")
@@ -207,8 +205,6 @@ def _constant_matrix(x) -> tuple[Fraction, Fraction, Fraction]:
         for i in range(2):
             for j in range(2):
                 e = x.entry(i, j)
-                if isinstance(e, RatFn):
-                    e = e.as_bipoly()
                 d1, d2 = e.bidegree()
                 if d1 > 0 or d2 > 0:
                     raise ValueError("matrix entry is not constant")

@@ -2,8 +2,10 @@
 
 All rational numbers travel as {"num": int, "den": int} pairs; no floats
 anywhere.  Polynomials serialize their monomials in descending graded-lex
-order, which makes output byte-deterministic.  Decoders raise ValueError on
-malformed payloads; the CLI maps that to exit code 2.
+order, which makes output byte-deterministic.  Decoders accept only JSON
+integers where an integer is expected (no floats, strings or booleans) and
+a nonzero denominator; they raise ValueError on anything else, which the CLI
+maps to exit code 2.
 """
 
 from __future__ import annotations
@@ -29,13 +31,25 @@ def rat_to_json(q: Fraction) -> dict:
     return {"num": q.numerator, "den": q.denominator}
 
 
+def int_from_json(obj, what: str) -> int:
+    # bool is a subclass of int, but true/false are not JSON integers
+    if not isinstance(obj, int) or isinstance(obj, bool):
+        raise ValueError(f"{what} must be an integer, got {obj!r}")
+    return obj
+
+
+def _fraction(num, den) -> Fraction:
+    num, den = int_from_json(num, "numerator"), int_from_json(den, "denominator")
+    if not den:
+        raise ValueError("zero denominator")
+    return Fraction(num, den)
+
+
 def rat_from_json(obj) -> Fraction:
-    if isinstance(obj, int):
+    if isinstance(obj, int) and not isinstance(obj, bool):
         return Fraction(obj)
     if isinstance(obj, dict) and "num" in obj and "den" in obj:
-        if not isinstance(obj["num"], int) or not isinstance(obj["den"], int):
-            raise ValueError("rational parts must be integers")
-        return Fraction(obj["num"], obj["den"])
+        return _fraction(obj["num"], obj["den"])
     raise ValueError(f"not a rational: {obj!r}")
 
 
@@ -53,8 +67,8 @@ def bipoly_from_json(obj) -> BiPoly:
         raise ValueError("polynomial payload needs a 'monomials' list")
     terms = {}
     for m in obj["monomials"]:
-        i, j = m["i"], m["j"]
-        c = Fraction(m["num"], m.get("den", 1))
+        i, j = int_from_json(m["i"], "exponent"), int_from_json(m["j"], "exponent")
+        c = _fraction(m["num"], m.get("den", 1))
         terms[(i, j)] = terms.get((i, j), Fraction(0)) + c
     return BiPoly(terms)
 
@@ -86,8 +100,9 @@ def field_to_json(f: HiggsField) -> dict:
 
 def field_from_json(obj) -> HiggsField:
     try:
-        l1 = LineBundle(int(obj["bundle"]["L1"][0]), int(obj["bundle"]["L1"][1]))
-        l2 = LineBundle(int(obj["bundle"]["L2"][0]), int(obj["bundle"]["L2"][1]))
+        b = obj["bundle"]
+        l1 = LineBundle(int_from_json(b["L1"][0], "degree"), int_from_json(b["L1"][1], "degree"))
+        l2 = LineBundle(int_from_json(b["L2"][0], "degree"), int_from_json(b["L2"][1], "degree"))
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"bad bundle payload: {exc}") from exc
     return HiggsField(

@@ -14,15 +14,13 @@ inside the total space of the tangent bundle; over a base point with
 rho1 != 0 it consists of exactly two points, the third equation selecting
 the eigenvalue pairing (eta1, eta2 = -rho12/(2 eta1)).
 
-"Generic" is operationalized as: rho1 and rho2 are quartics with four
-distinct projective roots and rho12 is not identically zero.  This is the
-weakest condition under which the fibre excludes decomposable bundles.
-(On consistent data the three conditions are simultaneously unsatisfiable:
-rho12^2 = 4 rho1 rho2 with rho12 != 0 forces rho1 and rho2 to be constants
-times squares, hence non-generic - the generic tag exists for taxonomy
-completeness and in practice consistent data lands in a product or
-non-generic class.)  Irrational fibre coordinates are reported exactly as
-coef * sqrt(radicand) with a squarefree radicand, never as floats.
+A quartic is "generic" when it has four distinct projective roots.  On
+consistent data rho12 != 0 rules out a generic rho1 or rho2:
+rho12^2 = 4 rho1 rho2 makes rho1(z1) rho2(z2) a square, which forces each
+factor to be a constant times a square.  Consistent data therefore lands
+in a product case or in the non-generic class.  Irrational fibre
+coordinates are reported exactly as coef * sqrt(radicand) with a
+squarefree radicand, never as floats.
 """
 
 from __future__ import annotations
@@ -146,9 +144,6 @@ class EtaValue:
     def is_rational(self) -> bool:
         return self.radicand == 1
 
-    def square(self) -> Fraction:
-        return self.coef * self.coef * self.radicand
-
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is irrational")
@@ -260,7 +255,6 @@ def is_generic_quartic(rho: BiPoly) -> bool:
 
 
 class FibreClass(enum.Enum):
-    GENERIC_NO_DECOMPOSABLE = "GenericNoDecomposable"
     PRODUCT_CASE_AXIS1 = "ProductCaseAxis1"
     PRODUCT_CASE_AXIS2 = "ProductCaseAxis2"
     NON_GENERIC_OTHER = "NonGenericOther"
@@ -271,8 +265,8 @@ def fibre_decomposability(s: SpectralData) -> FibreClass:
 
     Product cases (rho12 = 0 with one generic quartic and the other
     component zero) are the fibres that do contain decomposable bundles
-    (products of a spectral curve with a projective line); generic data
-    exclude them; anything else is non-generic.
+    (products of a spectral curve with a projective line); anything else is
+    non-generic.
     """
     if not rho_consistent(s):
         raise InconsistentRho("rho12^2 != 4 rho1 rho2")
@@ -280,12 +274,6 @@ def fibre_decomposability(s: SpectralData) -> FibreClass:
         return FibreClass.PRODUCT_CASE_AXIS1
     if s.rho12.is_zero() and s.rho1.is_zero() and is_generic_quartic(s.rho2):
         return FibreClass.PRODUCT_CASE_AXIS2
-    if (
-        not s.rho12.is_zero()
-        and is_generic_quartic(s.rho1)
-        and is_generic_quartic(s.rho2)
-    ):
-        return FibreClass.GENERIC_NO_DECOMPOSABLE
     return FibreClass.NON_GENERIC_OTHER
 
 

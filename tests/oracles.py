@@ -8,6 +8,7 @@ identity R * Psi = Psi * Phi, and matrix products are spelled out by hand.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -131,11 +132,105 @@ def mat_mul_oracle(x: PolyMat2, y: PolyMat2) -> list[list]:
     ]
 
 
+def _num_den(x) -> tuple[BiPoly, BiPoly]:
+    """(numerator, denominator) of a RatFn or BiPoly matrix entry."""
+    return (x.num, x.den) if isinstance(x, RatFn) else (x, BiPoly.const(1))
+
+
 def check_conjugation(result: PolyMat2, psi: PolyMat2, phi: PolyMat2) -> bool:
-    """R = Psi Phi Psi^{-1} without inverting: R Psi == Psi Phi entrywise."""
-    lhs = mat_mul_oracle(result, psi)
+    """R = Psi Phi Psi^{-1} without inverting: R Psi == Psi Phi entrywise.
+
+    Row i of R is cleared of its two denominators d0 d1 first, so the check
+    uses polynomial arithmetic only.
+    """
     rhs = mat_mul_oracle(psi, phi)
-    return all(RatFn(lhs[i][j]) == RatFn(rhs[i][j]) for i in range(2) for j in range(2))
+    for i in range(2):
+        (n0, d0), (n1, d1) = _num_den(result.entry(i, 0)), _num_den(result.entry(i, 1))
+        for j in range(2):
+            if n0 * psi.entry(0, j) * d1 + n1 * psi.entry(1, j) * d0 != rhs[i][j] * d0 * d1:
+                return False
+    return True
+
+
+def check_trace_det(result: PolyMat2, trace: BiPoly, det: BiPoly) -> bool:
+    """tr R == trace and det R == det for a matrix R of RatFn entries,
+    both cross-multiplied by the entries' denominators."""
+    (n00, d00), (n01, d01), (n10, d10), (n11, d11) = (
+        _num_den(result.entry(i, j)) for i in range(2) for j in range(2)
+    )
+    return (
+        n00 * d11 + n11 * d00 == trace * d00 * d11
+        and n00 * n11 * d01 * d10 - n01 * n10 * d00 * d11 == det * d00 * d11 * d01 * d10
+    )
+
+
+# ---------------------------------------------------------------------------
+# exact linear-algebra oracles (no elimination anywhere)
+# ---------------------------------------------------------------------------
+
+
+def cofactor_det(m: list[list[Fraction]]) -> Fraction:
+    """Determinant by Laplace expansion along the first row (1 for 0 x 0)."""
+    if not m:
+        return Fraction(1)
+    return sum(
+        (
+            (-1) ** j * m[0][j] * cofactor_det([row[:j] + row[j + 1 :] for row in m[1:]])
+            for j in range(len(m))
+            if m[0][j]
+        ),
+        Fraction(0),
+    )
+
+
+def minor_rank(rows: list[list[Fraction]]) -> int:
+    """The largest k such that some k x k minor is nonzero."""
+    ncols = len(rows[0]) if rows else 0
+    for k in range(min(len(rows), ncols), 0, -1):
+        for rs in itertools.combinations(range(len(rows)), k):
+            for cs in itertools.combinations(range(ncols), k):
+                if cofactor_det([[rows[r][c] for c in cs] for r in rs]):
+                    return k
+    return 0
+
+
+def sylvester_matrix(f: list[Fraction], g: list[Fraction]) -> list[list[Fraction]]:
+    """Sylvester matrix of ascending coefficient lists f (degree m) and g
+    (degree n): n shifted rows of f, then m shifted rows of g, leading
+    coefficients first."""
+    m, n = len(f) - 1, len(g) - 1
+    out = [[Fraction(0)] * (m + n) for _ in range(m + n)]
+    for k in range(n):
+        for i, c in enumerate(f):
+            out[k][k + m - i] = c
+    for k in range(m):
+        for i, c in enumerate(g):
+            out[n + k][k + n - i] = c
+    return out
+
+
+def poly_from_roots(lead: Fraction, roots: list[Fraction]) -> list[Fraction]:
+    """Ascending coefficients of lead * prod (x - r)."""
+    p = [Fraction(lead)]
+    for r in roots:
+        p = [a - r * b for a, b in zip([Fraction(0)] + p, p + [Fraction(0)])]
+    return p
+
+
+def random_matrix(rng: random.Random, nrows: int, ncols: int, rank_cap: int | None = None):
+    """Small rational matrix with many zeros; at most rank_cap when given
+    (a product of nrows x rank_cap and rank_cap x ncols factors)."""
+    def entry():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 2)) if rng.random() < 0.6 else Fraction(0)
+
+    if rank_cap is None:
+        return [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    left = [[entry() for _ in range(rank_cap)] for _ in range(nrows)]
+    right = [[entry() for _ in range(ncols)] for _ in range(rank_cap)]
+    return [
+        [sum((left[i][k] * right[k][j] for k in range(rank_cap)), Fraction(0)) for j in range(ncols)]
+        for i in range(nrows)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -270,3 +270,69 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "cohiggs" in capsys.readouterr().out
+
+
+def _diag_json(**monomial):
+    """The diagonal O+O field (A1 = z1, A2 = z2) with keys of its first
+    monomial replaced."""
+    obj = jsonio.field_to_json(field(DecomposableBundle(O(0, 0), O(0, 0)), a1=Z1, a2=Z2))
+    obj["phi1"]["m"][0][0]["monomials"][0].update(monomial)
+    return obj
+
+
+def _diag_json_degree(value):
+    obj = _diag_json()
+    obj["bundle"]["L1"][0] = value
+    return obj
+
+
+def run_input_error(capsys, tmp_path, argv, payload):
+    """Run argv with the payload's file appended; expect exit 2 and one
+    InputError line, with nothing on stderr."""
+    code = main([*argv, write_json(tmp_path, "input.json", payload)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert [json.loads(line)["error"]["kind"] for line in captured.out.splitlines()] == [
+        "InputError"
+    ]
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["hitchin", "--field"], _diag_json(den=0)),
+        (
+            ["ext", "classify", "--point"],
+            {"ext": {"u": {"num": 1, "den": 0}, "v": 1}, "stratum": "S1", "params": {}},
+        ),
+    ],
+    ids=["bipoly", "rational"],
+)
+def test_zero_denominator_is_input_error(capsys, tmp_path, argv, payload):
+    run_input_error(capsys, tmp_path, argv, payload)
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["hitchin", "--field"], _diag_json(i=1.5)),
+        (["hitchin", "--field"], _diag_json(j=True)),
+        (["hitchin", "--field"], _diag_json(num="3")),
+        (["hitchin", "--field"], _diag_json(den=2.0)),
+        (["hitchin", "--field"], _diag_json_degree("0")),
+        (["hitchin", "--field"], _diag_json_degree(0.0)),
+        (["moduli", "nonempty", "--batch"], {"tuples": [[1.7, 0, 0]]}),
+        (["moduli", "nonempty", "--batch"], {"tuples": [[0, True, 0]]}),
+        (["moduli", "nonempty", "--batch"], {"tuples": [[0, 0, "3"]]}),
+        (["moduli", "nonempty", "--batch"], {"tuples": [[0, -1, 0], [1.7, 0, 0]]}),
+        (["moduli", "nonempty", "--batch"], {"tuples": [[0, -1, 0], [0, 0]]}),
+    ],
+    ids=[
+        "float-exponent", "bool-exponent", "string-numerator", "float-denominator",
+        "string-degree", "float-degree", "float-batch", "bool-batch", "string-batch",
+        "batch-second-tuple", "batch-short-tuple",
+    ],
+)
+def test_non_integer_json_is_input_error(capsys, tmp_path, argv, payload):
+    run_input_error(capsys, tmp_path, argv, payload)

@@ -3,7 +3,7 @@ from __future__ import annotations
 from fractions import Fraction as F
 
 from cohiggs.chern import ChernData
-from cohiggs.cohomology import LineBundle, h_dims, monomial_basis, slope, slope_rank2
+from cohiggs.cohomology import LineBundle, h_dims, monomial_basis, slope_rank2
 
 GRID = range(-6, 7)
 
@@ -54,8 +54,8 @@ def test_monomial_basis_counts_match_h0():
 
 
 def test_slope_examples():
-    assert slope(-1, 0) == -1
-    assert slope(0, 0) == 0
+    assert LineBundle(-1, 0).slope() == -1
+    assert LineBundle(0, 0).slope() == 0
     assert LineBundle(2, -5).slope() == -3
 
 

@@ -5,35 +5,33 @@ from fractions import Fraction as F
 
 import pytest
 
-from cohiggs.errors import DegreeBoundViolation, SingularAutomorphism
+from cohiggs.errors import SingularAutomorphism
 from cohiggs.exactalg import (
     BiPoly,
     PolyMat2,
     RatFn,
     Z1,
     Z2,
-    chart_involution,
     commutator2,
     conjugate2,
     det2,
-    eval_poly,
 )
-from oracles import check_conjugation, mat_mul_oracle, random_bipoly
+from oracles import check_conjugation, check_trace_det, mat_mul_oracle, random_bipoly
 
 
 def test_eval_poly_single_monomial():
     p = Z1 * Z2
-    assert eval_poly(p, F(2), F(3)) == 6
+    assert p.evaluate(F(2), F(3)) == 6
 
 
 def test_eval_poly_zero():
-    assert eval_poly(BiPoly.zero(), F(17), F(-5)) == 0
+    assert BiPoly.zero().evaluate(F(17), F(-5)) == 0
 
 
 def test_eval_poly_hand_arithmetic():
     # z1^2 - z2 at (1/2, 1/4): 1/4 - 1/4 = 0
     p = Z1 * Z1 - Z2
-    assert eval_poly(p, F(1, 2), F(1, 4)) == 0
+    assert p.evaluate(F(1, 2), F(1, 4)) == 0
 
 
 def test_ring_axioms_random():
@@ -154,8 +152,7 @@ def test_conjugate_preserves_trace_and_det():
         if not det2(psi):
             continue
         res = conjugate2(phi, psi)
-        assert RatFn(det2(res)) == RatFn(det2(phi))
-        assert RatFn(res.trace()) == RatFn(phi.trace())
+        assert check_trace_det(res, phi.trace(), det2(phi))
         assert check_conjugation(res, psi, phi)
         done += 1
 
@@ -165,31 +162,6 @@ def test_conjugate_singular_raises():
     psi = PolyMat2([[Z1, Z1], [Z2, Z2]])
     with pytest.raises(SingularAutomorphism):
         conjugate2(phi, psi)
-
-
-def test_chart_involution_constant_section():
-    assert chart_involution(BiPoly.const(1), (2, 0), 1) == Z1 * Z1
-
-
-def test_chart_involution_top_monomial():
-    assert chart_involution(Z1 * Z1, (2, 0), 1) == BiPoly.const(1)
-
-
-def test_chart_involution_substitute_and_clear():
-    assert chart_involution(BiPoly.const(1) + Z1, (1, 0), 1) == Z1 + 1
-
-
-def test_chart_involution_is_involution():
-    rng = random.Random(9)
-    for _ in range(50):
-        p = random_bipoly(rng, 3, 2, 6)
-        for axis, bound in ((1, (3, 2)), (2, (3, 2))):
-            assert chart_involution(chart_involution(p, bound, axis), bound, axis) == p
-
-
-def test_chart_involution_bound_violation():
-    with pytest.raises(DegreeBoundViolation):
-        chart_involution(Z1**3, (2, 0), 1)
 
 
 def test_ratfn_cross_multiplication_equality():
@@ -212,15 +184,6 @@ def test_ratfn_polynomial_detection():
     assert not RatFn(Z1, Z2).is_polynomial()
     with pytest.raises(ValueError):
         RatFn(Z1, Z2).as_bipoly()
-
-
-def test_ratfn_arithmetic():
-    half = RatFn(BiPoly.const(1), BiPoly.const(2))
-    assert half + half == RatFn(BiPoly.const(1))
-    x = RatFn(Z1, Z2)
-    assert x * RatFn(Z2, Z1) == RatFn(BiPoly.const(1))
-    assert (x - x) == RatFn(BiPoly.zero())
-    assert 1 / x == RatFn(Z2, Z1)
 
 
 def test_zero_denominator_rejected():

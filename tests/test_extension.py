@@ -13,7 +13,7 @@ from cohiggs.errors import (
     NotInNormalFormDomain,
     TrivialExtension,
 )
-from cohiggs.exactalg import BiPoly, PolyMat2, RatFn, Z1, Z2, det2
+from cohiggs.exactalg import BiPoly, PolyMat2, Z1, Z2, det2
 from cohiggs.extension import (
     TRIVIAL_EXTENSION_BUNDLE,
     TWIST_02,
@@ -34,7 +34,6 @@ from cohiggs.extension import (
     rep_v3_to_v1,
     stratum_classify,
     trace_free_basis_permutation,
-    transition_matrices,
     trivial_extension_normal_form,
     v4_trivialization_regular,
     weak_iso,
@@ -64,30 +63,6 @@ def _random_p2(rng: random.Random) -> Phi2Params:
 
 
 # -- transition matrices -------------------------------------------------------
-
-
-def test_transition_matrices_display():
-    g12, g13 = transition_matrices(ExtParams(F(2), F(5)))
-    assert g12.entry(0, 0) == RatFn(1, Z2)
-    assert g12.entry(0, 1) == RatFn(2 * Z1 + 5)
-    assert g12.entry(1, 0) == RatFn(0)
-    assert g12.entry(1, 1) == RatFn(Z2)
-    assert g13.entry(0, 0) == RatFn(1)
-    assert g13.entry(1, 1) == RatFn(1, Z1)
-
-
-def test_transition_matrices_split_case_diagonal():
-    g12, _ = transition_matrices(ExtParams(F(0), F(0)))
-    assert g12.entry(0, 1) == RatFn(0)
-    assert g12.entry(0, 0) == RatFn(1, Z2)
-    assert g12.entry(1, 1) == RatFn(Z2)
-
-
-def test_transition_det_is_one():
-    rng = random.Random(4)
-    for _ in range(10):
-        g12, _ = transition_matrices(_random_ext(rng))
-        assert det2(g12) == RatFn(1)
 
 
 def _reference_reps(u: F, v: F):

@@ -1,0 +1,109 @@
+"""Differential tests of the shared elimination against elimination-free oracles."""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from cohiggs import _univariate as uni
+from cohiggs.linalg import eliminate, rank
+from oracles import (
+    cofactor_det,
+    minor_rank,
+    poly_from_roots,
+    random_matrix,
+    random_rat,
+    sylvester_matrix,
+)
+
+EDGE_CASES = [
+    [],  # empty matrix
+    [[], []],  # two rows, no columns
+    [[F(0), F(0), F(0)]],  # one zero row
+    [[F(0)], [F(0)]],  # zero column
+    [[F(0), F(1)], [F(0), F(2)]],  # zero first column, rank 1
+    [[F(0), F(1)], [F(1), F(0)]],  # needs a row swap: det -1
+    [[F(1), F(2), F(3)], [F(2), F(4), F(6)]],  # wide, rank 1
+    [[F(1), F(2)], [F(3), F(4)], [F(5), F(6)]],  # tall, rank 2
+]
+
+
+def random_matrices(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        cap = rng.choice([None, None, rng.randint(0, min(nrows, ncols))])
+        yield random_matrix(rng, nrows, ncols, cap)
+
+
+def random_polys(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        f, g = ([random_rat(rng, 5) for _ in range(rng.randint(1, 4))] for _ in range(2))
+        yield uni.trim(f), uni.trim(g)
+
+
+def test_eliminate_matches_minor_and_cofactor_oracles():
+    for rows in EDGE_CASES + list(random_matrices(3, 300)):
+        before = [list(r) for r in rows]
+        r, d = eliminate(rows)
+        assert rows == before  # the input is left alone
+        assert r == rank(rows) == minor_rank(rows)
+        if len(rows) == (len(rows[0]) if rows else 0):
+            assert cofactor_det(rows) == (d if r == len(rows) else 0)
+
+
+def test_eliminate_edge_cases():
+    assert eliminate([]) == (0, 1)
+    assert eliminate([[], []]) == (0, 1)
+    assert eliminate([[F(0), F(1)], [F(1), F(0)]]) == (2, -1)
+    assert rank([[F(1), F(2), F(3)], [F(2), F(4), F(6)]]) == 1
+
+
+def test_resultant_matches_sylvester_cofactor_oracle():
+    for f, g in random_polys(5, 200):
+        expected = cofactor_det(sylvester_matrix(f, g)) if f and g else 0
+        assert uni.resultant(f, g) == expected
+
+
+def test_resultant_root_product_formula():
+    # Res(a prod (x - r_i), b prod (x - s_j)) = a^n b^m prod (r_i - s_j)
+    rng = random.Random(8)
+    for _ in range(100):
+        rs = [random_rat(rng, 4) for _ in range(rng.randint(0, 3))]
+        ss = [random_rat(rng, 4) for _ in range(rng.randint(0, 3))]
+        a, b = (random_rat(rng, 4) or F(1) for _ in range(2))
+        expected = a ** len(ss) * b ** len(rs)
+        for r in rs:
+            for s in ss:
+                expected *= r - s
+        assert uni.resultant(poly_from_roots(a, rs), poly_from_roots(b, ss)) == expected
+
+
+def test_resultant_degenerate_inputs():
+    assert uni.resultant([], [F(1), F(1)]) == 0
+    assert uni.resultant([F(2)], [F(0), F(0), F(1)]) == 4  # constant f: f0^deg g
+    assert uni.resultant([F(3)], [F(5)]) == 1
+
+
+def test_sympy_cross_check():
+    sympy = pytest.importorskip("sympy")
+    q = lambda c: sympy.Rational(c.numerator, c.denominator)
+    for rows in random_matrices(13, 150):
+        mat = sympy.Matrix([[q(c) for c in row] for row in rows])
+        r, d = eliminate(rows)
+        assert r == mat.rank()
+        if mat.is_square:
+            assert q(d if r == len(rows) else F(0)) == mat.det()
+    x = sympy.Symbol("x")
+    for f, g in random_polys(17, 150):
+        if uni.deg(f) < 1 or uni.deg(g) < 1:
+            continue
+        pf, pg = (sum(q(c) * x**k for k, c in enumerate(p)) for p in (f, g))
+        m, n = uni.deg(f), uni.deg(g)
+        # sympy 1.14 returns Res(g, f) when deg f < deg g, so pass the
+        # higher degree first and undo the swap with (-1)^(mn)
+        expected = sympy.resultant(pf, pg, x) if m >= n else (-1) ** (m * n) * sympy.resultant(pg, pf, x)
+        assert q(uni.resultant(f, g)) == expected
