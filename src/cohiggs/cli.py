@@ -69,10 +69,15 @@ logger = logging.getLogger("cohiggs")
 
 
 def _parse_rat(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational number: {text!r}") from exc
+    """An integer, p/q or plain decimal.  Exponent notation is refused:
+    "1e400" would ask for a 400-digit number from five characters, while
+    the accepted forms cost no more than the length of the text."""
+    if "e" not in text.lower():
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"not a rational number: {text!r}")
 
 
 def _load_json(path: str):

@@ -4,6 +4,11 @@ One forward elimination serves every exact linear-algebra question in the
 package: the rank behind the dimension counts and the determinant behind
 the Sylvester resultant.  Pivoting is by first nonzero entry; exact
 arithmetic makes numerical pivot selection irrelevant.
+
+Rows are held sparsely, as ``{column: entry}`` dicts of their nonzero
+entries, so a row update costs the pivot row's nonzeros rather than the
+full width.  The ansatz systems behind the dimension counts are about 97%
+zeros.  The pivots, and so the returned pair, are those of the dense loop.
 """
 
 from __future__ import annotations
@@ -17,14 +22,14 @@ def eliminate(rows: list[list[Fraction]]) -> tuple[int, Fraction]:
     Each pivot clears only the entries below it; a row swap flips the sign.
     For a square matrix of full rank the second value is the determinant.
     """
-    m = [list(r) for r in rows]
-    ncols = len(m[0]) if m else 0
+    m = [{j: a for j, a in enumerate(row) if a} for row in rows]
+    ncols = len(rows[0]) if rows else 0
     r = 0
     det = Fraction(1)
     for col in range(ncols):
         if r == len(m):
             break
-        pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
+        pivot = next((i for i in range(r, len(m)) if col in m[i]), None)
         if pivot is None:
             continue
         if pivot != r:
@@ -32,10 +37,17 @@ def eliminate(rows: list[list[Fraction]]) -> tuple[int, Fraction]:
             det = -det
         pv = m[r][col]
         det *= pv
-        for i in range(r + 1, len(m)):
-            if m[i][col]:
-                f = m[i][col] / pv
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        # the pivot column cancels exactly, so it is popped, not updated
+        rest = [(j, b) for j, b in m[r].items() if j != col]
+        for row in m[r + 1 :]:
+            if col in row:
+                f = row.pop(col) / pv
+                for j, b in rest:
+                    a = row.get(j, 0) - f * b
+                    if a:
+                        row[j] = a
+                    else:
+                        del row[j]
         r += 1
     return r, det
 

@@ -165,6 +165,38 @@ def check_trace_det(result: PolyMat2, trace: BiPoly, det: BiPoly) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# reference elimination (the dense loop, for differential tests)
+# ---------------------------------------------------------------------------
+
+
+def dense_eliminate(rows: list[list[Fraction]]) -> tuple[int, Fraction]:
+    """The dense forward elimination that ``linalg.eliminate`` replaced,
+    kept as its differential reference: same first-nonzero pivots, every
+    row update recomputed across the full width."""
+    m = [list(r) for r in rows]
+    ncols = len(m[0]) if m else 0
+    r = 0
+    det = Fraction(1)
+    for col in range(ncols):
+        if r == len(m):
+            break
+        pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            det = -det
+        pv = m[r][col]
+        det *= pv
+        for i in range(r + 1, len(m)):
+            if m[i][col]:
+                f = m[i][col] / pv
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        r += 1
+    return r, det
+
+
+# ---------------------------------------------------------------------------
 # exact linear-algebra oracles (no elimination anywhere)
 # ---------------------------------------------------------------------------
 
@@ -217,18 +249,25 @@ def poly_from_roots(lead: Fraction, roots: list[Fraction]) -> list[Fraction]:
     return p
 
 
-def random_matrix(rng: random.Random, nrows: int, ncols: int, rank_cap: int | None = None):
+def random_matrix(
+    rng: random.Random, nrows: int, ncols: int, rank_cap: int | None = None, density: float = 0.6
+):
     """Small rational matrix with many zeros; at most rank_cap when given
-    (a product of nrows x rank_cap and rank_cap x ncols factors)."""
+    (a product of nrows x rank_cap and rank_cap x ncols factors).  Each
+    entry, or each factor's entry when capped, is nonzero with probability
+    at most density."""
     def entry():
-        return Fraction(rng.randint(-3, 3), rng.randint(1, 2)) if rng.random() < 0.6 else Fraction(0)
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 2)) if rng.random() < density else Fraction(0)
 
     if rank_cap is None:
         return [[entry() for _ in range(ncols)] for _ in range(nrows)]
     left = [[entry() for _ in range(rank_cap)] for _ in range(nrows)]
     right = [[entry() for _ in range(ncols)] for _ in range(rank_cap)]
     return [
-        [sum((left[i][k] * right[k][j] for k in range(rank_cap)), Fraction(0)) for j in range(ncols)]
+        [
+            sum((left[i][k] * right[k][j] for k in range(rank_cap) if left[i][k]), Fraction(0))
+            for j in range(ncols)
+        ]
         for i in range(nrows)
     ]
 

@@ -336,3 +336,20 @@ def test_zero_denominator_is_input_error(capsys, tmp_path, argv, payload):
 )
 def test_non_integer_json_is_input_error(capsys, tmp_path, argv, payload):
     run_input_error(capsys, tmp_path, argv, payload)
+
+
+@pytest.mark.parametrize(
+    "value, code",
+    [("1e5", 2), ("2E-3", 2), ("1e400", 2), ("1/2e3", 2), ("3", 0), ("-3", 0), ("1/2", 0), ("0.5", 0)],
+)
+def test_cli_rational_forms(capsys, value, code):
+    """Integers, p/q and plain decimals are accepted; exponent notation is
+    an InputError, since its cost is not bounded by the text's length."""
+    assert main(["ext", "dims", "--u", value, "--v", "1"]) == code
+    captured = capsys.readouterr()
+    (out,) = (json.loads(line) for line in captured.out.splitlines())
+    if code == 0:
+        assert out == {"dim20": 6, "dim02": 5, "total": 11}
+    else:
+        assert out["error"]["kind"] == "InputError"
+    assert captured.err == ""

@@ -209,7 +209,11 @@ def test_end0T_dimension_examples():
 
 
 def test_end0T_dimension_grid():
-    values = [F(-2), F(-1), F(0), F(1), F(3)]
+    rng = random.Random(60)
+    exact_bits = lambda b: rng.getrandbits(b) | 1 << (b - 1)
+    values = [F(-2), F(-1), F(0), F(1), F(3)] + [
+        F(rng.choice([-1, 1]) * exact_bits(b), exact_bits(b)) for b in (60, 128, 200)
+    ]
     for u in values:
         for v in values:
             e = ExtParams(u, v)

@@ -1,4 +1,5 @@
-"""Differential tests of the shared elimination against elimination-free oracles."""
+"""Differential tests of the shared elimination against elimination-free
+oracles and against the dense elimination it replaced."""
 
 from __future__ import annotations
 
@@ -8,9 +9,12 @@ from fractions import Fraction as F
 import pytest
 
 from cohiggs import _univariate as uni
+from cohiggs import extension
+from cohiggs.extension import ExtParams, end0T_dimension
 from cohiggs.linalg import eliminate, rank
 from oracles import (
     cofactor_det,
+    dense_eliminate,
     minor_rank,
     poly_from_roots,
     random_matrix,
@@ -53,6 +57,45 @@ def test_eliminate_matches_minor_and_cofactor_oracles():
         assert r == rank(rows) == minor_rank(rows)
         if len(rows) == (len(rows[0]) if rows else 0):
             assert cofactor_det(rows) == (d if r == len(rows) else 0)
+
+
+def random_sparse_matrices(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        nrows, ncols = rng.randint(1, 40), rng.randint(1, 40)
+        cap = rng.choice([None, rng.randint(0, min(nrows, ncols))])
+        yield random_matrix(rng, nrows, ncols, cap, density=rng.uniform(0.05, 0.3))
+
+
+def test_eliminate_matches_dense_oracle_on_sparse_matrices():
+    swaps = zero_columns = cancellations = 0
+    for rows in EDGE_CASES + list(random_sparse_matrices(21, 60)):
+        expected = dense_eliminate(rows)
+        assert eliminate(rows) == expected
+        # the inputs must exercise a row swap, a zero column and a nonzero
+        # row cancelling to zero
+        swaps += bool(rows and rows[0] and not rows[0][0] and any(r[0] for r in rows))
+        zero_columns += any(not any(col) for col in zip(*rows))
+        cancellations += sum(any(r) for r in rows) > expected[0]
+    assert swaps and zero_columns and cancellations
+
+
+def test_eliminate_matches_dense_oracle_on_ansatz_matrices(monkeypatch):
+    matrices = []
+
+    def capturing_rank(rows):
+        matrices.append([list(r) for r in rows])
+        return rank(rows)
+
+    monkeypatch.setattr(extension, "rank", capturing_rank)
+    rng = random.Random(34)
+    big = lambda: F(rng.getrandbits(100) * rng.choice([-1, 1]), rng.getrandbits(100) | 1)
+    classes = [ExtParams(F(0), F(1)), ExtParams(F(1, 2), F(-3)), ExtParams(big(), big()), ExtParams(big(), F(0))]
+    for e in classes:
+        assert end0T_dimension(e) == (6, 5, 11)
+    assert len(matrices) == 2 * len(classes)
+    for rows in matrices:
+        assert eliminate(rows) == dense_eliminate(rows)
 
 
 def test_eliminate_edge_cases():
