@@ -1,9 +1,13 @@
 """Command-line front end.
 
-Every decision procedure and constructor is exposed as a subcommand with
-JSON on stdout.  Exit codes: 0 on success, 1 on domain errors (reported as
-{"error": {"kind", "detail"}}), 2 on malformed input.  Set COHIGGS_LOG
-(e.g. to DEBUG) for diagnostics on stderr.
+Every subcommand is one row of ``COMMANDS``: its words (``"ext dims"``), its
+help, its argparse options and a handler that returns its JSON payload (an
+iterator of payloads for ``moduli nonempty --batch``, one line each); a row
+without a handler is a group such as ``ext``.  ``main`` alone parses,
+dispatches, prints and maps exceptions to exit codes: 0 on success, 1 on
+domain errors, 2 on malformed input (a malformed command line included),
+errors as one {"error": {"kind", "detail"}} line.  Set COHIGGS_LOG (e.g. to
+DEBUG) for diagnostics on stderr.
 """
 
 from __future__ import annotations
@@ -14,56 +18,10 @@ import logging
 import os
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple, Sequence
 
-from . import __version__, jsonio
-from .chern import (
-    ChernData,
-    NumericalInvariants,
-    bundle_moduli_nonempty,
-    cohiggs_moduli_nonempty,
-    ext_length,
-    no_nontrivial_higgs_region,
-    reduce_class,
-    theorem48_case2_discrepancy,
-)
-from .cohomology import h_dims
+from . import __version__, chern, cohomology, extension, higgs, jsonio, spectral
 from .errors import CoHiggsError
-from .exactalg import BiPoly
-from .extension import (
-    TWIST_02,
-    TWIST_20,
-    ExtParams,
-    Phi1Params,
-    Phi2Params,
-    build_phi1,
-    build_phi2,
-    dichotomy_check,
-    end0T_dimension,
-    glue_check,
-    stratum_classify,
-    trivial_extension_normal_form,
-    weak_iso,
-)
-from .higgs import (
-    HiggsField,
-    graded_object,
-    is_integrable,
-    normal_form_F0,
-    normal_form_pm1,
-    pullback_from_line,
-    s_equiv_rep,
-    section_Q,
-    stability_classify,
-    validate_field,
-)
-from .spectral import (
-    SpectralPoint,
-    fibre_decomposability,
-    fibre_over_point,
-    hitchin_map,
-    rho_consistent,
-    spectral_residual,
-)
 
 logger = logging.getLogger("cohiggs")
 
@@ -89,7 +47,15 @@ def _emit(payload) -> None:
     print(json.dumps(payload))
 
 
-def _reduced_json(red) -> dict:
+def _ext(u: str, v: str) -> extension.ExtParams:
+    return extension.ExtParams(_parse_rat(u), _parse_rat(v))
+
+
+# -- handlers: each returns what main prints ---------------------------------
+
+
+def _reduced(c: chern.ChernData) -> dict:
+    red = chern.reduce_class(c)
     return {
         "tag": red.tag.value,
         "twist": [red.twist.a, red.twist.b],
@@ -97,26 +63,16 @@ def _reduced_json(red) -> dict:
     }
 
 
-# -- subcommand handlers -----------------------------------------------------
-
-
-def _cmd_cohomology(args) -> int:
-    h0, h1, h2 = h_dims(args.a, args.b)
-    _emit({"h0": h0, "h1": h1, "h2": h2})
-    return 0
-
-
-def _nonempty_payload(alpha: int, beta: int, gamma: int) -> dict:
-    c = ChernData(alpha, beta, gamma)
-    red = reduce_class(c)
+def _nonempty(alpha: int, beta: int, gamma: int) -> dict:
+    c = chern.ChernData(alpha, beta, gamma)
     return {
-        "nonempty": cohiggs_moduli_nonempty(c),
-        "reduced": _reduced_json(red),
-        "theorem48_case2_discrepancy": theorem48_case2_discrepancy(c),
+        "nonempty": chern.cohiggs_moduli_nonempty(c),
+        "reduced": _reduced(c),
+        "theorem48_case2_discrepancy": chern.theorem48_case2_discrepancy(c),
     }
 
 
-def _cmd_moduli_nonempty(args) -> int:
+def _moduli_nonempty(args):
     if args.batch:
         grid = _load_json(args.batch)
         if isinstance(grid, dict):
@@ -128,300 +84,209 @@ def _cmd_moduli_nonempty(args) -> int:
         if any(len(t) != 3 for t in tuples):
             raise ValueError("batch tuples must have three entries")
         logger.debug("batch of %d tuples", len(tuples))
-        for alpha, beta, gamma in tuples:
-            payload = _nonempty_payload(alpha, beta, gamma)
-            payload["alpha"], payload["beta"], payload["gamma"] = alpha, beta, gamma
-            _emit(payload)
-        return 0
-    if args.alpha is None or args.beta is None or args.gamma is None:
+        return ({**_nonempty(a, b, g), "alpha": a, "beta": b, "gamma": g} for a, b, g in tuples)
+    if None in (args.alpha, args.beta, args.gamma):
         raise ValueError("--alpha/--beta/--gamma are required without --batch")
-    _emit(_nonempty_payload(args.alpha, args.beta, args.gamma))
-    return 0
+    return _nonempty(args.alpha, args.beta, args.gamma)
 
 
-def _cmd_moduli_bundle(args) -> int:
-    c = ChernData(args.alpha, args.beta, args.gamma)
-    inv = NumericalInvariants(args.d, args.r)
-    _emit({"nonempty": bundle_moduli_nonempty(c, inv), "length": ext_length(c, inv)})
-    return 0
+def _moduli_bundle(args) -> dict:
+    c = chern.ChernData(args.alpha, args.beta, args.gamma)
+    inv = chern.NumericalInvariants(args.d, args.r)
+    return {"nonempty": chern.bundle_moduli_nonempty(c, inv), "length": chern.ext_length(c, inv)}
 
 
-def _cmd_moduli_nohiggs(args) -> int:
-    inv = NumericalInvariants(args.d, args.r)
-    _emit({"no_nontrivial_higgs": no_nontrivial_higgs_region(inv, args.c2)})
-    return 0
+def _higgs_check(args) -> dict:
+    f = jsonio.field_from_json(_load_json(args.field))
+    valid = higgs.validate_field(f)
+    integrable = higgs.is_integrable(f) if valid else None
+    stability = higgs.stability_classify(f).value if valid and integrable else None
+    return {"valid": valid, "integrable": integrable, "stability": stability}
 
 
-def _cmd_reduce(args) -> int:
-    red = reduce_class(ChernData(args.alpha, args.beta, args.gamma))
-    _emit(_reduced_json(red))
-    return 0
+def _higgs_normal_form(args) -> dict:
+    f = jsonio.field_from_json(_load_json(args.field))
+    degrees = (f.bundle.L1.a, f.bundle.L1.b, f.bundle.L2.a, f.bundle.L2.b)
+    if degrees == (0, 0, -1, 0):
+        rep, psi = higgs.normal_form_F0(f)
+        return {"field": jsonio.field_to_json(rep), "psi": jsonio.mat_to_json(psi)}
+    if degrees == (1, 0, -1, 0):
+        return {"field": jsonio.field_to_json(higgs.normal_form_pm1(f))}
+    if degrees == (0, -1, -1, 1):
+        return {"field": jsonio.field_to_json(extension.trivial_extension_normal_form(f))}
+    raise CoHiggsError(f"no normal form implemented for bundle {f.bundle}")
 
 
-def _load_field(path: str) -> HiggsField:
-    return jsonio.field_from_json(_load_json(path))
+def _higgs_graded(args) -> dict:
+    f = jsonio.field_from_json(_load_json(args.field))
+    g = higgs.graded_object(f)
+    a1, a2 = higgs.s_equiv_rep(f)
+    return {
+        "field": jsonio.field_to_json(g),
+        "s_equiv_rep": {"A1": jsonio.bipoly_to_json(a1), "A2": jsonio.bipoly_to_json(a2)},
+    }
 
 
-def _cmd_higgs_check(args) -> int:
-    f = _load_field(args.field)
-    valid = validate_field(f)
-    integrable = is_integrable(f) if valid else None
-    stability = None
-    if valid and integrable:
-        stability = stability_classify(f).value
-    _emit({"valid": valid, "integrable": integrable, "stability": stability})
-    return 0
+def _higgs_pullback(args) -> dict:
+    a, b, c = (jsonio.bipoly_from_json(_load_json(p)) for p in (args.a, args.b, args.c))
+    pb = higgs.pullback_from_line(a, b, c, args.axis)
+    return {"field": jsonio.field_to_json(pb.field), "rho": jsonio.bipoly_to_json(pb.rho)}
 
 
-def _cmd_higgs_normal_form(args) -> int:
-    f = _load_field(args.field)
-    bundle = f.bundle
-    if (bundle.L1.a, bundle.L1.b, bundle.L2.a, bundle.L2.b) == (0, 0, -1, 0):
-        rep, psi = normal_form_F0(f)
-        _emit({"field": jsonio.field_to_json(rep), "psi": jsonio.mat_to_json(psi)})
-    elif (bundle.L1.a, bundle.L1.b, bundle.L2.a, bundle.L2.b) == (1, 0, -1, 0):
-        rep = normal_form_pm1(f)
-        _emit({"field": jsonio.field_to_json(rep)})
-    elif (bundle.L1.a, bundle.L1.b, bundle.L2.a, bundle.L2.b) == (0, -1, -1, 1):
-        rep = trivial_extension_normal_form(f)
-        _emit({"field": jsonio.field_to_json(rep)})
-    else:
-        raise CoHiggsError(f"no normal form implemented for bundle {bundle}")
-    return 0
-
-
-def _cmd_higgs_graded(args) -> int:
-    f = _load_field(args.field)
-    g = graded_object(f)
-    a1, a2 = s_equiv_rep(f)
-    _emit(
-        {
-            "field": jsonio.field_to_json(g),
-            "s_equiv_rep": {
-                "A1": jsonio.bipoly_to_json(a1),
-                "A2": jsonio.bipoly_to_json(a2),
-            },
-        }
-    )
-    return 0
-
-
-def _cmd_higgs_section_q(args) -> int:
-    rho = jsonio.bipoly_from_json(_load_json(args.rho))
-    f = section_Q(rho, args.axis)
-    _emit({"field": jsonio.field_to_json(f)})
-    return 0
-
-
-def _cmd_higgs_pullback(args) -> int:
-    a = jsonio.bipoly_from_json(_load_json(args.a))
-    b = jsonio.bipoly_from_json(_load_json(args.b))
-    c = jsonio.bipoly_from_json(_load_json(args.c))
-    pb = pullback_from_line(a, b, c, args.axis)
-    _emit(
-        {
-            "field": jsonio.field_to_json(pb.field),
-            "rho": jsonio.bipoly_to_json(pb.rho),
-        }
-    )
-    return 0
-
-
-def _cmd_ext_dims(args) -> int:
-    dims = end0T_dimension(ExtParams(_parse_rat(args.u), _parse_rat(args.v)))
-    _emit({"dim20": dims[0], "dim02": dims[1], "total": dims[2]})
-    return 0
-
-
-def _cmd_ext_build(args) -> int:
-    e = ExtParams(_parse_rat(args.u), _parse_rat(args.v))
-    p1 = jsonio.phi1_params_from_json(_load_json(args.phi1)) if args.phi1 else Phi1Params()
-    p2 = jsonio.phi2_params_from_json(_load_json(args.phi2)) if args.phi2 else Phi2Params()
+def _ext_build(args) -> dict:
+    e = _ext(args.u, args.v)
+    p1 = jsonio.phi1_params_from_json(_load_json(args.phi1) if args.phi1 else {})
+    p2 = jsonio.phi2_params_from_json(_load_json(args.phi2) if args.phi2 else {})
     if args.phi1 is None and args.phi2 is None:
         raise ValueError("provide --phi1 and/or --phi2 parameter files")
-    m1 = build_phi1(e, p1)
-    m2 = build_phi2(e, p2)
-    payload = {
+    m1, m2 = extension.build_phi1(e, p1), extension.build_phi2(e, p2)
+    return {
         "phi1": jsonio.mat_to_json(m1),
         "phi2": jsonio.mat_to_json(m2),
         "glue_check": {
-            "phi1": glue_check(e, m1, TWIST_20),
-            "phi2": glue_check(e, m2, TWIST_02),
+            "phi1": extension.glue_check(e, m1, extension.TWIST_20),
+            "phi2": extension.glue_check(e, m2, extension.TWIST_02),
         },
-        "dichotomy": dichotomy_check(e, p1, p2).value,
+        "dichotomy": extension.dichotomy_check(e, p1, p2).value,
     }
-    _emit(payload)
-    return 0
 
 
-def _cmd_ext_classify(args) -> int:
-    point = jsonio.point_from_json(_load_json(args.point))
-    normalized = stratum_classify(point)
-    _emit({"stratum": normalized.stratum.value, "point": jsonio.point_to_json(normalized)})
-    return 0
+def _ext_classify(args) -> dict:
+    point = extension.stratum_classify(jsonio.point_from_json(_load_json(args.point)))
+    return {"stratum": point.stratum.value, "point": jsonio.point_to_json(point)}
 
 
-def _cmd_ext_weak_iso(args) -> int:
-    e1 = ExtParams(_parse_rat(args.u1), _parse_rat(args.v1))
-    e2 = ExtParams(_parse_rat(args.u2), _parse_rat(args.v2))
-    _emit({"weak_iso": weak_iso(e1, e2)})
-    return 0
+def _hitchin(args) -> dict:
+    s = spectral.hitchin_map(jsonio.field_from_json(_load_json(args.field)))
+    return {**jsonio.spectral_to_json(s), "consistent": spectral.rho_consistent(s)}
 
 
-def _cmd_hitchin(args) -> int:
-    f = _load_field(args.field)
-    s = hitchin_map(f)
-    payload = jsonio.spectral_to_json(s)
-    payload["consistent"] = rho_consistent(s)
-    _emit(payload)
-    return 0
-
-
-def _cmd_spectral_residual(args) -> int:
+def _spectral_residual(args) -> dict:
     s = jsonio.spectral_from_json(_load_json(args.rho))
     parts = args.point.split(",")
     if len(parts) != 4:
         raise ValueError("--point needs z1,z2,eta1,eta2")
-    z1, z2, e1, e2 = (_parse_rat(p) for p in parts)
-    r1, r2, r3 = spectral_residual(s, SpectralPoint(z1, z2, e1, e2))
-    _emit(
-        {
-            "r1": jsonio.rat_to_json(r1),
-            "r2": jsonio.rat_to_json(r2),
-            "r3": jsonio.rat_to_json(r3),
-            "on_surface": not (r1 or r2 or r3),
-        }
-    )
-    return 0
+    point = spectral.SpectralPoint(*(_parse_rat(p) for p in parts))
+    r1, r2, r3 = spectral.spectral_residual(s, point)
+    return {
+        "r1": jsonio.rat_to_json(r1),
+        "r2": jsonio.rat_to_json(r2),
+        "r3": jsonio.rat_to_json(r3),
+        "on_surface": not (r1 or r2 or r3),
+    }
 
 
-def _cmd_spectral_classify(args) -> int:
-    s = jsonio.spectral_from_json(_load_json(args.rho))
-    _emit({"classification": fibre_decomposability(s).value})
-    return 0
+# -- the command table -------------------------------------------------------
 
 
-def _cmd_spectral_fibre(args) -> int:
-    f = _load_field(args.field)
-    fib = fibre_over_point(f, _parse_rat(args.z1), _parse_rat(args.z2))
-    _emit(jsonio.fibre_to_json(fib))
-    return 0
+def _opts(*flags: str, **kwargs) -> list:
+    """The same argparse keywords for each of several flags."""
+    return [(flag, kwargs) for flag in flags]
 
 
-# -- parser ------------------------------------------------------------------
+_AXIS = _opts("--axis", type=int, choices=(1, 2), default=1)
+
+
+class Command(NamedTuple):
+    """One subcommand, or a group of subcommands when handler is None."""
+
+    words: str
+    help: str
+    options: Sequence = ()
+    handler: Callable | None = None
+
+
+COMMANDS = [
+    Command("cohomology", "cohomology dimensions of O(a,b)",
+            _opts("--a", "--b", type=int, required=True),
+            lambda args: dict(zip(("h0", "h1", "h2"), cohomology.h_dims(args.a, args.b)))),
+    Command("moduli", "moduli decision procedures"),
+    Command("moduli nonempty", "co-Higgs moduli non-emptiness",
+            _opts("--alpha", "--beta", "--gamma", type=int)
+            + _opts("--batch", help="JSON file with [alpha,beta,gamma] tuples"),
+            _moduli_nonempty),
+    Command("moduli bundle-nonempty", "bundle moduli non-emptiness",
+            _opts("--alpha", "--beta", "--gamma", "--d", "--r", type=int, required=True),
+            _moduli_bundle),
+    Command("moduli no-higgs-region", "only-zero-Higgs region test (c1 = -F)",
+            _opts("--d", "--r", "--c2", type=int, required=True),
+            lambda args: {"no_nontrivial_higgs": chern.no_nontrivial_higgs_region(
+                chern.NumericalInvariants(args.d, args.r), args.c2)}),
+    Command("reduce", "reduce a first Chern class by twisting",
+            _opts("--alpha", "--beta", "--gamma", type=int, required=True),
+            lambda args: _reduced(chern.ChernData(args.alpha, args.beta, args.gamma))),
+    Command("higgs", "Higgs-field operations"),
+    Command("higgs check", "validate / integrability / stability",
+            _opts("--field", required=True), _higgs_check),
+    Command("higgs normal-form", "conjugacy normal form by bundle type",
+            _opts("--field", required=True), _higgs_normal_form),
+    Command("higgs graded", "associated graded object (O+O)",
+            _opts("--field", required=True), _higgs_graded),
+    Command("higgs section-q", "stable field (0 -rho; 1 0) from a quartic",
+            _opts("--rho", required=True) + _AXIS,
+            lambda args: {"field": jsonio.field_to_json(higgs.section_Q(
+                jsonio.bipoly_from_json(_load_json(args.rho)), args.axis))}),
+    Command("higgs pullback", "pull back a field from one line factor",
+            _opts("--a", required=True, help="BiPoly JSON file, degree <= 2")
+            + _opts("--b", required=True, help="BiPoly JSON file, degree <= 3")
+            + _opts("--c", required=True, help="BiPoly JSON file, degree <= 1, nonzero")
+            + _AXIS,
+            _higgs_pullback),
+    Command("ext", "the c1 = -F, c2 = 1 extension family"),
+    Command("ext dims", "twisted endomorphism dimension counts",
+            _opts("--u", "--v", required=True),
+            lambda args: dict(zip(("dim20", "dim02", "total"),
+                                  extension.end0T_dimension(_ext(args.u, args.v))))),
+    Command("ext build", "assemble field components from parameters",
+            _opts("--u", "--v", required=True)
+            + _opts("--phi1", help="Phi1Params JSON file")
+            + _opts("--phi2", help="Phi2Params JSON file"),
+            _ext_build),
+    Command("ext classify", "stratum of a moduli point",
+            _opts("--point", required=True), _ext_classify),
+    Command("ext weak-iso", "weak isomorphism of extension classes",
+            _opts("--u1", "--v1", "--u2", "--v2", required=True),
+            lambda args: {"weak_iso": extension.weak_iso(_ext(args.u1, args.v1),
+                                                         _ext(args.u2, args.v2))}),
+    Command("hitchin", "Hitchin image of a field", _opts("--field", required=True), _hitchin),
+    Command("spectral", "spectral-surface diagnostics"),
+    Command("spectral residual", "surface residuals at a point of Tot(T)",
+            _opts("--rho", required=True)
+            + _opts("--point", required=True, help="z1,z2,eta1,eta2 (rationals)"),
+            _spectral_residual),
+    Command("spectral classify", "fibre decomposability class",
+            _opts("--rho", required=True),
+            lambda args: {"classification": spectral.fibre_decomposability(
+                jsonio.spectral_from_json(_load_json(args.rho))).value}),
+    Command("spectral fibre", "fibre of the spectral surface over a point",
+            _opts("--field", "--z1", "--z2", required=True),
+            lambda args: jsonio.fibre_to_json(spectral.fibre_over_point(
+                jsonio.field_from_json(_load_json(args.field)),
+                _parse_rat(args.z1), _parse_rat(args.z2)))),
+]
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises ValueError where argparse would print usage and exit 2."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cohiggs",
-        description="Exact computations for rank-2 co-Higgs bundles on P1 x P1.",
-    )
+    description = "Exact computations for rank-2 co-Higgs bundles on P1 x P1."
+    parser = _Parser(prog="cohiggs", description=description)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("cohomology", help="cohomology dimensions of O(a,b)")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.set_defaults(handler=_cmd_cohomology)
-
-    moduli = sub.add_parser("moduli", help="moduli decision procedures")
-    msub = moduli.add_subparsers(dest="moduli_command", required=True)
-
-    p = msub.add_parser("nonempty", help="co-Higgs moduli non-emptiness")
-    p.add_argument("--alpha", type=int)
-    p.add_argument("--beta", type=int)
-    p.add_argument("--gamma", type=int)
-    p.add_argument("--batch", help="JSON file with [alpha,beta,gamma] tuples")
-    p.set_defaults(handler=_cmd_moduli_nonempty)
-
-    p = msub.add_parser("bundle-nonempty", help="bundle moduli non-emptiness")
-    for flag in ("--alpha", "--beta", "--gamma", "--d", "--r"):
-        p.add_argument(flag, type=int, required=True)
-    p.set_defaults(handler=_cmd_moduli_bundle)
-
-    p = msub.add_parser("no-higgs-region", help="only-zero-Higgs region test (c1 = -F)")
-    for flag in ("--d", "--r", "--c2"):
-        p.add_argument(flag, type=int, required=True)
-    p.set_defaults(handler=_cmd_moduli_nohiggs)
-
-    p = sub.add_parser("reduce", help="reduce a first Chern class by twisting")
-    for flag in ("--alpha", "--beta", "--gamma"):
-        p.add_argument(flag, type=int, required=True)
-    p.set_defaults(handler=_cmd_reduce)
-
-    higgs = sub.add_parser("higgs", help="Higgs-field operations")
-    hsub = higgs.add_subparsers(dest="higgs_command", required=True)
-
-    p = hsub.add_parser("check", help="validate / integrability / stability")
-    p.add_argument("--field", required=True)
-    p.set_defaults(handler=_cmd_higgs_check)
-
-    p = hsub.add_parser("normal-form", help="conjugacy normal form by bundle type")
-    p.add_argument("--field", required=True)
-    p.set_defaults(handler=_cmd_higgs_normal_form)
-
-    p = hsub.add_parser("graded", help="associated graded object (O+O)")
-    p.add_argument("--field", required=True)
-    p.set_defaults(handler=_cmd_higgs_graded)
-
-    p = hsub.add_parser("section-q", help="stable field (0 -rho; 1 0) from a quartic")
-    p.add_argument("--rho", required=True)
-    p.add_argument("--axis", type=int, choices=(1, 2), default=1)
-    p.set_defaults(handler=_cmd_higgs_section_q)
-
-    p = hsub.add_parser("pullback", help="pull back a field from one line factor")
-    p.add_argument("--a", required=True, help="BiPoly JSON file, degree <= 2")
-    p.add_argument("--b", required=True, help="BiPoly JSON file, degree <= 3")
-    p.add_argument("--c", required=True, help="BiPoly JSON file, degree <= 1, nonzero")
-    p.add_argument("--axis", type=int, choices=(1, 2), default=1)
-    p.set_defaults(handler=_cmd_higgs_pullback)
-
-    ext = sub.add_parser("ext", help="the c1 = -F, c2 = 1 extension family")
-    esub = ext.add_subparsers(dest="ext_command", required=True)
-
-    p = esub.add_parser("dims", help="twisted endomorphism dimension counts")
-    p.add_argument("--u", required=True)
-    p.add_argument("--v", required=True)
-    p.set_defaults(handler=_cmd_ext_dims)
-
-    p = esub.add_parser("build", help="assemble field components from parameters")
-    p.add_argument("--u", required=True)
-    p.add_argument("--v", required=True)
-    p.add_argument("--phi1", help="Phi1Params JSON file")
-    p.add_argument("--phi2", help="Phi2Params JSON file")
-    p.set_defaults(handler=_cmd_ext_build)
-
-    p = esub.add_parser("classify", help="stratum of a moduli point")
-    p.add_argument("--point", required=True)
-    p.set_defaults(handler=_cmd_ext_classify)
-
-    p = esub.add_parser("weak-iso", help="weak isomorphism of extension classes")
-    for flag in ("--u1", "--v1", "--u2", "--v2"):
-        p.add_argument(flag, required=True)
-    p.set_defaults(handler=_cmd_ext_weak_iso)
-
-    p = sub.add_parser("hitchin", help="Hitchin image of a field")
-    p.add_argument("--field", required=True)
-    p.set_defaults(handler=_cmd_hitchin)
-
-    spectral = sub.add_parser("spectral", help="spectral-surface diagnostics")
-    ssub = spectral.add_subparsers(dest="spectral_command", required=True)
-
-    p = ssub.add_parser("residual", help="surface residuals at a point of Tot(T)")
-    p.add_argument("--rho", required=True)
-    p.add_argument("--point", required=True, help="z1,z2,eta1,eta2 (rationals)")
-    p.set_defaults(handler=_cmd_spectral_residual)
-
-    p = ssub.add_parser("classify", help="fibre decomposability class")
-    p.add_argument("--rho", required=True)
-    p.set_defaults(handler=_cmd_spectral_classify)
-
-    p = ssub.add_parser("fibre", help="fibre of the spectral surface over a point")
-    p.add_argument("--field", required=True)
-    p.add_argument("--z1", required=True)
-    p.add_argument("--z2", required=True)
-    p.set_defaults(handler=_cmd_spectral_fibre)
-
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for words, help_, options, handler in COMMANDS:
+        group, _, name = words.rpartition(" ")
+        p = groups[group].add_parser(name, help=help_)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        if handler is None:
+            groups[words] = p.add_subparsers(dest="command", required=True)
+        else:
+            p.set_defaults(handler=handler)
     return parser
 
 
@@ -433,15 +298,17 @@ def main(argv=None) -> int:
             stream=sys.stderr,
             format="%(name)s %(levelname)s %(message)s",
         )
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    logger.debug("dispatch %s", args.command)
     try:
-        return args.handler(args)
+        args = _build_parser().parse_args(argv)
+        logger.debug("dispatch %s", args.command)
+        result = args.handler(args)
+        for payload in [result] if isinstance(result, dict) else result:
+            _emit(payload)
+        return 0
     except CoHiggsError as exc:
         _emit({"error": {"kind": exc.kind, "detail": str(exc)}})
         return 1
-    except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, OSError) as exc:
         _emit({"error": {"kind": "InputError", "detail": str(exc)}})
         return 2
 

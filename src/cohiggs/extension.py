@@ -74,9 +74,6 @@ class Phi1Params:
     def is_zero(self) -> bool:
         return not any((self.c00, self.c01, self.c02, self.c10, self.c11, self.c12))
 
-    def as_tuple(self) -> tuple[Fraction, ...]:
-        return (self.c00, self.c01, self.c02, self.c10, self.c11, self.c12)
-
 
 @dataclass(frozen=True)
 class Phi2Params:
@@ -90,9 +87,6 @@ class Phi2Params:
 
     def is_zero(self) -> bool:
         return not any((self.a00, self.a01, self.a02, self.b00, self.b10))
-
-    def as_tuple(self) -> tuple[Fraction, ...]:
-        return (self.a00, self.a01, self.a02, self.b00, self.b10)
 
 
 @dataclass(frozen=True)

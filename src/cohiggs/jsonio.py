@@ -3,13 +3,15 @@
 All rational numbers travel as {"num": int, "den": int} pairs; no floats
 anywhere.  Polynomials serialize their monomials in descending graded-lex
 order, which makes output byte-deterministic.  Decoders accept only JSON
-integers where an integer is expected (no floats, strings or booleans) and
-a nonzero denominator; they raise ValueError on anything else, which the CLI
-maps to exit code 2.
+integers where an integer is expected (no floats, strings or booleans), a
+nonzero denominator, and parameter objects whose keys are all fields of
+their dataclass; they raise ValueError on anything else, which the CLI maps
+to exit code 2.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 from .cohomology import LineBundle
@@ -154,22 +156,39 @@ def fibre_to_json(fib: Fibre) -> dict:
     }
 
 
+def _fields_of(cls, obj) -> dict:
+    """obj, checked to be an object whose keys all name fields of cls."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{cls.__name__} payload must be an object, got {type(obj).__name__}")
+    unknown = set(obj) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+    return obj
+
+
+def _params_from_json(cls, obj):
+    # an absent coefficient keeps its dataclass default, zero
+    return cls(**{k: rat_from_json(v) for k, v in _fields_of(cls, obj).items()})
+
+
+def _params_to_json(p) -> dict:
+    return {f.name: rat_to_json(getattr(p, f.name)) for f in dataclasses.fields(p)}
+
+
 def phi1_params_from_json(obj) -> Phi1Params:
-    keys = ("c00", "c01", "c02", "c10", "c11", "c12")
-    return Phi1Params(**{k: rat_from_json(obj[k]) if k in obj else Fraction(0) for k in keys})
+    return _params_from_json(Phi1Params, obj)
 
 
 def phi2_params_from_json(obj) -> Phi2Params:
-    keys = ("a00", "a01", "a02", "b00", "b10")
-    return Phi2Params(**{k: rat_from_json(obj[k]) if k in obj else Fraction(0) for k in keys})
+    return _params_from_json(Phi2Params, obj)
 
 
 def phi1_params_to_json(p: Phi1Params) -> dict:
-    return {k: rat_to_json(getattr(p, k)) for k in ("c00", "c01", "c02", "c10", "c11", "c12")}
+    return _params_to_json(p)
 
 
 def phi2_params_to_json(p: Phi2Params) -> dict:
-    return {k: rat_to_json(getattr(p, k)) for k in ("a00", "a01", "a02", "b00", "b10")}
+    return _params_to_json(p)
 
 
 def point_to_json(m: ModuliPoint) -> dict:
@@ -202,7 +221,7 @@ def point_from_json(obj) -> ModuliPoint:
     elif stratum is Stratum.S2:
         params = phi2_params_from_json(raw)
     else:
-        w = raw.get("w", [])
+        w = _fields_of(TrivialFieldData, raw).get("w", [])
         if len(w) != 3:
             raise ValueError("trivial-extension data needs three w coefficients")
         params = TrivialFieldData(

@@ -327,15 +327,53 @@ def test_zero_denominator_is_input_error(capsys, tmp_path, argv, payload):
         (["moduli", "nonempty", "--batch"], {"tuples": [[0, 0, "3"]]}),
         (["moduli", "nonempty", "--batch"], {"tuples": [[0, -1, 0], [1.7, 0, 0]]}),
         (["moduli", "nonempty", "--batch"], {"tuples": [[0, -1, 0], [0, 0]]}),
+        (
+            ["ext", "classify", "--point"],
+            {"ext": {"u": 0, "v": 0}, "stratum": "S0", "params": [1, 2]},
+        ),
+        (["ext", "classify", "--point"], {"ext": {"u": 1, "v": 1}, "stratum": "S2", "params": [1]}),
+        (["ext", "build", "--u", "1", "--v", "1", "--phi1"], [1, 2]),
+        (["ext", "build", "--u", "1", "--v", "1", "--phi1"], {"c0O": 5, "c11": 1}),
+        (
+            ["ext", "classify", "--point"],
+            {"ext": {"u": 1, "v": 1}, "stratum": "S1", "params": {"c0O": 5, "c11": 1}},
+        ),
+        (
+            ["ext", "classify", "--point"],
+            {"ext": {"u": 0, "v": 0}, "stratum": "S0", "params": {"p": 1, "w": [1, 2, 3], "q": 0}},
+        ),
     ],
     ids=[
         "float-exponent", "bool-exponent", "string-numerator", "float-denominator",
         "string-degree", "float-degree", "float-batch", "bool-batch", "string-batch",
-        "batch-second-tuple", "batch-short-tuple",
+        "batch-second-tuple", "batch-short-tuple", "s0-params-list", "s2-params-list",
+        "phi1-params-list", "unknown-phi1-key", "unknown-s1-key", "unknown-s0-key",
     ],
 )
 def test_non_integer_json_is_input_error(capsys, tmp_path, argv, payload):
     run_input_error(capsys, tmp_path, argv, payload)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ext", "dims", "--u", "-1/2", "--v", "1"],
+        ["cohomology", "--a", "x", "--b", "1"],
+        ["cohomology", "--a", "1"],
+        ["nosuch"],
+        ["ext"],
+    ],
+    ids=["negative-quotient", "non-integer", "missing-option", "unknown-command", "bare-group"],
+)
+def test_malformed_command_line_is_input_error(capsys, argv):
+    """argparse's own errors end as one InputError line with exit 2, not as
+    usage text on stderr."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert [json.loads(line)["error"]["kind"] for line in captured.out.splitlines()] == [
+        "InputError"
+    ]
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize(
