@@ -1,10 +1,9 @@
-"""Internal Laurent-polynomial bookkeeping for chart transitions.
+"""Laurent monomials for the chart transitions of ``extension``.
 
-A Laurent polynomial in (z1, z2) is a plain dict mapping integer exponent
-pairs (possibly negative) to nonzero Fractions.  This deliberately stays a
-bare-dict representation: it only exists to express transition matrices and
-regularity ("no negative exponents in the target chart") checks, and never
-leaks into the public API.
+A Laurent polynomial is a ``BiPoly`` whose exponents may be negative; the
+``BiPoly`` arithmetic works on it unchanged.  ``monomial`` is the only code
+that creates a negative exponent: ``BiPoly``'s public constructors and the
+JSON decoder reject one, so these values never leave ``extension``.
 """
 
 from __future__ import annotations
@@ -13,79 +12,28 @@ from fractions import Fraction
 
 from .exactalg import BiPoly
 
-LPoly = dict[tuple[int, int], Fraction]
 
-
-def zero() -> LPoly:
-    return {}
-
-def const(c) -> LPoly:
+def monomial(i: int, j: int, c=1) -> BiPoly:
+    """c * z1^i * z2^j for any integers i, j."""
     c = Fraction(c)
-    return {(0, 0): c} if c else {}
-
-def monomial(i: int, j: int, c=1) -> LPoly:
-    c = Fraction(c)
-    return {(i, j): c} if c else {}
-
-def from_bipoly(p: BiPoly) -> LPoly:
-    return {(i, j): c for i, j, c in p.terms()}
-
-def to_bipoly(f: LPoly) -> BiPoly:
-    if any(i < 0 or j < 0 for i, j in f):
-        raise ValueError("Laurent polynomial has negative exponents")
-    return BiPoly(f)
-
-def add(f: LPoly, g: LPoly) -> LPoly:
-    out = dict(f)
-    for t, c in g.items():
-        s = out.get(t, Fraction(0)) + c
-        if s:
-            out[t] = s
-        else:
-            out.pop(t, None)
+    out = BiPoly.__new__(BiPoly)
+    out._terms = {(i, j): c} if c else {}
     return out
 
-def neg(f: LPoly) -> LPoly:
-    return {t: -c for t, c in f.items()}
 
-def sub(f: LPoly, g: LPoly) -> LPoly:
-    return add(f, neg(g))
-
-def mul(f: LPoly, g: LPoly) -> LPoly:
-    out: LPoly = {}
-    for (i1, j1), c1 in f.items():
-        for (i2, j2), c2 in g.items():
-            t = (i1 + i2, j1 + j2)
-            s = out.get(t, Fraction(0)) + c1 * c2
-            if s:
-                out[t] = s
-            else:
-                out.pop(t, None)
-    return out
-
-def scale(f: LPoly, c) -> LPoly:
-    c = Fraction(c)
-    if not c:
-        return {}
-    return {t: v * c for t, v in f.items()}
-
-def is_zero(f: LPoly) -> bool:
-    return not f
-
-def inv_monomial(f: LPoly) -> LPoly:
+def inv_monomial(f: BiPoly) -> BiPoly:
     """Inverse of a single-term Laurent polynomial."""
-    if len(f) != 1:
+    terms = list(f.terms())
+    if len(terms) != 1:
         raise ValueError("only monomials are invertible here")
-    ((i, j), c), = f.items()
-    return {(-i, -j): 1 / c}
+    (i, j, c), = terms
+    return monomial(-i, -j, 1 / c)
 
-def regular(f: LPoly, *, z1_sign: int, z2_sign: int) -> bool:
+
+def regular(f: BiPoly, *, z1_sign: int, z2_sign: int) -> bool:
     """True iff f is polynomial in the target chart coordinates.
 
     z1_sign = +1 requires all z1 exponents >= 0 (the target chart keeps z1
     affine); -1 requires <= 0 (the target chart uses 1/z1).  Same for z2.
     """
-    for (i, j) in f:
-        if i * z1_sign < 0 or j * z2_sign < 0:
-            return False
-    return True
+    return all(i * z1_sign >= 0 and j * z2_sign >= 0 for i, j, _ in f.terms())

@@ -5,10 +5,15 @@ Everything downstream is built from four value types:
 * ``Rat`` - arbitrary-precision rationals (``fractions.Fraction``; always
   stored gcd-reduced with a positive denominator, zero is 0/1),
 * :class:`BiPoly` - bivariate polynomials in the affine chart coordinates
-  ``(z1, z2)`` with ``Rat`` coefficients and non-negative exponents,
+  ``(z1, z2)`` with ``Rat`` coefficients and non-negative exponents, except
+  in ``_laurent.monomial`` values used inside ``extension``,
 * :class:`PolyMat2` - 2x2 matrices of ``BiPoly`` entries,
 * :class:`RatFn` - a quotient of two ``BiPoly`` (denominator nonzero); it is
   what :func:`conjugate2` returns entrywise and carries no arithmetic.
+
+Square roots of rationals are exact too: :func:`exact_sqrt` returns an
+:class:`EtaValue` ``coef * sqrt(radicand)`` with a squarefree radicand, and
+:func:`rational_sqrt`, its first step, answers whether the root is rational.
 
 All arithmetic is polynomial: ``PolyMat2`` products, commutators and
 determinants stay inside ``BiPoly``, and a ``RatFn`` is only normalized,
@@ -23,6 +28,7 @@ printing and JSON serialization.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -287,8 +293,8 @@ class BiPoly:
         parts = []
         for i, j, c in self.terms():
             mono = "*".join(
-                ([f"z1^{i}" if i > 1 else "z1"] if i else [])
-                + ([f"z2^{j}" if j > 1 else "z2"] if j else [])
+                ([f"z1^{i}" if i != 1 else "z1"] if i else [])
+                + ([f"z2^{j}" if j != 1 else "z2"] if j else [])
             )
             if not mono:
                 parts.append(str(c))
@@ -530,3 +536,81 @@ def conjugate2(phi: PolyMat2, psi: PolyMat2) -> PolyMat2:
     raw = (psi @ phi) @ adj
     return raw.map_entries(lambda x: RatFn(x, d))
 
+
+# ---------------------------------------------------------------------------
+# exact square roots
+# ---------------------------------------------------------------------------
+
+
+def _squarefree_decompose(n: int) -> tuple[int, int]:
+    """n = s^2 * m with m squarefree (sign carried by m); n is nonzero."""
+    sign = -1 if n < 0 else 1
+    n = abs(n)
+    s, m = 1, 1
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            s *= d ** (e // 2)
+            if e % 2:
+                m *= d
+        d += 1 if d == 2 else 2
+    m *= n  # leftover prime
+    return s, sign * m
+
+
+@dataclass(frozen=True)
+class EtaValue:
+    """Exact value coef * sqrt(radicand) with squarefree radicand.
+
+    Rational values have radicand 1; negative radicands encode imaginary
+    square roots.  coef = 0 always pairs with radicand 1.
+    """
+
+    coef: Fraction
+    radicand: int
+
+    def __post_init__(self):
+        if not self.coef and self.radicand != 1:
+            object.__setattr__(self, "radicand", 1)
+
+    def is_rational(self) -> bool:
+        return self.radicand == 1
+
+    def as_fraction(self) -> Fraction:
+        if not self.is_rational():
+            raise ValueError(f"{self} is irrational")
+        return self.coef
+
+    def __neg__(self) -> "EtaValue":
+        return EtaValue(-self.coef, self.radicand)
+
+    def __str__(self) -> str:
+        if self.radicand == 1:
+            return str(self.coef)
+        return f"{self.coef}*sqrt({self.radicand})"
+
+
+def rational_sqrt(q: Fraction) -> Fraction | None:
+    """sqrt(q) when it is rational, else None: sqrt(num/den) = sqrt(num*den)/den."""
+    if q < 0:
+        return None
+    n = q.numerator * q.denominator
+    root = math.isqrt(n)
+    return Fraction(root, q.denominator) if root * root == n else None
+
+
+def exact_sqrt(q: Fraction) -> EtaValue:
+    """The principal square root of q as coef * sqrt(radicand), exactly.
+
+    A square or a negated square costs one isqrt (:func:`rational_sqrt`);
+    any other value is trial-divided for its squarefree part.
+    """
+    root = rational_sqrt(abs(q))
+    if root is not None:
+        return EtaValue(root, 1 if q >= 0 else -1)
+    s, m = _squarefree_decompose(q.numerator * q.denominator)
+    return EtaValue(Fraction(s, q.denominator), m)

@@ -10,7 +10,8 @@ transition matrices over the standard four-chart cover
 on V1 & V2 and V1 & V3.  The trace-free endomorphism bundles twisted by
 O(2,0) and O(0,2) inherit 3x3 transitions on the coefficient vector
 (A, B, C) of (A B; C -A); these are derived here by conjugation rather
-than hard-coded.
+than hard-coded.  Their entries are ``BiPoly`` values that may carry the
+negative exponents of ``_laurent.monomial``, which stay inside this module.
 
 The global Higgs-field components then come in closed form: C1 carries six
 free coefficients which determine A1 and B1, and (A2, B2) carry five free
@@ -24,7 +25,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from typing import Union
 
 from . import _laurent as lau
@@ -36,7 +36,7 @@ from .errors import (
     SlotViolation,
     TrivialExtension,
 )
-from .exactalg import BiPoly, PolyMat2, commutator2, conjugate2
+from .exactalg import ONE, Z1, Z2, BiPoly, PolyMat2, commutator2, conjugate2
 from .higgs import DecomposableBundle, HiggsField, validate_field
 from .linalg import rank
 
@@ -102,24 +102,24 @@ class TrivialFieldData:
 # ---------------------------------------------------------------------------
 
 
-def _ext_cocycle(e: ExtParams) -> lau.LPoly:
-    return lau.add(lau.monomial(1, 0, e.u), lau.const(e.v))
+def _ext_cocycle(e: ExtParams) -> BiPoly:
+    return BiPoly({(1, 0): e.u, (0, 0): e.v})
 
 
-def _g12E(e: ExtParams) -> list[list[lau.LPoly]]:
-    return [[lau.monomial(0, -1), _ext_cocycle(e)], [lau.zero(), lau.monomial(0, 1)]]
+def _g12E(e: ExtParams) -> list[list[BiPoly]]:
+    return [[lau.monomial(0, -1), _ext_cocycle(e)], [BiPoly.zero(), Z2]]
 
 
-def _g21E(e: ExtParams) -> list[list[lau.LPoly]]:
+def _g21E(e: ExtParams) -> list[list[BiPoly]]:
     # inverse of g12 (unimodular)
-    return [[lau.monomial(0, 1), lau.neg(_ext_cocycle(e))], [lau.zero(), lau.monomial(0, -1)]]
+    return [[Z2, -_ext_cocycle(e)], [BiPoly.zero(), lau.monomial(0, -1)]]
 
 
-_G13E = [[lau.const(1), lau.zero()], [lau.zero(), lau.monomial(-1, 0)]]
-_G31E = [[lau.const(1), lau.zero()], [lau.zero(), lau.monomial(1, 0)]]
+_G13E = [[ONE, BiPoly.zero()], [BiPoly.zero(), lau.monomial(-1, 0)]]
+_G31E = [[ONE, BiPoly.zero()], [BiPoly.zero(), Z1]]
 
 
-def end_rep3(g: list[list[lau.LPoly]], twist: lau.LPoly) -> list[list[lau.LPoly]]:
+def end_rep3(g: list[list[BiPoly]], twist: BiPoly) -> list[list[BiPoly]]:
     """3x3 transition induced on the trace-free coefficient vector (A, B, C).
 
     Conjugation by g on (a b; c -a), written in the basis
@@ -129,23 +129,16 @@ def end_rep3(g: list[list[lau.LPoly]], twist: lau.LPoly) -> list[list[lau.LPoly]
     """
     g11, g12 = g[0]
     g21, g22 = g[1]
-    delta = lau.sub(lau.mul(g11, g22), lau.mul(g12, g21))
-    factor = lau.mul(twist, lau.inv_monomial(delta))
+    factor = twist * lau.inv_monomial(g11 * g22 - g12 * g21)
     rows = [
-        [lau.add(lau.mul(g11, g22), lau.mul(g12, g21)),
-         lau.neg(lau.mul(g11, g21)),
-         lau.mul(g12, g22)],
-        [lau.scale(lau.mul(g11, g12), -2),
-         lau.mul(g11, g11),
-         lau.neg(lau.mul(g12, g12))],
-        [lau.scale(lau.mul(g21, g22), 2),
-         lau.neg(lau.mul(g21, g21)),
-         lau.mul(g22, g22)],
+        [g11 * g22 + g12 * g21, -(g11 * g21), g12 * g22],
+        [g11 * g12 * -2, g11 * g11, -(g12 * g12)],
+        [g21 * g22 * 2, -(g21 * g21), g22 * g22],
     ]
-    return [[lau.mul(x, factor) for x in row] for row in rows]
+    return [[x * factor for x in row] for row in rows]
 
 
-def _twist_factor(twist: Twist, *, axis: int, inverse: bool) -> lau.LPoly:
+def _twist_factor(twist: Twist, *, axis: int, inverse: bool) -> BiPoly:
     """Transition factor of O(twist) across the involution of one axis."""
     n = twist[0] if axis == 1 else twist[1]
     if inverse:
@@ -153,62 +146,23 @@ def _twist_factor(twist: Twist, *, axis: int, inverse: bool) -> lau.LPoly:
     return lau.monomial(n, 0) if axis == 1 else lau.monomial(0, n)
 
 
-def rep_v2_to_v1(e: ExtParams, twist: Twist) -> list[list[lau.LPoly]]:
+def rep_v2_to_v1(e: ExtParams, twist: Twist) -> list[list[BiPoly]]:
     """Chart-V2 -> chart-V1 transition of the twisted trace-free endomorphisms."""
     return end_rep3(_g12E(e), _twist_factor(twist, axis=2, inverse=False))
 
 
-def rep_v3_to_v1(twist: Twist) -> list[list[lau.LPoly]]:
+def rep_v3_to_v1(twist: Twist) -> list[list[BiPoly]]:
     return end_rep3(_G13E, _twist_factor(twist, axis=1, inverse=False))
 
 
-def _rep_v1_to_v2(e: ExtParams, twist: Twist) -> list[list[lau.LPoly]]:
+def _rep_v1_to_v2(e: ExtParams, twist: Twist) -> list[list[BiPoly]]:
     return end_rep3(_g21E(e), _twist_factor(twist, axis=2, inverse=True))
 
 
-def _rep_v1_to_v3(twist: Twist) -> list[list[lau.LPoly]]:
+def _rep_v1_to_v3(twist: Twist) -> list[list[BiPoly]]:
+    # also V2 -> V4: the z1 involution inside the w2 = 1/z2 charts has the
+    # same matrix shape
     return end_rep3(_G31E, _twist_factor(twist, axis=1, inverse=True))
-
-
-def _rep_v2_to_v4(twist: Twist) -> list[list[lau.LPoly]]:
-    # V2 -> V4 is the z1 involution inside the w2 = 1/z2 charts, with the
-    # same matrix shape as V1 -> V3
-    return end_rep3(_G31E, _twist_factor(twist, axis=1, inverse=True))
-
-
-def trace_free_basis_permutation(reference) -> tuple[int, int, int] | None:
-    """Permutation matching the derived transitions to reference matrices.
-
-    ``reference`` maps the keys ("g12", (2,0)), ("g13", (2,0)),
-    ("g12", (0,2)), ("g13", (0,2)) to 3x3 Laurent dictionaries.  Returns the
-    permutation sigma of the basis slots (A, B, C) with
-    derived[sigma[r]][sigma[c]] == reference[r][c] for all four transitions,
-    or None when no permutation matches.  The derivation here uses the basis
-    order (E11 - E22, E12, E21), for which the match is the identity.
-    """
-    probe = ExtParams(Fraction(3), Fraction(7))
-    derived = {
-        ("g12", TWIST_20): rep_v2_to_v1(probe, TWIST_20),
-        ("g13", TWIST_20): rep_v3_to_v1(TWIST_20),
-        ("g12", TWIST_02): rep_v2_to_v1(probe, TWIST_02),
-        ("g13", TWIST_02): rep_v3_to_v1(TWIST_02),
-    }
-    for sigma in permutations(range(3)):
-        ok = True
-        for key, ref in reference.items():
-            der = derived[key]
-            for r in range(3):
-                for c in range(3):
-                    if der[sigma[r]][sigma[c]] != ref[r][c]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            return sigma
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -273,26 +227,16 @@ def build_phi2(e: ExtParams, p: Phi2Params) -> PolyMat2:
     return PolyMat2.trace_free(a2, b2, BiPoly.zero())
 
 
-def _phi_vector(phi: PolyMat2) -> list[lau.LPoly]:
+def _phi_vector(phi: PolyMat2) -> list[BiPoly]:
     a = phi.entry(0, 0)
     d = phi.entry(1, 1)
     if a + d != BiPoly.zero():
         raise ValueError("section must be trace-free")
-    return [
-        lau.from_bipoly(a),
-        lau.from_bipoly(phi.entry(0, 1)),
-        lau.from_bipoly(phi.entry(1, 0)),
-    ]
+    return [a, phi.entry(0, 1), phi.entry(1, 0)]
 
 
-def _mat_vec(rep: list[list[lau.LPoly]], vec: list[lau.LPoly]) -> list[lau.LPoly]:
-    out = []
-    for row in rep:
-        acc: lau.LPoly = {}
-        for entry, component in zip(row, vec):
-            acc = lau.add(acc, lau.mul(entry, component))
-        out.append(acc)
-    return out
+def _mat_vec(rep: list[list[BiPoly]], vec: list[BiPoly]) -> list[BiPoly]:
+    return [row[0] * vec[0] + row[1] * vec[1] + row[2] * vec[2] for row in rep]
 
 
 def glue_check(e: ExtParams, phi_v1: PolyMat2, twist: Twist) -> bool:
@@ -316,7 +260,7 @@ def v4_trivialization_regular(e: ExtParams, phi_v1: PolyMat2, twist: Twist) -> b
     """Redundant fourth-chart regularity (via V2), for property testing."""
     vec = _phi_vector(phi_v1.to_bipoly())
     in_v2 = _mat_vec(_rep_v1_to_v2(e, twist), vec)
-    in_v4 = _mat_vec(_rep_v2_to_v4(twist), in_v2)
+    in_v4 = _mat_vec(_rep_v1_to_v3(twist), in_v2)
     return all(lau.regular(f, z1_sign=-1, z2_sign=-1) for f in in_v4)
 
 
@@ -357,9 +301,10 @@ def _ansatz_kernel_dim(e: ExtParams, twist: Twist) -> int:
     )
     rows: dict[tuple[int, int, int, int], list[Fraction]] = {}
     for chart, (rep, bad) in enumerate(reps):
+        terms = [[list(entry.terms()) for entry in row] for row in rep]
         for (comp, i, j), k in index.items():
             for comp_out in range(3):
-                for (di, dj), c in rep[comp_out][comp].items():
+                for di, dj, c in terms[comp_out][comp]:
                     ti, tj = di + i, dj + j
                     if bad(ti, tj):
                         row = rows.setdefault(

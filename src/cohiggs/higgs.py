@@ -40,7 +40,15 @@ from .errors import (
     ZeroC,
     ZeroC1,
 )
-from .exactalg import BiPoly, PolyMat2, commutator2, conjugate2, det2
+from .exactalg import (
+    BiPoly,
+    PolyMat2,
+    _coerce_bipoly,
+    commutator2,
+    conjugate2,
+    det2,
+    rational_sqrt,
+)
 
 O = LineBundle
 
@@ -90,14 +98,6 @@ def fits_slot(p: BiPoly, slot: LineBundle) -> bool:
     return d1 <= slot.a and d2 <= slot.b
 
 
-def _entry_poly(x) -> BiPoly:
-    if isinstance(x, BiPoly):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return BiPoly.const(x)
-    raise TypeError(f"matrix entry of type {type(x).__name__} is not polynomial")
-
-
 @dataclass(frozen=True)
 class HiggsField:
     """Underlying split bundle plus the two matrix components on chart V1."""
@@ -107,8 +107,8 @@ class HiggsField:
     phi2: PolyMat2
 
     def __post_init__(self):
-        object.__setattr__(self, "phi1", self.phi1.map_entries(_entry_poly))
-        object.__setattr__(self, "phi2", self.phi2.map_entries(_entry_poly))
+        object.__setattr__(self, "phi1", self.phi1.map_entries(_coerce_bipoly))
+        object.__setattr__(self, "phi2", self.phi2.map_entries(_coerce_bipoly))
 
     def entries(self) -> tuple[BiPoly, ...]:
         """(A1, B1, C1, A2, B2, C2)."""
@@ -125,8 +125,8 @@ def field(bundle: DecomposableBundle, a1=0, b1=0, c1=0, a2=0, b2=0, c2=0) -> Hig
     """Convenience constructor from the six entries."""
     return HiggsField(
         bundle,
-        PolyMat2.trace_free(_entry_poly(a1), _entry_poly(b1), _entry_poly(c1)),
-        PolyMat2.trace_free(_entry_poly(a2), _entry_poly(b2), _entry_poly(c2)),
+        PolyMat2.trace_free(_coerce_bipoly(a1), _coerce_bipoly(b1), _coerce_bipoly(c1)),
+        PolyMat2.trace_free(_coerce_bipoly(a2), _coerce_bipoly(b2), _coerce_bipoly(c2)),
     )
 
 
@@ -270,23 +270,11 @@ def _rational_common_eigenvector(quads: list[BinaryQuadratic]):
         return (-g[0] / g[1], Fraction(1))
     if d == 2:
         disc = g[1] * g[1] - 4 * g[2] * g[0]
-        root = _fraction_sqrt(disc)
+        root = rational_sqrt(disc)
         if root is None:
             return None
         xs = sorted({(-g[1] - root) / (2 * g[2]), (-g[1] + root) / (2 * g[2])})
         return (xs[0], Fraction(1))
-    return None
-
-
-def _fraction_sqrt(q: Fraction) -> Fraction | None:
-    if q < 0:
-        return None
-    import math
-
-    n = math.isqrt(q.numerator)
-    d = math.isqrt(q.denominator)
-    if n * n == q.numerator and d * d == q.denominator:
-        return Fraction(n, d)
     return None
 
 

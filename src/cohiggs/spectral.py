@@ -38,7 +38,7 @@ from .errors import (
     NotUnivariate,
     SlotViolation,
 )
-from .exactalg import BiPoly, det2
+from .exactalg import BiPoly, EtaValue, det2, exact_sqrt
 from .higgs import DecomposableBundle, HiggsField, fits_slot, is_integrable, validate_field
 
 
@@ -97,73 +97,6 @@ def spectral_residual(s: SpectralData, p: SpectralPoint) -> tuple[Fraction, Frac
     r2 = p.eta2 * p.eta2 + s.rho2.evaluate(p.z1, p.z2)
     r3 = 2 * p.eta1 * p.eta2 + s.rho12.evaluate(p.z1, p.z2)
     return r1, r2, r3
-
-
-# ---------------------------------------------------------------------------
-# exact square roots
-# ---------------------------------------------------------------------------
-
-
-def _squarefree_decompose(n: int) -> tuple[int, int]:
-    """n = s^2 * m with m squarefree (sign carried by m)."""
-    if n == 0:
-        return 0, 1
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    s, m = 1, 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            s *= d ** (e // 2)
-            if e % 2:
-                m *= d
-        d += 1 if d == 2 else 2
-    m *= n  # leftover prime
-    return s, sign * m
-
-
-@dataclass(frozen=True)
-class EtaValue:
-    """Exact value coef * sqrt(radicand) with squarefree radicand.
-
-    Rational values have radicand 1; negative radicands encode imaginary
-    square roots.  coef = 0 always pairs with radicand 1.
-    """
-
-    coef: Fraction
-    radicand: int
-
-    def __post_init__(self):
-        if not self.coef and self.radicand != 1:
-            object.__setattr__(self, "radicand", 1)
-
-    def is_rational(self) -> bool:
-        return self.radicand == 1
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is irrational")
-        return self.coef
-
-    def __neg__(self) -> "EtaValue":
-        return EtaValue(-self.coef, self.radicand)
-
-    def __str__(self) -> str:
-        if self.radicand == 1:
-            return str(self.coef)
-        return f"{self.coef}*sqrt({self.radicand})"
-
-
-def exact_sqrt(q: Fraction) -> EtaValue:
-    """The principal square root of q as coef * sqrt(radicand), exactly."""
-    if q == 0:
-        return EtaValue(Fraction(0), 1)
-    s, m = _squarefree_decompose(q.numerator * q.denominator)
-    return EtaValue(Fraction(s, q.denominator), m)
 
 
 # ---------------------------------------------------------------------------

@@ -342,12 +342,17 @@ def test_zero_denominator_is_input_error(capsys, tmp_path, argv, payload):
             ["ext", "classify", "--point"],
             {"ext": {"u": 0, "v": 0}, "stratum": "S0", "params": {"p": 1, "w": [1, 2, 3], "q": 0}},
         ),
+        (
+            ["higgs", "section-q", "--axis", "1", "--rho"],
+            {"monomials": [{"i": -1, "j": 0, "num": 1, "den": 1}]},
+        ),
     ],
     ids=[
         "float-exponent", "bool-exponent", "string-numerator", "float-denominator",
         "string-degree", "float-degree", "float-batch", "bool-batch", "string-batch",
         "batch-second-tuple", "batch-short-tuple", "s0-params-list", "s2-params-list",
         "phi1-params-list", "unknown-phi1-key", "unknown-s1-key", "unknown-s0-key",
+        "negative-exponent",
     ],
 )
 def test_non_integer_json_is_input_error(capsys, tmp_path, argv, payload):

@@ -5,6 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from cohiggs import _laurent as lau
+from cohiggs import jsonio
 from cohiggs.errors import SingularAutomorphism
 from cohiggs.exactalg import (
     BiPoly,
@@ -51,6 +53,28 @@ def test_bipoly_terms_descending_grlex():
     p = BiPoly({(0, 0): 1, (1, 0): 2, (0, 1): 3, (2, 0): 4, (1, 1): 5})
     order = [(i, j) for i, j, _ in p.terms()]
     assert order == [(2, 0), (1, 1), (1, 0), (0, 1), (0, 0)]
+
+
+def test_bipoly_str():
+    assert str(BiPoly.zero()) == "0"
+    assert str(Z1**2 * Z2 - 3 * Z2 + F(1, 2)) == "z1^2*z2 - 3*z2 + 1/2"
+    # Laurent monomials of the extension transitions print their exponents
+    assert str(lau.monomial(0, -1) + lau.monomial(-2, 0, 3)) == "z2^-1 + 3*z1^-2"
+    assert str(lau.monomial(-1, 1, -1)) == "-z1^-1*z2"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: BiPoly({(-1, 0): 1}),
+        lambda: BiPoly.monomial(-1, 0),
+        lambda: jsonio.bipoly_from_json({"monomials": [{"i": -1, "j": 0, "num": 1}]}),
+    ],
+    ids=["constructor", "monomial", "json"],
+)
+def test_public_constructors_reject_negative_exponents(build):
+    with pytest.raises(ValueError, match=r"negative exponent in monomial \(-1, 0\)"):
+        build()
 
 
 def test_bipoly_exact_div_roundtrip():

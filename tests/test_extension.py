@@ -33,7 +33,6 @@ from cohiggs.extension import (
     rep_v2_to_v1,
     rep_v3_to_v1,
     stratum_classify,
-    trace_free_basis_permutation,
     trivial_extension_normal_form,
     v4_trivialization_regular,
     weak_iso,
@@ -66,32 +65,32 @@ def _random_p2(rng: random.Random) -> Phi2Params:
 
 
 def _reference_reps(u: F, v: F):
-    """The four displayed 3x3 transitions, hard-coded as Laurent dicts."""
+    """The four displayed 3x3 transitions, hard-coded as Laurent polynomials."""
 
     def L(d):
-        return {k: F(c) for k, c in d.items() if c}
+        return sum((lau.monomial(i, j, c) for (i, j), c in d.items()), BiPoly.zero())
 
+    zero = BiPoly.zero()
     q_sq = {(2, 0): u * u, (1, 0): 2 * u * v, (0, 0): v * v}
     g12_20 = [
-        [L({(0, 0): 1}), {}, L({(1, 1): u, (0, 1): v})],
-        [L({(1, -1): -2 * u, (0, -1): -2 * v}), L({(0, -2): 1}), lau.neg(L(q_sq))],
-        [{}, {}, L({(0, 2): 1})],
+        [L({(0, 0): 1}), zero, L({(1, 1): u, (0, 1): v})],
+        [L({(1, -1): -2 * u, (0, -1): -2 * v}), L({(0, -2): 1}), -L(q_sq)],
+        [zero, zero, L({(0, 2): 1})],
     ]
     g13_20 = [
-        [L({(2, 0): 1}), {}, {}],
-        [{}, L({(3, 0): 1}), {}],
-        [{}, {}, L({(1, 0): 1})],
+        [L({(2, 0): 1}), zero, zero],
+        [zero, L({(3, 0): 1}), zero],
+        [zero, zero, L({(1, 0): 1})],
     ]
     g12_02 = [
-        [L({(0, 2): 1}), {}, L({(1, 3): u, (0, 3): v})],
-        [L({(1, 1): -2 * u, (0, 1): -2 * v}), L({(0, 0): 1}),
-         lau.neg(lau.mul(L(q_sq), L({(0, 2): 1})))],
-        [{}, {}, L({(0, 4): 1})],
+        [L({(0, 2): 1}), zero, L({(1, 3): u, (0, 3): v})],
+        [L({(1, 1): -2 * u, (0, 1): -2 * v}), L({(0, 0): 1}), -(L(q_sq) * L({(0, 2): 1}))],
+        [zero, zero, L({(0, 4): 1})],
     ]
     g13_02 = [
-        [L({(0, 0): 1}), {}, {}],
-        [{}, L({(1, 0): 1}), {}],
-        [{}, {}, L({(-1, 0): 1})],
+        [L({(0, 0): 1}), zero, zero],
+        [zero, L({(1, 0): 1}), zero],
+        [zero, zero, L({(-1, 0): 1})],
     ]
     return {
         ("g12", TWIST_20): g12_20,
@@ -109,10 +108,6 @@ def test_derived_equals_displayed_transitions():
     assert rep_v3_to_v1(TWIST_20) == ref[("g13", TWIST_20)]
     assert rep_v2_to_v1(e, TWIST_02) == ref[("g12", TWIST_02)]
     assert rep_v3_to_v1(TWIST_02) == ref[("g13", TWIST_02)]
-
-
-def test_basis_permutation_is_identity():
-    assert trace_free_basis_permutation(_reference_reps(F(3), F(7))) == (0, 1, 2)
 
 
 # -- closed-form constructors ---------------------------------------------------

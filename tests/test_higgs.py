@@ -362,6 +362,10 @@ def test_graded_object_irrational_common_eigenvector():
     assert stability_classify(f) is StabilityClass.STRICTLY_SEMISTABLE
     with pytest.raises(IrrationalEigenvector):
         graded_object(f)
+    # the rationality test of the eigenvector discriminant 4p is one isqrt,
+    # not a trial division up to sqrt(p) with p = 2^61 - 1 prime
+    with pytest.raises(IrrationalEigenvector):
+        graded_object(field(B_OO, b1=(2**61 - 1) * Z1, c1=Z1))
 
 
 def test_s_equiv_rep_sign_normalization():

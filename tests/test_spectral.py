@@ -13,7 +13,7 @@ from cohiggs.errors import (
     NotUnivariate,
     SlotViolation,
 )
-from cohiggs.exactalg import BiPoly, PolyMat2, Z1, Z2, det2
+from cohiggs.exactalg import BiPoly, PolyMat2, Z1, Z2, det2, rational_sqrt
 from cohiggs.higgs import DecomposableBundle, eigen_quadratic, field, section_Q
 from cohiggs.spectral import (
     EtaValue,
@@ -182,6 +182,17 @@ def test_exact_sqrt_decomposition():
     v = exact_sqrt(F(-75, 8))
     assert v.coef**2 * v.radicand == F(-75, 8)
     assert v.radicand < 0 and abs(v.radicand) % 4 != 0
+
+
+def test_exact_sqrt_perfect_square_skips_trial_division():
+    # 2^31 - 1 is prime: trial division would run through about 10^9
+    # candidates before finding it, the perfect-square test needs none
+    p = 2_147_483_647
+    assert exact_sqrt(F(p * p, 9)) == EtaValue(F(p, 3), 1)
+    assert exact_sqrt(F(-p * p, 9)) == EtaValue(F(p, 3), -1)
+    assert rational_sqrt(F(p * p, 9)) == F(p, 3)
+    assert rational_sqrt(F(-p * p, 9)) is None
+    assert rational_sqrt(F(2 * p * p, 9)) is None
 
 
 # -- quartic genericity ------------------------------------------------------------
