@@ -17,7 +17,8 @@ def monomial(i: int, j: int, c=1) -> BiPoly:
     """c * z1^i * z2^j for any integers i, j."""
     c = Fraction(c)
     out = BiPoly.__new__(BiPoly)
-    out._terms = {(i, j): c} if c else {}
+    out._terms = {(i, j): c.numerator} if c else {}
+    out._den = c.denominator
     return out
 
 

@@ -6,7 +6,10 @@ Everything downstream is built from four value types:
   stored gcd-reduced with a positive denominator, zero is 0/1),
 * :class:`BiPoly` - bivariate polynomials in the affine chart coordinates
   ``(z1, z2)`` with ``Rat`` coefficients and non-negative exponents, except
-  in ``_laurent.monomial`` values used inside ``extension``,
+  in ``_laurent.monomial`` values used inside ``extension``; stored as
+  ``int`` numerators over one shared positive ``int`` denominator, so the
+  kernels (products, sums, exact division) run on integers and only the
+  accessors build ``Rat`` values,
 * :class:`PolyMat2` - 2x2 matrices of ``BiPoly`` entries,
 * :class:`RatFn` - a quotient of two ``BiPoly`` (denominator nonzero); it is
   what :func:`conjugate2` returns entrywise and carries no arithmetic.
@@ -59,15 +62,18 @@ def _grlex_key(term: Term) -> tuple[int, int]:
 class BiPoly:
     """Bivariate polynomial with exact rational coefficients.
 
-    Stored as a sparse map ``(i, j) -> coefficient`` with no zero values and
-    non-negative exponents; ``z1^i z2^j`` is the monomial with exponents
-    ``(i, j)``.
+    Stored as a sparse map ``(i, j) -> numerator`` of nonzero ``int``
+    numerators over one positive ``int`` denominator ``_den``, reduced so
+    that gcd(``_den``, all numerators) = 1; so equal polynomials have equal
+    storage.  ``z1^i z2^j`` is the monomial with exponents ``(i, j)``.
+    Coefficients leave as ``Fraction``.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_den")
 
     def __init__(self, terms: Mapping[Term, Scalar] | None = None):
         clean: dict[Term, Fraction] = {}
+        den = 1
         if terms:
             for (i, j), c in terms.items():
                 if i < 0 or j < 0:
@@ -75,7 +81,10 @@ class BiPoly:
                 c = _as_rat(c)
                 if c:
                     clean[(int(i), int(j))] = c
-        self._terms = clean
+                    den = math.lcm(den, c.denominator)
+        # over the lcm of the denominators the numerators are already coprime to it
+        self._terms = {t: c.numerator * (den // c.denominator) for t, c in clean.items()}
+        self._den = den
 
     # -- constructors ------------------------------------------------------
 
@@ -118,10 +127,10 @@ class BiPoly:
     def terms(self) -> Iterator[tuple[int, int, Fraction]]:
         """Terms in descending graded-lex order (leading term first)."""
         for (i, j) in sorted(self._terms, key=_grlex_key, reverse=True):
-            yield i, j, self._terms[(i, j)]
+            yield i, j, Fraction(self._terms[(i, j)], self._den)
 
     def coeff(self, i: int, j: int) -> Fraction:
-        return self._terms.get((i, j), Fraction(0))
+        return Fraction(self._terms.get((i, j), 0), self._den)
 
     def bidegree(self) -> tuple[float, float]:
         """(max z1-exponent, max z2-exponent); (-inf, -inf) for zero."""
@@ -133,18 +142,13 @@ class BiPoly:
         )
 
     def leading_coefficient(self) -> Fraction:
-        for _, _, c in self.terms():
-            return c
-        return Fraction(0)
+        if not self._terms:
+            return Fraction(0)
+        return Fraction(self._terms[max(self._terms, key=_grlex_key)], self._den)
 
     def content(self) -> Fraction:
         """gcd of the coefficients (0 for the zero polynomial)."""
-        num_gcd = 0
-        den_lcm = 1
-        for c in self._terms.values():
-            num_gcd = math.gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        return Fraction(num_gcd, den_lcm)
+        return Fraction(math.gcd(*self._terms.values()), self._den)
 
     def is_univariate(self, axis: int) -> bool:
         other = 1 if axis == 1 else 0
@@ -159,67 +163,66 @@ class BiPoly:
         pick = 0 if axis == 1 else 1
         d = max(t[pick] for t in self._terms)
         out = [Fraction(0)] * (d + 1)
-        for (i, j), c in self._terms.items():
-            out[i if axis == 1 else j] = c
+        for t, c in self._terms.items():
+            out[t[pick]] = Fraction(c, self._den)
         return out
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = BiPoly.const(other)
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        res = dict(self._terms)
+    def _sum(self, other: "BiPoly", sign: int) -> "BiPoly":
+        """self + sign * other over the lcm of the two denominators."""
+        d1, d2 = self._den, other._den
+        g = math.gcd(d1, d2)
+        m1, m2 = d2 // g, sign * (d1 // g)
+        res = {t: c * m1 for t, c in self._terms.items()} if m1 != 1 else dict(self._terms)
+        get = res.get
         for t, c in other._terms.items():
-            s = res.get(t, Fraction(0)) + c
-            if s:
-                res[t] = s
-            else:
-                res.pop(t, None)
-        out = BiPoly.__new__(BiPoly)
-        out._terms = res
-        return out
+            res[t] = get(t, 0) + c * m2
+        return _normalized(res, d1 * m1)
+
+    def __add__(self, other):
+        if type(other) is not BiPoly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = BiPoly.const(other)
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
         out = BiPoly.__new__(BiPoly)
         out._terms = {t: -c for t, c in self._terms.items()}
+        out._den = self._den
         return out
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, BiPoly)):
-            return self + (-other if isinstance(other, BiPoly) else BiPoly.const(-_as_rat(other)))
-        return NotImplemented
+        if type(other) is not BiPoly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = BiPoly.const(other)
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
         if isinstance(other, (int, Fraction)):
-            return BiPoly.const(other) + (-self)
+            return BiPoly.const(other)._sum(self, -1)
         return NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _as_rat(other)
-            if not c:
-                return BiPoly.zero()
-            out = BiPoly.__new__(BiPoly)
-            out._terms = {t: v * c for t, v in self._terms.items()}
-            return out
-        if not isinstance(other, BiPoly):
+        if type(other) is BiPoly:
+            res: dict[Term, int] = {}
+            get = res.get
+            for (i1, j1), c1 in self._terms.items():
+                for (i2, j2), c2 in other._terms.items():
+                    t = (i1 + i2, j1 + j2)
+                    res[t] = get(t, 0) + c1 * c2
+            return _normalized(res, self._den * other._den)
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        res: dict[Term, Fraction] = {}
-        for (i1, j1), c1 in self._terms.items():
-            for (i2, j2), c2 in other._terms.items():
-                t = (i1 + i2, j1 + j2)
-                s = res.get(t, Fraction(0)) + c1 * c2
-                if s:
-                    res[t] = s
-                else:
-                    res.pop(t, None)
-        out = BiPoly.__new__(BiPoly)
-        out._terms = res
-        return out
+        c = _as_rat(other)
+        return _normalized(
+            {t: v * c.numerator for t, v in self._terms.items()} if c else {},
+            self._den * c.denominator,
+        )
 
     __rmul__ = __mul__
 
@@ -236,54 +239,72 @@ class BiPoly:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not BiPoly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = BiPoly.const(other)
-        if isinstance(other, BiPoly):
-            return self._terms == other._terms
-        return NotImplemented
+        return self._den == other._den and self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, frozenset(self._terms.items())))
 
     # -- evaluation and division ------------------------------------------
 
     def evaluate(self, z1: Scalar, z2: Scalar) -> Fraction:
-        z1 = _as_rat(z1)
-        z2 = _as_rat(z2)
-        total = Fraction(0)
-        for (i, j), c in self._terms.items():
-            total += c * z1**i * z2**j
-        return total
+        """Value at (z1, z2) = (a/b, c/d), summed in integers: every term is
+        brought over den * a^-lo1 * b^hi1 * c^-lo2 * d^hi2, where lo and hi
+        bound the exponents together with 0 (lo < 0 only for Laurent values)."""
+        z1, z2 = _as_rat(z1), _as_rat(z2)
+        if not self._terms:
+            return Fraction(0)
+        a, b, c, d = z1.numerator, z1.denominator, z2.numerator, z2.denominator
+        lo1, hi1 = min(0, *(i for i, _ in self._terms)), max(0, *(i for i, _ in self._terms))
+        lo2, hi2 = min(0, *(j for _, j in self._terms)), max(0, *(j for _, j in self._terms))
+        total = sum(
+            n * a ** (i - lo1) * b ** (hi1 - i) * c ** (j - lo2) * d ** (hi2 - j)
+            for (i, j), n in self._terms.items()
+        )
+        return Fraction(total, self._den * a**-lo1 * b**hi1 * c**-lo2 * d**hi2)
 
     def exact_div(self, d: "BiPoly") -> "BiPoly | None":
         """Return self / d when d divides self exactly, else None.
 
         Single-divisor division in graded-lex order: the remainder is zero
-        iff d divides self, so this is a complete divisibility test.
+        iff d divides self, so this is a complete divisibility test.  It
+        runs on the numerators: before each step the remainder and the
+        quotient so far are scaled by lc / gcd(lc, leading remainder
+        coefficient) > 0, so the quotient term stays an integer, and the
+        scale joins the denominator once at the end.
         """
         if not d:
             raise ZeroDivisionError("division by the zero polynomial")
         lt_d = max(d._terms, key=_grlex_key)
         lc_d = d._terms[lt_d]
         rem = dict(self._terms)
-        quot: dict[Term, Fraction] = {}
+        quot: dict[Term, int] = {}
+        scale = 1  # scale * self numerators == quot * d numerators + rem
         while rem:
             lt_r = max(rem, key=_grlex_key)
             qi, qj = lt_r[0] - lt_d[0], lt_r[1] - lt_d[1]
             if qi < 0 or qj < 0:
                 return None
-            qc = rem[lt_r] / lc_d
+            r = rem[lt_r]
+            g = math.gcd(r, lc_d) if lc_d > 0 else -math.gcd(r, lc_d)
+            m = lc_d // g
+            if m != 1:
+                scale *= m
+                rem = {t: c * m for t, c in rem.items()}
+                quot = {t: c * m for t, c in quot.items()}
+            qc = r // g
             quot[(qi, qj)] = qc
             for (i, j), c in d._terms.items():
                 t = (i + qi, j + qj)
-                s = rem.get(t, Fraction(0)) - qc * c
+                s = rem.get(t, 0) - qc * c
                 if s:
                     rem[t] = s
                 else:
-                    rem.pop(t, None)
-        out = BiPoly.__new__(BiPoly)
-        out._terms = quot
-        return out
+                    del rem[t]
+        return _normalized({t: c * d._den for t, c in quot.items()}, scale * self._den)
 
     # -- display -----------------------------------------------------------
 
@@ -309,6 +330,22 @@ class BiPoly:
 
     def __repr__(self) -> str:
         return f"BiPoly({self})"
+
+
+def _normalized(terms: dict[Term, int], den: int) -> BiPoly:
+    """The BiPoly with these integer numerators over den > 0: zero
+    numerators dropped, and the common gcd with den divided out."""
+    if not all(terms.values()):
+        terms = {t: c for t, c in terms.items() if c}
+    if den != 1:
+        g = math.gcd(den, *terms.values())
+        if g != 1:
+            terms = {t: c // g for t, c in terms.items()}
+            den //= g
+    out = BiPoly.__new__(BiPoly)
+    out._terms = terms
+    out._den = den
+    return out
 
 
 Z1 = BiPoly.variable(1)
@@ -388,7 +425,7 @@ class RatFn:
 
 
 def _coerce_bipoly(x) -> BiPoly:
-    if isinstance(x, BiPoly):
+    if type(x) is BiPoly:
         return x
     if isinstance(x, (int, Fraction)):
         return BiPoly.const(x)
@@ -412,13 +449,8 @@ class PolyMat2:
         if len(rows) != 2 or any(len(list(r)) != 2 for r in rows):
             raise ValueError("PolyMat2 needs a 2x2 array of entries")
         self._e = tuple(
-            tuple(_coerce_bipoly(x) if isinstance(x, (int, Fraction)) else x for x in row)
-            for row in rows
+            tuple(x if type(x) is RatFn else _coerce_bipoly(x) for x in row) for row in rows
         )
-        for row in self._e:
-            for x in row:
-                if not isinstance(x, (BiPoly, RatFn)):
-                    raise TypeError(f"bad matrix entry of type {type(x).__name__}")
 
     @classmethod
     def zero(cls) -> "PolyMat2":

@@ -299,7 +299,9 @@ def _ansatz_kernel_dim(e: ExtParams, twist: Twist) -> int:
         (_rep_v1_to_v2(e, twist), lambda i, j: j > 0),
         (_rep_v1_to_v3(twist), lambda i, j: i > 0),
     )
-    rows: dict[tuple[int, int, int, int], list[Fraction]] = {}
+    # sparse rows {unknown: coefficient}; an unknown meets a given row through
+    # at most one term of one transition entry, so each cell is set once
+    rows: dict[tuple[int, int, int, int], dict[int, Fraction]] = {}
     for chart, (rep, bad) in enumerate(reps):
         terms = [[list(entry.terms()) for entry in row] for row in rep]
         for (comp, i, j), k in index.items():
@@ -307,10 +309,7 @@ def _ansatz_kernel_dim(e: ExtParams, twist: Twist) -> int:
                 for di, dj, c in terms[comp_out][comp]:
                     ti, tj = di + i, dj + j
                     if bad(ti, tj):
-                        row = rows.setdefault(
-                            (chart, comp_out, ti, tj), [Fraction(0)] * n
-                        )
-                        row[k] += c
+                        rows.setdefault((chart, comp_out, ti, tj), {})[k] = c
     return n - rank(list(rows.values()))
 
 

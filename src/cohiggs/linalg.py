@@ -8,22 +8,31 @@ arithmetic makes numerical pivot selection irrelevant.
 Rows are held sparsely, as ``{column: entry}`` dicts of their nonzero
 entries, so a row update costs the pivot row's nonzeros rather than the
 full width.  The ansatz systems behind the dimension counts are about 97%
-zeros.  The pivots, and so the returned pair, are those of the dense loop.
+zeros, and their builder hands such dicts in directly; a dense list row is
+filtered into one.  The pivots, and so the returned pair, are those of the
+dense loop.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Union
+
+# a dense row, or the {column: entry} dict of a row's nonzero entries
+Row = Union[list[Fraction], dict[int, Fraction]]
 
 
-def eliminate(rows: list[list[Fraction]]) -> tuple[int, Fraction]:
+def eliminate(rows: list[Row]) -> tuple[int, Fraction]:
     """(rank, signed product of the pivots) of the matrix with these rows.
 
     Each pivot clears only the entries below it; a row swap flips the sign.
     For a square matrix of full rank the second value is the determinant.
+    The rows passed in are not modified.
     """
-    m = [{j: a for j, a in enumerate(row) if a} for row in rows]
-    ncols = len(rows[0]) if rows else 0
+    m = [dict(row) if type(row) is dict else {j: a for j, a in enumerate(row) if a}
+         for row in rows]
+    # no pivot lies beyond the last column that holds a nonzero entry
+    ncols = max((max(row) + 1 for row in m if row), default=0)
     r = 0
     det = Fraction(1)
     for col in range(ncols):
@@ -52,5 +61,5 @@ def eliminate(rows: list[list[Fraction]]) -> tuple[int, Fraction]:
     return r, det
 
 
-def rank(rows: list[list[Fraction]]) -> int:
+def rank(rows: list[Row]) -> int:
     return eliminate(rows)[0]

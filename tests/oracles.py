@@ -165,6 +165,69 @@ def check_trace_det(result: PolyMat2, trace: BiPoly, det: BiPoly) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# schoolbook polynomial kernels on {(i, j): Fraction} dicts
+# ---------------------------------------------------------------------------
+
+PolyDict = dict[tuple[int, int], Fraction]
+
+
+def poly_dict(p: BiPoly) -> PolyDict:
+    """The nonzero coefficients of p, read through the public ``terms``."""
+    return {(i, j): c for i, j, c in p.terms()}
+
+
+def add_oracle(a: PolyDict, b: PolyDict) -> PolyDict:
+    res = dict(a)
+    for t, c in b.items():
+        s = res.get(t, Fraction(0)) + c
+        if s:
+            res[t] = s
+        else:
+            res.pop(t, None)
+    return res
+
+
+def mul_oracle(a: PolyDict, b: PolyDict) -> PolyDict:
+    res: PolyDict = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            t = (i1 + i2, j1 + j2)
+            s = res.get(t, Fraction(0)) + c1 * c2
+            if s:
+                res[t] = s
+            else:
+                res.pop(t, None)
+    return res
+
+
+def exact_div_oracle(a: PolyDict, d: PolyDict) -> PolyDict | None:
+    """a / d by single-divisor division in graded-lex order (z1 > z2), or
+    None when a nonzero remainder term is not divisible by d's leading term."""
+    if not d:
+        raise ZeroDivisionError("division by the zero polynomial")
+    grlex = lambda t: (t[0] + t[1], t[0])
+    lt_d = max(d, key=grlex)
+    lc_d = d[lt_d]
+    rem = dict(a)
+    quot: PolyDict = {}
+    while rem:
+        lt_r = max(rem, key=grlex)
+        qi, qj = lt_r[0] - lt_d[0], lt_r[1] - lt_d[1]
+        if qi < 0 or qj < 0:
+            return None
+        qc = rem[lt_r] / lc_d
+        quot[(qi, qj)] = qc
+        for (i, j), c in d.items():
+            t = (i + qi, j + qj)
+            s = rem.get(t, Fraction(0)) - qc * c
+            if s:
+                rem[t] = s
+            else:
+                rem.pop(t, None)
+    return quot
+
+
+# ---------------------------------------------------------------------------
 # reference elimination (the dense loop, for differential tests)
 # ---------------------------------------------------------------------------
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -9,6 +10,7 @@ from cohiggs import _laurent as lau
 from cohiggs import jsonio
 from cohiggs.errors import SingularAutomorphism
 from cohiggs.exactalg import (
+    ONE,
     BiPoly,
     PolyMat2,
     RatFn,
@@ -18,7 +20,16 @@ from cohiggs.exactalg import (
     conjugate2,
     det2,
 )
-from oracles import check_conjugation, check_trace_det, mat_mul_oracle, random_bipoly
+from oracles import (
+    add_oracle,
+    check_conjugation,
+    check_trace_det,
+    exact_div_oracle,
+    mat_mul_oracle,
+    mul_oracle,
+    poly_dict,
+    random_bipoly,
+)
 
 
 def test_eval_poly_single_monomial():
@@ -213,3 +224,135 @@ def test_ratfn_polynomial_detection():
 def test_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
         RatFn(Z1, BiPoly.zero())
+
+
+# ---------------------------------------------------------------------------
+# differential tests of the integer-numerator kernels
+# ---------------------------------------------------------------------------
+
+
+def _big(rng) -> F:
+    return F(rng.getrandbits(100) * rng.choice([-1, 1]), rng.getrandbits(100) | 1)
+
+
+def _operand(rng) -> BiPoly:
+    """Small mixed-denominator, 100-bit, Laurent or integer operand."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return random_bipoly(rng, rng.randint(0, 2), rng.randint(0, 2), 9)
+    if kind == 1:
+        return BiPoly({(rng.randint(0, 2), rng.randint(0, 2)): _big(rng) for _ in range(rng.randint(1, 4))})
+    if kind == 2:
+        terms = [lau.monomial(rng.randint(-3, 3), rng.randint(-3, 3), F(rng.randint(-9, 9), rng.randint(1, 6)))
+                 for _ in range(rng.randint(1, 3))]
+        return sum(terms, BiPoly.zero())
+    return BiPoly({(rng.randint(0, 2), rng.randint(0, 2)): rng.randint(-5, 5) for _ in range(3)})
+
+
+def _operand_pairs(seed: int, count: int):
+    """Random pairs, plus pairs whose sum cancels wholly or in part."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        a, b = _operand(rng), _operand(rng)
+        yield a, b
+        yield a, -a
+        yield a, b - a  # a + (b - a) cancels a's terms against b's
+
+
+def _canonical(p: BiPoly) -> bool:
+    """Integer numerators, none zero, over a positive denominator coprime to them."""
+    nums = list(p._terms.values())
+    return (
+        all(type(c) is int and c for c in nums)
+        and type(p._den) is int
+        and p._den > 0
+        and math.gcd(p._den, *nums) == 1
+    )
+
+
+def _same(p: BiPoly, expected: dict) -> bool:
+    return _canonical(p) and poly_dict(p) == expected
+
+
+def test_add_sub_neg_match_fraction_oracle():
+    rng = random.Random(37)
+    for a, b in _operand_pairs(41, 150):
+        da, db = poly_dict(a), poly_dict(b)
+        neg_b = {t: -c for t, c in db.items()}
+        assert _same(a + b, add_oracle(da, db))
+        assert _same(a - b, add_oracle(da, neg_b))
+        assert _same(-b, neg_b)
+        c = _big(rng)
+        assert _same(a + c, add_oracle(da, {(0, 0): c}))
+        assert _same(c - a, add_oracle({(0, 0): c}, {t: -v for t, v in da.items()}))
+
+
+def test_mul_matches_fraction_oracle():
+    rng = random.Random(43)
+    for a, b in _operand_pairs(47, 150):
+        da, db = poly_dict(a), poly_dict(b)
+        assert _same(a * b, mul_oracle(da, db))
+        for c in (0, rng.randint(-7, 7), F(rng.randint(-7, 7), rng.randint(1, 9)), _big(rng)):
+            scaled = {t: v * c for t, v in da.items() if c}
+            assert _same(a * c, scaled) and _same(c * a, scaled)
+
+
+def test_exact_div_matches_fraction_oracle():
+    hits = misses = 0
+    for a, b in _operand_pairs(53, 150):
+        if not b:
+            continue
+        da, db = poly_dict(a), poly_dict(b)
+        for num in (a * b, a, a * b + a):
+            got = num.exact_div(b)
+            expected = exact_div_oracle(poly_dict(num), db)
+            if expected is None:
+                assert got is None
+                misses += 1
+            else:
+                assert _same(got, expected)
+                hits += 1
+        if min(min(t) for t in (*da, *db, (0, 0))) >= 0:  # Laurent operands may not divide back
+            assert (a * b).exact_div(b) == a
+    assert hits and misses
+
+
+def test_boundary_accessors_match_fraction_oracle():
+    rng = random.Random(59)
+    for a, _ in _operand_pairs(61, 100):
+        da = poly_dict(a)
+        assert all(type(c) is F for c in da.values())
+        assert all(a.coeff(i, j) == c for (i, j), c in da.items())
+        assert a.coeff(7, 7) == 0
+        lead = max(da, key=lambda t: (t[0] + t[1], t[0]), default=None)
+        assert a.leading_coefficient() == (da[lead] if lead else 0)
+        num = math.gcd(*(c.numerator for c in da.values()))
+        den = math.lcm(*(c.denominator for c in da.values()))
+        assert a.content() == (F(num, den) if da else 0)
+        z1, z2 = F(rng.randint(1, 9), rng.randint(1, 9)), F(rng.randint(-9, -1), rng.randint(1, 9))
+        assert a.evaluate(z1, z2) == sum((c * z1**i * z2**j for (i, j), c in da.items()), F(0))
+    p = BiPoly.from_univariate([F(1, 2), 0, F(-3, 4)], 2)
+    assert p.univariate_coeffs(2) == [F(1, 2), 0, F(-3, 4)]
+    assert all(type(c) is F for c in p.univariate_coeffs(2))
+
+
+def test_equal_values_have_equal_storage():
+    half = BiPoly.const(F(1, 2))
+    routes = [
+        (half * 2, ONE),
+        (half + half, ONE),
+        (BiPoly({(0, 0): F(2, 4)}), half),
+        (Z1 * F(1, 3) + Z1 * F(2, 3), Z1),
+        ((Z1 + F(1, 2)) - F(1, 2), Z1),
+        (lau.monomial(1, 0, F(6, 3)), 2 * Z1),
+        (Z1 * F(1, 3) - Z1 * F(1, 3), BiPoly.zero()),
+    ]
+    rng = random.Random(67)
+    for _ in range(30):
+        p = random_bipoly(rng, 2, 2, 9)
+        q = random_bipoly(rng, 1, 2, 9) + Z1**3 * F(-rng.randint(1, 9), rng.randint(1, 9))
+        assert q.leading_coefficient() < 0
+        routes.append(((p * q).exact_div(q), p))
+    for got, want in routes:
+        assert got == want and hash(got) == hash(want)
+        assert _canonical(got) and got._den == want._den and got._terms == want._terms

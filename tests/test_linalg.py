@@ -80,11 +80,21 @@ def test_eliminate_matches_dense_oracle_on_sparse_matrices():
     assert swaps and zero_columns and cancellations
 
 
+def test_eliminate_takes_sparse_dict_rows():
+    for rows in EDGE_CASES + list(random_sparse_matrices(29, 60)):
+        sparse = [{j: a for j, a in enumerate(r) if a} for r in rows]
+        before = [dict(r) for r in sparse]
+        assert eliminate(sparse) == dense_eliminate(rows)
+        assert sparse == before  # the input rows are left alone
+
+
 def test_eliminate_matches_dense_oracle_on_ansatz_matrices(monkeypatch):
     matrices = []
 
     def capturing_rank(rows):
-        matrices.append([list(r) for r in rows])
+        # the ansatz hands in sparse {column: entry} rows; densify them
+        width = 1 + max(j for r in rows for j in r)
+        matrices.append([[r.get(j, F(0)) for j in range(width)] for r in rows])
         return rank(rows)
 
     monkeypatch.setattr(extension, "rank", capturing_rank)
