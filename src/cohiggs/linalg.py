@@ -8,8 +8,8 @@ arithmetic makes numerical pivot selection irrelevant.
 Rows are held sparsely, as ``{column: entry}`` dicts of their nonzero
 entries, so a row update costs the pivot row's nonzeros rather than the
 full width.  The ansatz systems behind the dimension counts are about 97%
-zeros, and their builder hands such dicts in directly; a dense list row is
-filtered into one.  The pivots, and so the returned pair, are those of the
+zeros, and ``extension`` hands such dicts in directly; a dense list row
+is filtered into one.  The pivots, and so the returned pair, are those of the
 dense loop.
 """
 
