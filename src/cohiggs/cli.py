@@ -304,10 +304,15 @@ def main(argv=None) -> int:
         result = args.handler(args)
         for payload in [result] if isinstance(result, dict) else result:
             _emit(payload)
+        sys.stdout.flush()
         return 0
     except CoHiggsError as exc:
         _emit({"error": {"kind": exc.kind, "detail": str(exc)}})
         return 1
+    except BrokenPipeError:
+        # the reader has gone: what is still buffered goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except (ValueError, KeyError, TypeError, OSError) as exc:
         _emit({"error": {"kind": "InputError", "detail": str(exc)}})
         return 2

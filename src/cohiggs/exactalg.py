@@ -14,9 +14,9 @@ Everything downstream is built from four value types:
 * :class:`RatFn` - a quotient of two ``BiPoly`` (denominator nonzero); it is
   what :func:`conjugate2` returns entrywise and carries no arithmetic.
 
-Square roots of rationals are exact too: :func:`exact_sqrt` returns an
-:class:`EtaValue` ``coef * sqrt(radicand)`` with a squarefree radicand, and
-:func:`rational_sqrt`, its first step, answers whether the root is rational.
+Square roots of rationals are exact too, at a capped cost: :func:`exact_sqrt`
+returns an :class:`EtaValue` ``coef * sqrt(radicand)`` with a squarefree
+radicand or raises ``SqrtCostCap``; :func:`rational_sqrt` is its first step.
 
 All arithmetic is polynomial: ``PolyMat2`` products, commutators and
 determinants stay inside ``BiPoly``, and a ``RatFn`` is only normalized,
@@ -30,12 +30,13 @@ printing and JSON serialization.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
-from .errors import SingularAutomorphism
+from .errors import SingularAutomorphism, SqrtCostCap
 
 Rat = Fraction
 
@@ -574,23 +575,112 @@ def conjugate2(phi: PolyMat2, psi: PolyMat2) -> PolyMat2:
 # ---------------------------------------------------------------------------
 
 
+# Trial division runs over the primes below _B: those up to 31 and the numbers
+# prime to them all.  A cofactor below _B**3 with none of them is p, pq or p^2.
+_B = 1000
+_SMALL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+_PRIMES = [*_SMALL, *(n for n in range(32, _B) if math.gcd(math.prod(_SMALL), n) == 1)]
+# Miller-Rabin to the first 13 prime bases (2, ..., 41) is exact below psi_13
+# (Sorenson & Webster, Math. Comp. 86, 2017).
+_PSI13 = 3_317_044_064_679_887_385_961_981
+# Pollard-Brent steps one square root may take: about 1 s of CPU on x86-64
+# with CPython 3.11.  A step on a cofactor of b bits is charged
+# 1 + b // 96 + (b // 512)**2 of them, as CPython's long arithmetic costs.
+SQRT_RHO_STEPS = 2**21
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin for odd n in (41, psi_13), where its answer is exact."""
+    d, r = n - 1, 0
+    while not d & 1:
+        d, r = d >> 1, r + 1
+    for a in _PRIMES[:13]:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_split(n: int, steps: int) -> tuple[int, int]:
+    """(d, steps left): d a proper factor of the odd composite n by Pollard rho
+    in Brent's variant (Brent, BIT 20, 1980), walking y -> y^2 + c from 2 for
+    c = 1, 2, ...; d is 0 once a round would overrun the steps."""
+    b = n.bit_length()
+    charge = 1 + b // 96 + (b >> 9) ** 2
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            if steps < 2 * r * charge:
+                return 0, steps
+            steps -= 2 * r * charge
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            for k in range(0, r, 128):  # one gcd per batch of products
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                if g != 1:
+                    break
+            r *= 2
+        if g == n:  # the batch overshot: redo it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g, steps
+
+
 def _squarefree_decompose(n: int) -> tuple[int, int]:
-    """n = s^2 * m with m squarefree (sign carried by m); n is nonzero."""
+    """n = s^2 * m with m squarefree (sign carried by m); n is nonzero.
+
+    After trial division, a part that is a square, below 10^9 or a prime
+    below psi_13 is done; any other is split by Pollard-Brent, all splits
+    sharing SQRT_RHO_STEPS.  Raises SqrtCostCap when those run out.
+    """
     sign = -1 if n < 0 else 1
-    n = abs(n)
+    n = size = abs(n)
     s, m = 1, 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for p in _PRIMES:
+        if p * p > n:
+            break
+        if n % p == 0:
             e = 0
-            while n % d == 0:
-                n //= d
+            while n % p == 0:
+                n //= p
                 e += 1
-            s *= d ** (e // 2)
+            s *= p ** (e // 2)
             if e % 2:
-                m *= d
-        d += 1 if d == 2 else 2
-    m *= n  # leftover prime
+                m *= p
+    todo, steps = [n], SQRT_RHO_STEPS
+    while todo:
+        c = todo.pop()
+        r = math.isqrt(c)
+        if r * r == c:
+            s *= r
+        elif c < _B**3 or (c < _PSI13 and _is_prime(c)):
+            g = math.gcd(m, c)  # c is squarefree but may share primes with m
+            s, m = s * g, m // g * (c // g)
+        else:
+            d, steps = _rho_split(c, steps)
+            if not d:
+                digits = size.bit_length() * 3 // 10  # str() refuses big ints
+                while 10**digits <= size:
+                    digits += 1
+                raise SqrtCostCap(
+                    f"the squarefree part of a {digits}-digit integer was not found "
+                    f"within the cap of {SQRT_RHO_STEPS} Pollard-Brent steps"
+                )
+            todo += [d, c // d]
     return s, sign * m
 
 
@@ -638,8 +728,8 @@ def rational_sqrt(q: Fraction) -> Fraction | None:
 def exact_sqrt(q: Fraction) -> EtaValue:
     """The principal square root of q as coef * sqrt(radicand), exactly.
 
-    A square or a negated square costs one isqrt (:func:`rational_sqrt`);
-    any other value is trial-divided for its squarefree part.
+    A square or a negated square costs one isqrt (:func:`rational_sqrt`); for
+    any other, :func:`_squarefree_decompose` may raise SqrtCostCap.
     """
     root = rational_sqrt(abs(q))
     if root is not None:

@@ -146,15 +146,6 @@ def _twist_factor(twist: Twist, *, axis: int, inverse: bool) -> BiPoly:
     return lau.monomial(n, 0) if axis == 1 else lau.monomial(0, n)
 
 
-def rep_v2_to_v1(e: ExtParams, twist: Twist) -> list[list[BiPoly]]:
-    """Chart-V2 -> chart-V1 transition of the twisted trace-free endomorphisms."""
-    return end_rep3(_g12E(e), _twist_factor(twist, axis=2, inverse=False))
-
-
-def rep_v3_to_v1(twist: Twist) -> list[list[BiPoly]]:
-    return end_rep3(_G13E, _twist_factor(twist, axis=1, inverse=False))
-
-
 def _rep_v1_to_v2(e: ExtParams, twist: Twist) -> list[list[BiPoly]]:
     return end_rep3(_g21E(e), _twist_factor(twist, axis=2, inverse=True))
 

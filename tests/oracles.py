@@ -336,6 +336,33 @@ def random_matrix(
 
 
 # ---------------------------------------------------------------------------
+# squarefree part by trial division (the reference for exactalg's)
+# ---------------------------------------------------------------------------
+
+
+def squarefree_by_trial_division(n: int) -> tuple[int, int]:
+    """n = s^2 * m with m squarefree (sign carried by m); n is nonzero.
+    Trial division up to sqrt(n): exponential in the bit size, so keep n
+    below about 10^12."""
+    sign = -1 if n < 0 else 1
+    n = abs(n)
+    s, m = 1, 1
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            s *= d ** (e // 2)
+            if e % 2:
+                m *= d
+        d += 1 if d == 2 else 2
+    m *= n  # leftover prime
+    return s, sign * m
+
+
+# ---------------------------------------------------------------------------
 # random generators
 # ---------------------------------------------------------------------------
 

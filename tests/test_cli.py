@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import cohiggs
 from cohiggs import jsonio
 from cohiggs.cli import main
 from cohiggs.cohomology import LineBundle as O
@@ -73,6 +77,23 @@ def test_moduli_batch_mode(capsys, tmp_path):
     shuffled = write_json(tmp_path, "grid2.json", {"tuples": grid[::-1]})
     _, lines3 = run(capsys, "moduli", "nonempty", "--batch", shuffled)
     assert lines3 == lines[::-1]
+
+
+def test_closed_pipe_ends_quietly_as_exit_2(tmp_path):
+    """A reader that stops after the first line (`... | head -1`) gives exit
+    2 and nothing on stderr, not a traceback."""
+    grid = [[a, b, g] for a in range(-10, 10) for b in range(-10, 10) for g in range(-6, 6)]
+    path = write_json(tmp_path, "grid.json", {"tuples": grid})
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cohiggs.__file__))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cohiggs.cli", "moduli", "nonempty", "--batch", path],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert json.loads(proc.stdout.readline())["alpha"] == -10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 2
+    assert err == b""
 
 
 def test_moduli_bundle_nonempty(capsys):

@@ -29,10 +29,11 @@ KEYS = [
 ]
 PAYLOAD = "@payload"
 
-# |num|, |den| < 10**6: the exact square root behind `spectral fibre` is
-# trial division, so its cost grows with the square root of the value
-ints = st.integers(-(10**6) + 1, 10**6 - 1).map(str)
-rationals = ints | st.builds("{}/{}".format, ints, st.integers(1, 10**6 - 1))
+# |num|, |den| < 10**40: far beyond what a square root could factor by trial
+# division; the exact square root behind `spectral fibre` either answers or
+# ends as SqrtCostCap (exit 1) within its step cap
+ints = st.integers(-(10**40) + 1, 10**40 - 1).map(str)
+rationals = ints | st.builds("{}/{}".format, ints, st.integers(1, 10**40 - 1))
 quads = st.lists(rationals, min_size=4, max_size=4).map(",".join)
 # no "h": "--h" would abbreviate --help, which exits through SystemExit on purpose
 junk = st.text(alphabet="0123456789aeuvxz/.,-=_ ", max_size=6)

@@ -18,6 +18,7 @@ from cohiggs.extension import (
     TRIVIAL_EXTENSION_BUNDLE,
     TWIST_02,
     TWIST_20,
+    _G13E,
     Dichotomy,
     ExtParams,
     ModuliPoint,
@@ -25,13 +26,15 @@ from cohiggs.extension import (
     Phi2Params,
     Stratum,
     TrivialFieldData,
+    Twist,
+    _g12E,
+    _twist_factor,
     build_phi1,
     build_phi2,
     dichotomy_check,
     end0T_dimension,
+    end_rep3,
     glue_check,
-    rep_v2_to_v1,
-    rep_v3_to_v1,
     stratum_classify,
     trivial_extension_normal_form,
     v4_trivialization_regular,
@@ -98,6 +101,15 @@ def _reference_reps(u: F, v: F):
         ("g12", TWIST_02): g12_02,
         ("g13", TWIST_02): g13_02,
     }
+
+
+def rep_v2_to_v1(e: ExtParams, twist: Twist) -> list[list[BiPoly]]:
+    """Chart-V2 -> chart-V1 transition of the twisted trace-free endomorphisms."""
+    return end_rep3(_g12E(e), _twist_factor(twist, axis=2, inverse=False))
+
+
+def rep_v3_to_v1(twist: Twist) -> list[list[BiPoly]]:
+    return end_rep3(_G13E, _twist_factor(twist, axis=1, inverse=False))
 
 
 def test_derived_equals_displayed_transitions():
