@@ -304,7 +304,7 @@ def main(argv=None) -> int:
         result = args.handler(args)
         for payload in [result] if isinstance(result, dict) else result:
             _emit(payload)
-        sys.stdout.flush()
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
         return 0
     except CoHiggsError as exc:
         _emit({"error": {"kind": exc.kind, "detail": str(exc)}})
