@@ -19,8 +19,9 @@ returns an :class:`EtaValue` ``coef * sqrt(radicand)`` with a squarefree
 radicand or raises ``SqrtCostCap``; :func:`rational_sqrt` is its first step.
 
 All arithmetic is polynomial: ``PolyMat2`` products, commutators and
-determinants stay inside ``BiPoly``, and a ``RatFn`` is only normalized,
-compared by cross-multiplication, printed, or divided out exactly.
+determinants stay inside ``BiPoly``, and a ``RatFn`` is only normalized
+(on integer numerators), compared by cross-multiplication, printed, or
+divided out exactly.
 All values are immutable after construction and all operations are pure
 functions, so everything here is safe to share between threads.
 
@@ -146,10 +147,6 @@ class BiPoly:
         if not self._terms:
             return Fraction(0)
         return Fraction(self._terms[max(self._terms, key=_grlex_key)], self._den)
-
-    def content(self) -> Fraction:
-        """gcd of the coefficients (0 for the zero polynomial)."""
-        return Fraction(math.gcd(*self._terms.values()), self._den)
 
     def is_univariate(self, axis: int) -> bool:
         other = 1 if axis == 1 else 0
@@ -354,18 +351,13 @@ Z2 = BiPoly.variable(2)
 ONE = BiPoly.const(1)
 
 
-def _rat_gcd(a: Fraction, b: Fraction) -> Fraction:
-    num = math.gcd(abs(a.numerator), abs(b.numerator))
-    den = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
-    return Fraction(num, den)
-
-
 class RatFn:
     """Quotient of two bivariate polynomials.
 
-    Normalization divides numerator and denominator by their common
-    coefficient content and fixes the denominator's leading coefficient to
-    be positive; no multivariate gcd is attempted.  Equality is decided by
+    Normalization brings numerator and denominator to integer coefficients
+    over the lcm of their denominators, divides both by the gcd of all
+    those integers and makes the denominator's leading coefficient
+    positive; no multivariate gcd is attempted.  Equality is decided by
     cross-multiplication, so equal values always compare equal regardless
     of representation.
     """
@@ -383,13 +375,11 @@ class RatFn:
         if not num:
             self.num, self.den = BiPoly.zero(), ONE
             return
-        g = _rat_gcd(num.content(), den.content())
-        if den.leading_coefficient() < 0:
-            g = -g
-        if g != 1:
-            num = num * (1 / g)
-            den = den * (1 / g)
-        self.num, self.den = num, den
+        lcm = math.lcm(num._den, den._den)
+        n, d = ({t: c * (lcm // p._den) for t, c in p._terms.items()} for p in (num, den))
+        g = math.gcd(*n.values(), *d.values())
+        g = -g if d[max(d, key=_grlex_key)] < 0 else g
+        self.num, self.den = (_normalized({t: c // g for t, c in x.items()}, 1) for x in (n, d))
 
     def is_polynomial(self) -> bool:
         return self.den == ONE or self.num.exact_div(self.den) is not None
@@ -607,12 +597,54 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _step_charge(n: int) -> int:
+    """Steps charged for one Pollard-Brent or Newton step on n."""
+    b = n.bit_length()
+    return 1 + b // 96 + (b >> 9) ** 2
+
+
+def _residue_prime(k: int) -> int:
+    """The least q = 1 (mod 2k) that passes a base-2 Fermat test; for each
+    odd prime k < _B it is the least prime q = 1 (mod k)."""
+    return next(q for q in itertools.count(2 * k + 1, 2 * k) if pow(2, q - 1, q) == 1)
+
+
+def _odd_power(c: int, steps: int) -> tuple[int, int, int]:
+    """(r, k, steps left) with c = r^k, k an odd prime or 1; c has no prime
+    factor below _B, so r > _B and only the k with _B**k <= c are tried (all
+    of them while c < 10**3027).  c = r^k makes c a k-th power modulo the
+    prime q = 1 (mod k), as only about 1 in k other c are; only those get
+    an integer Newton root, each step charged like a Pollard-Brent step."""
+    charge = _step_charge(c)
+    for k in _PRIMES[1:]:
+        if _B**k > c:
+            break
+        q = _residue_prime(k)
+        if pow(c, (q - 1) // k, q) > 1:
+            continue
+        # floats overflow at these sizes, so one gives only the top bits of
+        # 2**(log2(c)/k); the margin 2**-30 starts Newton above the root,
+        # from where it descends to floor(c**(1/k))
+        s = max(c.bit_length() // k - 52, 0)
+        x = (int(2 ** (math.log2(c) / k - s) * (1 + 2**-30)) + 1) << s
+        while True:
+            if steps < charge:
+                return c, 1, 0
+            steps -= charge
+            y = ((k - 1) * x + c // x ** (k - 1)) // k
+            if y >= x:
+                break
+            x = y
+        if x**k == c:
+            return x, k, steps
+    return c, 1, steps
+
+
 def _rho_split(n: int, steps: int) -> tuple[int, int]:
     """(d, steps left): d a proper factor of the odd composite n by Pollard rho
     in Brent's variant (Brent, BIT 20, 1980), walking y -> y^2 + c from 2 for
     c = 1, 2, ...; d is 0 once a round would overrun the steps."""
-    b = n.bit_length()
-    charge = 1 + b // 96 + (b >> 9) ** 2
+    charge = _step_charge(n)
     for c in itertools.count(1):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
@@ -644,8 +676,9 @@ def _squarefree_decompose(n: int) -> tuple[int, int]:
     """n = s^2 * m with m squarefree (sign carried by m); n is nonzero.
 
     After trial division, a part that is a square, below 10^9 or a prime
-    below psi_13 is done; any other is split by Pollard-Brent, all splits
-    sharing SQRT_RHO_STEPS.  Raises SqrtCostCap when those run out.
+    below psi_13 is done, and an odd prime power r^k is r^(k-1) * r; any
+    other is split by Pollard-Brent, all splits sharing SQRT_RHO_STEPS.
+    Raises SqrtCostCap when those run out.
     """
     sign = -1 if n < 0 else 1
     n = size = abs(n)
@@ -671,6 +704,11 @@ def _squarefree_decompose(n: int) -> tuple[int, int]:
             g = math.gcd(m, c)  # c is squarefree but may share primes with m
             s, m = s * g, m // g * (c // g)
         else:
+            r, k, steps = _odd_power(c, steps)
+            if k > 1:
+                s *= r ** (k // 2)  # k is odd
+                todo.append(r)
+                continue
             d, steps = _rho_split(c, steps)
             if not d:
                 digits = size.bit_length() * 3 // 10  # str() refuses big ints

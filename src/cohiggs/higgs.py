@@ -18,7 +18,8 @@ the cases with a complete criterion: unequal-slope split bundles (the
 dominant summand is the unique destabilizer), O+O (strict semistability is
 equivalent to a common eigenvector of the six coefficient matrices) and
 the O(1,0)+O(-1,0) / O(0,1)+O(0,-1) pairs; every other equal-slope bundle
-reports Unsupported rather than guessing.
+reports Unsupported rather than guessing.  A common eigenvector (a common
+root of the eigenvector quadratics) is decided by one :func:`linalg.rank`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import _univariate as uni
+from ._univariate import shifted_rows
 from .cohomology import LineBundle
 from .errors import (
     BundleMismatch,
@@ -49,6 +50,7 @@ from .exactalg import (
     det2,
     rational_sqrt,
 )
+from .linalg import rank
 
 O = LineBundle
 
@@ -189,27 +191,14 @@ class BinaryQuadratic:
     def is_zero(self) -> bool:
         return not (self.q20 or self.q11 or self.q02)
 
-    def univariate(self) -> list[Fraction]:
-        """q(x, 1) as a dense coefficient list."""
-        return uni.trim([self.q02, self.q11, self.q20])
-
-    def mult_at_infinity(self) -> int:
-        """Multiplicity of the projective root [1:0], i.e. of the factor y."""
-        return 2 - uni.deg(self.univariate()) if not self.is_zero() else 2
-
 
 def _constant_matrix(x) -> tuple[Fraction, Fraction, Fraction]:
     """(a, b, c) of a constant trace-free matrix (a b; c -a)."""
     if isinstance(x, PolyMat2):
-        vals = []
-        for i in range(2):
-            for j in range(2):
-                e = x.entry(i, j)
-                d1, d2 = e.bidegree()
-                if d1 > 0 or d2 > 0:
-                    raise ValueError("matrix entry is not constant")
-                vals.append(e.coeff(0, 0))
-        a, b, c, d = vals
+        rows = [[x.entry(i, 0), x.entry(i, 1)] for i in range(2)]
+        if any(max(e.bidegree()) > 0 for row in rows for e in row):
+            raise ValueError("matrix entry is not constant")
+        (a, b), (c, d) = ((e.coeff(0, 0) for e in row) for row in rows)
     else:
         (a, b), (c, d) = ((Fraction(v) for v in row) for row in x)
     if a + d != 0:
@@ -227,32 +216,24 @@ def eigen_quadratic(x) -> BinaryQuadratic:
     return BinaryQuadratic(c, -2 * a, -b)
 
 
-def _family_common_factor(quads: list[BinaryQuadratic]) -> tuple[int, list[Fraction]]:
-    """(multiplicity of the common factor y, monic gcd of the affine parts)."""
-    m_inf = min(q.mult_at_infinity() for q in quads)
-    g: list[Fraction] = []
-    for q in quads:
-        g = uni.gcd(g, q.univariate())
-    return m_inf, g
+def _eigen_quadratics(mats) -> list[BinaryQuadratic]:
+    """The nonzero eigenvector quadratics of the family; a zero matrix has
+    every vector as an eigenvector and drops out."""
+    quads = (eigen_quadratic(m) for m in mats)
+    return [q for q in quads if not q.is_zero()]
 
 
 def common_eigenvector_exists(mats) -> bool:
     """True iff the given constant trace-free matrices share an eigenvector.
 
-    Zero matrices are dropped (every vector is an eigenvector of 0); an
-    empty or all-zero family is vacuously True.  The test is whether the
-    gcd of the eigenvector quadratics has a nonconstant homogeneous factor,
-    i.e. a common projective root over the algebraic closure.
+    An empty or all-zero family is vacuously True.  The quadratics share a
+    projective root over the algebraic closure iff the rows x*q, y*q span
+    at most 3 of the 4 dimensions of binary cubics: a common linear factor
+    divides every row, and two quadratics without one already span all
+    cubics (their Sylvester matrix is nonsingular).
     """
-    quads = []
-    for m in mats:
-        q = eigen_quadratic(m)
-        if not q.is_zero():
-            quads.append(q)
-    if not quads:
-        return True
-    m_inf, g = _family_common_factor(quads)
-    return m_inf >= 1 or uni.deg(g) >= 1
+    rows = [r for q in _eigen_quadratics(mats) for r in shifted_rows([q.q02, q.q11, q.q20], 2)]
+    return rank(rows) <= 3  # the rows y*q, x*q, with the power of x as the column
 
 
 def _rational_common_eigenvector(quads: list[BinaryQuadratic]):
@@ -260,22 +241,17 @@ def _rational_common_eigenvector(quads: list[BinaryQuadratic]):
 
     Prefers [1:0] when available (it keeps upper-triangular input fixed),
     then the smallest rational affine root.  Returns None when the common
-    factor is nonconstant but irreducible over the rationals.
+    roots are irrational.
     """
-    m_inf, g = _family_common_factor(quads)
-    if m_inf >= 1:
+    q = next((q for q in quads if q.q20), None)
+    if q is None:
         return (Fraction(1), Fraction(0))
-    d = uni.deg(g)
-    if d == 1:
-        return (-g[0] / g[1], Fraction(1))
-    if d == 2:
-        disc = g[1] * g[1] - 4 * g[2] * g[0]
-        root = rational_sqrt(disc)
-        if root is None:
-            return None
-        xs = sorted({(-g[1] - root) / (2 * g[2]), (-g[1] + root) / (2 * g[2])})
-        return (xs[0], Fraction(1))
-    return None
+    root = rational_sqrt(q.q11 * q.q11 - 4 * q.q20 * q.q02)
+    if root is None:
+        return None
+    xs = ((-q.q11 - root) / (2 * q.q20), (-q.q11 + root) / (2 * q.q20))
+    common = [x for x in xs if all(not p.evaluate(x, Fraction(1)) for p in quads)]
+    return (min(common), Fraction(1)) if common else None
 
 
 # ---------------------------------------------------------------------------
@@ -293,18 +269,8 @@ class StabilityClass(enum.Enum):
 def _coefficient_matrices(f: HiggsField) -> list[list[list[Fraction]]]:
     """The six constant matrices M0,M1,M2 (z1-coefficients of Phi_1) and
     N0,N1,N2 (z2-coefficients of Phi_2) for a field on O+O."""
-    mats = []
-    for mat, axis in ((f.phi1, 1), (f.phi2, 2)):
-        for k in range(3):
-            rows = []
-            for i in range(2):
-                row = []
-                for j in range(2):
-                    p = mat.entry(i, j)
-                    row.append(p.coeff(k, 0) if axis == 1 else p.coeff(0, k))
-                rows.append(row)
-            mats.append(rows)
-    return mats
+    terms = [(f.phi1, (k, 0)) for k in range(3)] + [(f.phi2, (0, k)) for k in range(3)]
+    return [[[m.entry(i, j).coeff(*t) for j in range(2)] for i in range(2)] for m, t in terms]
 
 
 _PM10 = frozenset({O(1, 0), O(-1, 0)})
@@ -368,11 +334,7 @@ def graded_object(f: HiggsField) -> HiggsField:
     """
     if stability_classify(f) is not StabilityClass.STRICTLY_SEMISTABLE:
         raise NotStrictlySemistable("graded object needs a strictly semistable field")
-    quads = []
-    for m in _coefficient_matrices(f):
-        q = eigen_quadratic(m)
-        if not q.is_zero():
-            quads.append(q)
+    quads = _eigen_quadratics(_coefficient_matrices(f))
     if not quads:
         return f  # zero field: already diagonal
     v = _rational_common_eigenvector(quads)
@@ -448,10 +410,9 @@ def normal_form_F0(f: HiggsField) -> tuple[HiggsField, PolyMat2]:
     alpha = c_lead
     p = -c1.coeff(0, 0) / alpha
     a1 = f.phi1.entry(0, 0)
-    coeffs = a1.univariate_coeffs(1) + [Fraction(0)] * 3
-    a_at_p = uni.evaluate(coeffs[:3], p)
-    a_prime_p = coeffs[1] + 2 * coeffs[2] * p
-    a_half_second = coeffs[2]
+    a_at_p = a1.evaluate(p, 0)
+    a_half_second = a1.coeff(2, 0)
+    a_prime_p = a1.coeff(1, 0) + 2 * a_half_second * p
     z1_minus_p = BiPoly({(1, 0): 1, (0, 0): -p})
     big_p = (BiPoly.const(a_prime_p) + a_half_second * z1_minus_p) * (-1 / alpha)
     psi = PolyMat2([[BiPoly.const(1), big_p], [BiPoly.const(0), BiPoly.const(1 / alpha)]])

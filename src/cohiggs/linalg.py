@@ -1,16 +1,16 @@
-"""Exact Gaussian elimination over the rationals.
+"""Exact rank over the rationals.
 
 One forward elimination serves every exact linear-algebra question in the
-package: the rank behind the dimension counts and the determinant behind
-the Sylvester resultant.  Pivoting is by first nonzero entry; exact
+package: the dimension counts of the extension ansatz, and the root
+questions of ``higgs`` and ``spectral``, which ask whether Sylvester-type
+rows are of full rank.  Pivoting is by first nonzero entry; exact
 arithmetic makes numerical pivot selection irrelevant.
 
 Rows are held sparsely, as ``{column: entry}`` dicts of their nonzero
 entries, so a row update costs the pivot row's nonzeros rather than the
 full width.  The ansatz systems behind the dimension counts are about 97%
 zeros, and ``extension`` hands such dicts in directly; a dense list row
-is filtered into one.  The pivots, and so the returned pair, are those of the
-dense loop.
+is filtered into one.
 """
 
 from __future__ import annotations
@@ -22,30 +22,21 @@ from typing import Union
 Row = Union[list[Fraction], dict[int, Fraction]]
 
 
-def eliminate(rows: list[Row]) -> tuple[int, Fraction]:
-    """(rank, signed product of the pivots) of the matrix with these rows.
-
-    Each pivot clears only the entries below it; a row swap flips the sign.
-    For a square matrix of full rank the second value is the determinant.
-    The rows passed in are not modified.
-    """
+def rank(rows: list[Row]) -> int:
+    """Rank of the matrix with these rows; the rows passed in are not modified."""
     m = [dict(row) if type(row) is dict else {j: a for j, a in enumerate(row) if a}
          for row in rows]
     # no pivot lies beyond the last column that holds a nonzero entry
     ncols = max((max(row) + 1 for row in m if row), default=0)
     r = 0
-    det = Fraction(1)
     for col in range(ncols):
         if r == len(m):
             break
         pivot = next((i for i in range(r, len(m)) if col in m[i]), None)
         if pivot is None:
             continue
-        if pivot != r:
-            m[r], m[pivot] = m[pivot], m[r]
-            det = -det
+        m[r], m[pivot] = m[pivot], m[r]
         pv = m[r][col]
-        det *= pv
         # the pivot column cancels exactly, so it is popped, not updated
         rest = [(j, b) for j, b in m[r].items() if j != col]
         for row in m[r + 1 :]:
@@ -58,8 +49,4 @@ def eliminate(rows: list[Row]) -> tuple[int, Fraction]:
                     else:
                         del row[j]
         r += 1
-    return r, det
-
-
-def rank(rows: list[Row]) -> int:
-    return eliminate(rows)[0]
+    return r

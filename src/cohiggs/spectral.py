@@ -29,7 +29,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import _univariate as uni
+from ._univariate import shifted_rows
 from .cohomology import LineBundle
 from .errors import (
     BundleMismatch,
@@ -40,6 +40,7 @@ from .errors import (
 )
 from .exactalg import BiPoly, EtaValue, det2, exact_sqrt
 from .higgs import DecomposableBundle, HiggsField, fits_slot, is_integrable, validate_field
+from .linalg import rank
 
 
 @dataclass(frozen=True)
@@ -165,26 +166,24 @@ def fibre_over_point(f: HiggsField, z1: Fraction, z2: Fraction) -> Fibre:
 def is_generic_quartic(rho: BiPoly) -> bool:
     """Four distinct projective roots of the binary quartic homogenizing rho.
 
-    rho must be univariate (either variable); the degree deficit counts as
-    multiplicity at infinity, detected together with finite multiplicities
-    through the resultant of the dehomogenized polynomial and its
-    derivative.
+    rho must be univariate (either variable).  A degree deficit counts as
+    multiplicity at infinity, so a generic rho has degree d >= 3; its finite
+    roots are simple iff f and f' share no root, i.e. their Sylvester
+    matrix (d - 1 shifts of f over d shifts of f') has full rank 2d - 1.
     """
     if rho.is_univariate(1):
-        coeffs = rho.univariate_coeffs(1)
+        f = rho.univariate_coeffs(1)
     elif rho.is_univariate(2):
-        coeffs = rho.univariate_coeffs(2)
+        f = rho.univariate_coeffs(2)
     else:
         raise NotUnivariate("genericity test needs a univariate quartic")
-    if len(coeffs) > 5:
+    d = len(f) - 1
+    if d > 4:
         raise SlotViolation("degree exceeds the quartic slot")
-    f = uni.trim(list(coeffs))
-    d = uni.deg(f)
-    if d < 0:
-        return False
-    if 4 - d >= 2:
-        return False  # multiple root at infinity
-    return uni.resultant(f, uni.derivative(f)) != 0
+    if d < 3:
+        return False  # zero, or a multiple root at infinity
+    df = [k * c for k, c in enumerate(f)][1:]
+    return rank(shifted_rows(f, d - 1) + shifted_rows(df, d)) == 2 * d - 1
 
 
 class FibreClass(enum.Enum):

@@ -232,31 +232,27 @@ def exact_div_oracle(a: PolyDict, d: PolyDict) -> PolyDict | None:
 # ---------------------------------------------------------------------------
 
 
-def dense_eliminate(rows: list[list[Fraction]]) -> tuple[int, Fraction]:
-    """The dense forward elimination that ``linalg.eliminate`` replaced,
-    kept as its differential reference: same first-nonzero pivots, every
-    row update recomputed across the full width."""
+def dense_rank(rows: list[list[Fraction]]) -> int:
+    """The dense forward elimination that ``linalg.rank`` replaced, kept as
+    its differential reference: same first-nonzero pivots, every row update
+    recomputed across the full width."""
     m = [list(r) for r in rows]
     ncols = len(m[0]) if m else 0
     r = 0
-    det = Fraction(1)
     for col in range(ncols):
         if r == len(m):
             break
         pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
         if pivot is None:
             continue
-        if pivot != r:
-            m[r], m[pivot] = m[pivot], m[r]
-            det = -det
+        m[r], m[pivot] = m[pivot], m[r]
         pv = m[r][col]
-        det *= pv
         for i in range(r + 1, len(m)):
             if m[i][col]:
                 f = m[i][col] / pv
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         r += 1
-    return r, det
+    return r
 
 
 # ---------------------------------------------------------------------------

@@ -326,9 +326,6 @@ def test_boundary_accessors_match_fraction_oracle():
         assert a.coeff(7, 7) == 0
         lead = max(da, key=lambda t: (t[0] + t[1], t[0]), default=None)
         assert a.leading_coefficient() == (da[lead] if lead else 0)
-        num = math.gcd(*(c.numerator for c in da.values()))
-        den = math.lcm(*(c.denominator for c in da.values()))
-        assert a.content() == (F(num, den) if da else 0)
         z1, z2 = F(rng.randint(1, 9), rng.randint(1, 9)), F(rng.randint(-9, -1), rng.randint(1, 9))
         assert a.evaluate(z1, z2) == sum((c * z1**i * z2**j for (i, j), c in da.items()), F(0))
     p = BiPoly.from_univariate([F(1, 2), 0, F(-3, 4)], 2)

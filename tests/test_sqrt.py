@@ -4,6 +4,7 @@ against sympy and the trial-division oracle, and its bounded cost."""
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
 from fractions import Fraction as F
@@ -19,6 +20,8 @@ from oracles import squarefree_by_trial_division
 # 2575672364521): Miller-Rabin is exact only below it
 PSI13 = 3_317_044_064_679_887_385_961_981
 P12, Q12 = 999_999_999_989, 100_000_000_003
+# a 13-digit prime: Pollard-Brent cannot split its odd powers within the cap
+P13 = 1_000_000_000_039
 # two 22-digit primes: Pollard rho needs about 10^11 steps to split their product
 P22, Q22 = 2_000_000_000_000_000_000_069, 3_000_000_000_000_000_000_053
 
@@ -40,6 +43,8 @@ SPECIAL = [
     P12**2, 7 * Q12**2, P12**2 * 1_000_003, 1009 * P12**2 * Q12**2, P12 * Q12,
     # just below and just above psi_13, and psi_13 itself
     PSI13 - 2, PSI13 - 1, PSI13, PSI13 + 1, PSI13 + 2,
+    # odd powers: found as powers before Pollard-Brent
+    P13**3, 7 * P13**3, P13**5, (1009 * P13) ** 3, (1013**2 * P13) ** 3, 1009**7 * P13**7,
 ]
 
 
@@ -57,6 +62,14 @@ def _seeded(rng: random.Random, count: int, digits: int) -> list[int]:
 def test_trial_division_primes_and_psi13():
     assert exactalg._PSI13 == PSI13
     assert exactalg._PRIMES[-1] == 997 and len(exactalg._PRIMES) == 168
+
+
+def test_residue_primes_are_prime():
+    # the power test needs a prime q = 1 (mod k); it finds one by a base-2
+    # Fermat test, which no pseudoprime fools first for these k
+    for k in exactalg._PRIMES[1:]:
+        q = exactalg._residue_prime(k)
+        assert q % k == 1 and all(q % p for p in range(2, math.isqrt(q) + 1)), k
 
 
 def test_squarefree_decompose_matches_factorint():
@@ -86,6 +99,17 @@ def test_seventeen_digit_radicand_is_fast():
     value = exact_sqrt(F(-30000005200000217))
     assert time.perf_counter() - start < 0.3
     assert value == EtaValue(F(1), -30000005200000217)
+
+
+@pytest.mark.parametrize(
+    "n, expected",
+    [(P13**3, (P13, P13)), (7 * P13**3, (P13, 7 * P13)), (P13**5, (P13**2, P13)), (-(P13**5), (P13**2, -P13))],
+    ids=["p^3", "7p^3", "p^5", "-p^5"],
+)
+def test_odd_prime_powers_are_fast(n, expected):
+    start = time.perf_counter()
+    assert _squarefree_decompose(n) == expected
+    assert time.perf_counter() - start < 0.05
 
 
 def _fibre_of_constant_rho(capsys, tmp_path, rho: int):
