@@ -16,12 +16,27 @@ Subpackages by theme:
 * :mod:`cohiggs.spectral` - the Hitchin map, its image constraint, spectral
   fibres and decomposability diagnostics;
 * :mod:`cohiggs.cli` - the ``cohiggs`` command-line tool (JSON in/out).
+
+``import cohiggs`` loads no submodule; each name of ``__all__`` loads its own
+module on first use.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .exactalg import BiPoly, PolyMat2, Rat, RatFn  # noqa: F401
-from .cohomology import LineBundle, h_dims, monomial_basis, slope_rank2  # noqa: F401
-from .chern import ChernData, NumericalInvariants, ReducedClass, ReducedTag  # noqa: F401
-from .higgs import DecomposableBundle, HiggsField, StabilityClass  # noqa: F401
-from .spectral import SpectralData, SpectralPoint  # noqa: F401
+_EXPORTS = {
+    "exactalg": "BiPoly PolyMat2 Rat RatFn",
+    "cohomology": "LineBundle h_dims monomial_basis slope_rank2",
+    "chern": "ChernData NumericalInvariants ReducedClass ReducedTag",
+    "higgs": "DecomposableBundle HiggsField StabilityClass",
+    "spectral": "SpectralData SpectralPoint",
+}
+__all__ = [name for names in _EXPORTS.values() for name in names.split()]
+
+
+def __getattr__(name: str):  # PEP 562
+    for module, names in _EXPORTS.items():
+        if name in names.split():
+            return getattr(import_module(f".{module}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

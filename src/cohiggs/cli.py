@@ -7,23 +7,21 @@ without a handler is a group such as ``ext``.  ``main`` alone parses,
 dispatches, prints and maps exceptions to exit codes: 0 on success, 1 on
 domain errors, 2 on malformed input (a malformed command line included),
 errors as one {"error": {"kind", "detail"}} line.  Set COHIGGS_LOG (e.g. to
-DEBUG) for diagnostics on stderr.
+DEBUG) for diagnostics on stderr.  A call loads only what its command uses:
+each handler imports its own modules, and logging only under COHIGGS_LOG.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
-from . import __version__, chern, cohomology, extension, higgs, jsonio, spectral
+from . import __version__
 from .errors import CoHiggsError
-
-logger = logging.getLogger("cohiggs")
 
 
 def _parse_rat(text: str) -> Fraction:
@@ -47,14 +45,26 @@ def _emit(payload) -> None:
     print(json.dumps(payload))
 
 
-def _ext(u: str, v: str) -> extension.ExtParams:
+def _debug(*args) -> None:
+    if os.environ.get("COHIGGS_LOG"):
+        import logging
+        logging.getLogger("cohiggs").debug(*args)
+
+
+def _ext(u: str, v: str):
+    from . import extension
     return extension.ExtParams(_parse_rat(u), _parse_rat(v))
 
 
 # -- handlers: each returns what main prints ---------------------------------
 
 
-def _reduced(c: chern.ChernData) -> dict:
+def _cohomology(args) -> dict:
+    from . import cohomology
+    return dict(zip(("h0", "h1", "h2"), cohomology.h_dims(args.a, args.b)))
+
+
+def _reduced(chern, c) -> dict:
     red = chern.reduce_class(c)
     return {
         "tag": red.tag.value,
@@ -63,17 +73,19 @@ def _reduced(c: chern.ChernData) -> dict:
     }
 
 
-def _nonempty(alpha: int, beta: int, gamma: int) -> dict:
+def _nonempty(chern, alpha: int, beta: int, gamma: int) -> dict:
     c = chern.ChernData(alpha, beta, gamma)
     return {
         "nonempty": chern.cohiggs_moduli_nonempty(c),
-        "reduced": _reduced(c),
+        "reduced": _reduced(chern, c),
         "theorem48_case2_discrepancy": chern.theorem48_case2_discrepancy(c),
     }
 
 
 def _moduli_nonempty(args):
+    from . import chern
     if args.batch:
+        from . import jsonio
         grid = _load_json(args.batch)
         if isinstance(grid, dict):
             grid = grid.get("tuples")
@@ -83,20 +95,34 @@ def _moduli_nonempty(args):
         tuples = [[jsonio.int_from_json(x, "batch entry") for x in entry] for entry in grid]
         if any(len(t) != 3 for t in tuples):
             raise ValueError("batch tuples must have three entries")
-        logger.debug("batch of %d tuples", len(tuples))
-        return ({**_nonempty(a, b, g), "alpha": a, "beta": b, "gamma": g} for a, b, g in tuples)
+        _debug("batch of %d tuples", len(tuples))
+        return ({**_nonempty(chern, a, b, g), "alpha": a, "beta": b, "gamma": g}
+                for a, b, g in tuples)
     if None in (args.alpha, args.beta, args.gamma):
         raise ValueError("--alpha/--beta/--gamma are required without --batch")
-    return _nonempty(args.alpha, args.beta, args.gamma)
+    return _nonempty(chern, args.alpha, args.beta, args.gamma)
 
 
 def _moduli_bundle(args) -> dict:
+    from . import chern
     c = chern.ChernData(args.alpha, args.beta, args.gamma)
     inv = chern.NumericalInvariants(args.d, args.r)
     return {"nonempty": chern.bundle_moduli_nonempty(c, inv), "length": chern.ext_length(c, inv)}
 
 
+def _no_higgs_region(args) -> dict:
+    from . import chern
+    inv = chern.NumericalInvariants(args.d, args.r)
+    return {"no_nontrivial_higgs": chern.no_nontrivial_higgs_region(inv, args.c2)}
+
+
+def _reduce(args) -> dict:
+    from . import chern
+    return _reduced(chern, chern.ChernData(args.alpha, args.beta, args.gamma))
+
+
 def _higgs_check(args) -> dict:
+    from . import higgs, jsonio
     f = jsonio.field_from_json(_load_json(args.field))
     valid = higgs.validate_field(f)
     integrable = higgs.is_integrable(f) if valid else None
@@ -105,6 +131,7 @@ def _higgs_check(args) -> dict:
 
 
 def _higgs_normal_form(args) -> dict:
+    from . import higgs, jsonio
     f = jsonio.field_from_json(_load_json(args.field))
     degrees = (f.bundle.L1.a, f.bundle.L1.b, f.bundle.L2.a, f.bundle.L2.b)
     if degrees == (0, 0, -1, 0):
@@ -113,11 +140,13 @@ def _higgs_normal_form(args) -> dict:
     if degrees == (1, 0, -1, 0):
         return {"field": jsonio.field_to_json(higgs.normal_form_pm1(f))}
     if degrees == (0, -1, -1, 1):
+        from . import extension
         return {"field": jsonio.field_to_json(extension.trivial_extension_normal_form(f))}
     raise CoHiggsError(f"no normal form implemented for bundle {f.bundle}")
 
 
 def _higgs_graded(args) -> dict:
+    from . import higgs, jsonio
     f = jsonio.field_from_json(_load_json(args.field))
     g = higgs.graded_object(f)
     a1, a2 = higgs.s_equiv_rep(f)
@@ -127,13 +156,26 @@ def _higgs_graded(args) -> dict:
     }
 
 
+def _section_q(args) -> dict:
+    from . import higgs, jsonio
+    rho = jsonio.bipoly_from_json(_load_json(args.rho))
+    return {"field": jsonio.field_to_json(higgs.section_Q(rho, args.axis))}
+
+
 def _higgs_pullback(args) -> dict:
+    from . import higgs, jsonio
     a, b, c = (jsonio.bipoly_from_json(_load_json(p)) for p in (args.a, args.b, args.c))
     pb = higgs.pullback_from_line(a, b, c, args.axis)
     return {"field": jsonio.field_to_json(pb.field), "rho": jsonio.bipoly_to_json(pb.rho)}
 
 
+def _ext_dims(args) -> dict:
+    from . import extension
+    return dict(zip(("dim20", "dim02", "total"), extension.end0T_dimension(_ext(args.u, args.v))))
+
+
 def _ext_build(args) -> dict:
+    from . import extension, jsonio
     e = _ext(args.u, args.v)
     p1 = jsonio.phi1_params_from_json(_load_json(args.phi1) if args.phi1 else {})
     p2 = jsonio.phi2_params_from_json(_load_json(args.phi2) if args.phi2 else {})
@@ -152,16 +194,24 @@ def _ext_build(args) -> dict:
 
 
 def _ext_classify(args) -> dict:
+    from . import extension, jsonio
     point = extension.stratum_classify(jsonio.point_from_json(_load_json(args.point)))
     return {"stratum": point.stratum.value, "point": jsonio.point_to_json(point)}
 
 
+def _weak_iso(args) -> dict:
+    from . import extension
+    return {"weak_iso": extension.weak_iso(_ext(args.u1, args.v1), _ext(args.u2, args.v2))}
+
+
 def _hitchin(args) -> dict:
+    from . import jsonio, spectral
     s = spectral.hitchin_map(jsonio.field_from_json(_load_json(args.field)))
     return {**jsonio.spectral_to_json(s), "consistent": spectral.rho_consistent(s)}
 
 
 def _spectral_residual(args) -> dict:
+    from . import jsonio, spectral
     s = jsonio.spectral_from_json(_load_json(args.rho))
     parts = args.point.split(",")
     if len(parts) != 4:
@@ -174,6 +224,19 @@ def _spectral_residual(args) -> dict:
         "r3": jsonio.rat_to_json(r3),
         "on_surface": not (r1 or r2 or r3),
     }
+
+
+def _spectral_classify(args) -> dict:
+    from . import jsonio, spectral
+    rho = jsonio.spectral_from_json(_load_json(args.rho))
+    return {"classification": spectral.fibre_decomposability(rho).value}
+
+
+def _spectral_fibre(args) -> dict:
+    from . import jsonio, spectral
+    f = jsonio.field_from_json(_load_json(args.field))
+    fibre = spectral.fibre_over_point(f, _parse_rat(args.z1), _parse_rat(args.z2))
+    return jsonio.fibre_to_json(fibre)
 
 
 # -- the command table -------------------------------------------------------
@@ -198,8 +261,7 @@ class Command(NamedTuple):
 
 COMMANDS = [
     Command("cohomology", "cohomology dimensions of O(a,b)",
-            _opts("--a", "--b", type=int, required=True),
-            lambda args: dict(zip(("h0", "h1", "h2"), cohomology.h_dims(args.a, args.b)))),
+            _opts("--a", "--b", type=int, required=True), _cohomology),
     Command("moduli", "moduli decision procedures"),
     Command("moduli nonempty", "co-Higgs moduli non-emptiness",
             _opts("--alpha", "--beta", "--gamma", type=int)
@@ -209,12 +271,9 @@ COMMANDS = [
             _opts("--alpha", "--beta", "--gamma", "--d", "--r", type=int, required=True),
             _moduli_bundle),
     Command("moduli no-higgs-region", "only-zero-Higgs region test (c1 = -F)",
-            _opts("--d", "--r", "--c2", type=int, required=True),
-            lambda args: {"no_nontrivial_higgs": chern.no_nontrivial_higgs_region(
-                chern.NumericalInvariants(args.d, args.r), args.c2)}),
+            _opts("--d", "--r", "--c2", type=int, required=True), _no_higgs_region),
     Command("reduce", "reduce a first Chern class by twisting",
-            _opts("--alpha", "--beta", "--gamma", type=int, required=True),
-            lambda args: _reduced(chern.ChernData(args.alpha, args.beta, args.gamma))),
+            _opts("--alpha", "--beta", "--gamma", type=int, required=True), _reduce),
     Command("higgs", "Higgs-field operations"),
     Command("higgs check", "validate / integrability / stability",
             _opts("--field", required=True), _higgs_check),
@@ -223,9 +282,7 @@ COMMANDS = [
     Command("higgs graded", "associated graded object (O+O)",
             _opts("--field", required=True), _higgs_graded),
     Command("higgs section-q", "stable field (0 -rho; 1 0) from a quartic",
-            _opts("--rho", required=True) + _AXIS,
-            lambda args: {"field": jsonio.field_to_json(higgs.section_Q(
-                jsonio.bipoly_from_json(_load_json(args.rho)), args.axis))}),
+            _opts("--rho", required=True) + _AXIS, _section_q),
     Command("higgs pullback", "pull back a field from one line factor",
             _opts("--a", required=True, help="BiPoly JSON file, degree <= 2")
             + _opts("--b", required=True, help="BiPoly JSON file, degree <= 3")
@@ -234,9 +291,7 @@ COMMANDS = [
             _higgs_pullback),
     Command("ext", "the c1 = -F, c2 = 1 extension family"),
     Command("ext dims", "twisted endomorphism dimension counts",
-            _opts("--u", "--v", required=True),
-            lambda args: dict(zip(("dim20", "dim02", "total"),
-                                  extension.end0T_dimension(_ext(args.u, args.v))))),
+            _opts("--u", "--v", required=True), _ext_dims),
     Command("ext build", "assemble field components from parameters",
             _opts("--u", "--v", required=True)
             + _opts("--phi1", help="Phi1Params JSON file")
@@ -245,9 +300,7 @@ COMMANDS = [
     Command("ext classify", "stratum of a moduli point",
             _opts("--point", required=True), _ext_classify),
     Command("ext weak-iso", "weak isomorphism of extension classes",
-            _opts("--u1", "--v1", "--u2", "--v2", required=True),
-            lambda args: {"weak_iso": extension.weak_iso(_ext(args.u1, args.v1),
-                                                         _ext(args.u2, args.v2))}),
+            _opts("--u1", "--v1", "--u2", "--v2", required=True), _weak_iso),
     Command("hitchin", "Hitchin image of a field", _opts("--field", required=True), _hitchin),
     Command("spectral", "spectral-surface diagnostics"),
     Command("spectral residual", "surface residuals at a point of Tot(T)",
@@ -255,14 +308,9 @@ COMMANDS = [
             + _opts("--point", required=True, help="z1,z2,eta1,eta2 (rationals)"),
             _spectral_residual),
     Command("spectral classify", "fibre decomposability class",
-            _opts("--rho", required=True),
-            lambda args: {"classification": spectral.fibre_decomposability(
-                jsonio.spectral_from_json(_load_json(args.rho))).value}),
+            _opts("--rho", required=True), _spectral_classify),
     Command("spectral fibre", "fibre of the spectral surface over a point",
-            _opts("--field", "--z1", "--z2", required=True),
-            lambda args: jsonio.fibre_to_json(spectral.fibre_over_point(
-                jsonio.field_from_json(_load_json(args.field)),
-                _parse_rat(args.z1), _parse_rat(args.z2)))),
+            _opts("--field", "--z1", "--z2", required=True), _spectral_fibre),
 ]
 
 
@@ -273,14 +321,22 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """Every command name is registered, but only the rows on the path of
+    argv's first two words that are not options get their options and
+    subcommands: argparse descends through no other rows."""
     description = "Exact computations for rank-2 co-Higgs bundles on P1 x P1."
     parser = _Parser(prog="cohiggs", description=description)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     groups = {"": parser.add_subparsers(dest="command", required=True)}
+    path = " ".join([a for a in argv if not a.startswith("-")][:2]) + " "
     for words, help_, options, handler in COMMANDS:
         group, _, name = words.rpartition(" ")
+        if group not in groups:  # a group off the path gets no subcommands
+            continue
         p = groups[group].add_parser(name, help=help_)
+        if not path.startswith(words + " "):
+            continue
         for flag, kwargs in options:
             p.add_argument(flag, **kwargs)
         if handler is None:
@@ -293,14 +349,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     level = os.environ.get("COHIGGS_LOG")
     if level:
+        import logging
         logging.basicConfig(
             level=getattr(logging, level.upper(), logging.DEBUG),
             stream=sys.stderr,
             format="%(name)s %(levelname)s %(message)s",
         )
     try:
-        args = _build_parser().parse_args(argv)
-        logger.debug("dispatch %s", args.command)
+        argv = sys.argv[1:] if argv is None else argv
+        args = _build_parser(argv).parse_args(argv)
+        _debug("dispatch %s", args.command)
         result = args.handler(args)
         for payload in [result] if isinstance(result, dict) else result:
             _emit(payload)

@@ -643,20 +643,22 @@ def _odd_power(c: int, steps: int) -> tuple[int, int, int]:
 def _rho_split(n: int, steps: int) -> tuple[int, int]:
     """(d, steps left): d a proper factor of the odd composite n by Pollard rho
     in Brent's variant (Brent, BIT 20, 1980), walking y -> y^2 + c from 2 for
-    c = 1, 2, ...; d is 0 once a round would overrun the steps."""
+    c = 1, 2, ...; d is 0 once the steps run out.  A round is r skip steps
+    and r compare steps; the last round spends what is left on compares."""
     charge = _step_charge(n)
     for c in itertools.count(1):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
-            if steps < 2 * r * charge:
+            m = min(r, steps // charge - r)  # the compare steps this round affords
+            if m <= 0:
                 return 0, steps
-            steps -= 2 * r * charge
+            steps -= (r + m) * charge
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
-            for k in range(0, r, 128):  # one gcd per batch of products
+            for k in range(0, m, 128):  # one gcd per batch of products
                 ys = y
-                for _ in range(min(128, r - k)):
+                for _ in range(min(128, m - k)):
                     y = (y * y + c) % n
                     q = q * (x - y) % n
                 g = math.gcd(q, n)

@@ -6,26 +6,23 @@ order, which makes output byte-deterministic.  Decoders accept only JSON
 integers where an integer is expected (no floats, strings or booleans), a
 nonzero denominator, and parameter objects whose keys are all fields of
 their dataclass; they raise ValueError on anything else, which the CLI maps
-to exit code 2.
+to exit code 2.  The extension and spectral types are imported by the
+codecs that build them, so decoding a Higgs field loads neither module.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .cohomology import LineBundle
 from .exactalg import BiPoly, PolyMat2
-from .extension import (
-    ExtParams,
-    ModuliPoint,
-    Phi1Params,
-    Phi2Params,
-    Stratum,
-    TrivialFieldData,
-)
 from .higgs import DecomposableBundle, HiggsField
-from .spectral import EtaValue, Fibre, SpectralData
+
+if TYPE_CHECKING:
+    from .extension import ModuliPoint, Phi1Params, Phi2Params
+    from .spectral import EtaValue, Fibre, SpectralData
 
 
 def rat_to_json(q: Fraction) -> dict:
@@ -123,6 +120,7 @@ def spectral_to_json(s: SpectralData) -> dict:
 
 
 def spectral_from_json(obj) -> SpectralData:
+    from .spectral import SpectralData
     try:
         return SpectralData(
             bipoly_from_json(obj["rho1"]),
@@ -176,10 +174,12 @@ def _params_to_json(p) -> dict:
 
 
 def phi1_params_from_json(obj) -> Phi1Params:
+    from .extension import Phi1Params
     return _params_from_json(Phi1Params, obj)
 
 
 def phi2_params_from_json(obj) -> Phi2Params:
+    from .extension import Phi2Params
     return _params_from_json(Phi2Params, obj)
 
 
@@ -192,6 +192,7 @@ def phi2_params_to_json(p: Phi2Params) -> dict:
 
 
 def point_to_json(m: ModuliPoint) -> dict:
+    from .extension import Phi1Params, Phi2Params
     out = {
         "ext": {"u": rat_to_json(m.ext.u), "v": rat_to_json(m.ext.v)},
         "stratum": m.stratum.value,
@@ -209,6 +210,7 @@ def point_to_json(m: ModuliPoint) -> dict:
 
 
 def point_from_json(obj) -> ModuliPoint:
+    from .extension import ExtParams, ModuliPoint, Stratum, TrivialFieldData
     try:
         ext = ExtParams(rat_from_json(obj["ext"]["u"]), rat_from_json(obj["ext"]["v"]))
         stratum = Stratum(obj["stratum"])

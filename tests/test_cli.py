@@ -96,6 +96,18 @@ def test_closed_pipe_ends_quietly_as_exit_2(tmp_path):
     assert err == b""
 
 
+def test_cohiggs_log_writes_diagnostics_to_stderr_only():
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cohiggs.__file__)),
+           "COHIGGS_LOG": "DEBUG"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "cohiggs.cli", "cohomology", "--a", "1", "--b", "-2"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == '{"h0": 0, "h1": 2, "h2": 0}\n'
+    assert "cohiggs DEBUG dispatch cohomology" in proc.stderr.splitlines()
+
+
 def test_moduli_bundle_nonempty(capsys):
     code, (out,) = run(
         capsys, "moduli", "bundle-nonempty",

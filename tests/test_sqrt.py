@@ -13,6 +13,7 @@ import pytest
 
 from cohiggs import exactalg, jsonio
 from cohiggs.cli import main
+from cohiggs.errors import SqrtCostCap
 from cohiggs.exactalg import BiPoly, EtaValue, _squarefree_decompose, exact_sqrt
 from oracles import squarefree_by_trial_division
 
@@ -135,3 +136,22 @@ def test_fibre_cli_ends_at_the_cost_cap(capsys, tmp_path, rho, digits):
     assert out["error"]["kind"] == "SqrtCostCap"
     assert f"{digits}-digit" in out["error"]["detail"]
     assert str(exactalg.SQRT_RHO_STEPS) in out["error"]["detail"]
+
+
+def test_last_rho_round_spends_what_is_left(monkeypatch):
+    """Steps charged before the split shorten its last round, not drop it.
+
+    n = pq is split in the round of r = 64, so the budget of the whole rounds
+    r = 1, ..., 64 is just enough.  n is a cube modulo 7, so the cube test
+    charges a couple of Newton steps first; the split must still succeed."""
+    p, q = 40009, 40031
+    n, budget = p * q, 2 * (2**7 - 1)
+    assert exactalg._rho_split(n, budget)[0] in (p, q)
+    assert exactalg._rho_split(n, budget - 2 * 64) == (0, budget - 2 * 64 - 2 * 63)
+    assert exactalg._rho_split(n, budget - 3)[0] in (p, q)
+    assert 0 < budget - exactalg._odd_power(n, budget)[2] <= 5
+    monkeypatch.setattr(exactalg, "SQRT_RHO_STEPS", budget)
+    assert _squarefree_decompose(n) == (1, n)
+    monkeypatch.setattr(exactalg, "SQRT_RHO_STEPS", budget - 2 * 64)
+    with pytest.raises(SqrtCostCap):
+        _squarefree_decompose(n)
