@@ -436,8 +436,8 @@ class PolyMat2:
     __slots__ = ("_e",)
 
     def __init__(self, entries):
-        rows = list(entries)
-        if len(rows) != 2 or any(len(list(r)) != 2 for r in rows):
+        rows = [list(r) for r in entries]
+        if len(rows) != 2 or any(len(r) != 2 for r in rows):
             raise ValueError("PolyMat2 needs a 2x2 array of entries")
         self._e = tuple(
             tuple(x if type(x) is RatFn else _coerce_bipoly(x) for x in row) for row in rows

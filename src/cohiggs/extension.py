@@ -13,11 +13,15 @@ O(2,0) and O(0,2) inherit 3x3 transitions on the coefficient vector
 than hard-coded.  Their entries are ``BiPoly`` values that may carry the
 negative exponents of ``_laurent.monomial``, which stay inside this module.
 
+A chart-V1 section is global iff its images in charts V2 and V3 have no
+pole.  ``_irregular_rows`` states that condition once, as sparse linear
+forms in the chart-V1 coefficients: ``glue_check`` evaluates them on one
+section, and the generic-ansatz dimension count takes their rank.
+
 The global Higgs-field components then come in closed form: C1 carries six
 free coefficients which determine A1 and B1, and (A2, B2) carry five free
-coefficients.  Both the closed forms and an independent generic-ansatz
-linear solve are implemented; they must (and do) agree on the dimension
-counts (6, 5, 11).
+coefficients.  The closed forms and the ansatz must (and do) agree on the
+dimension counts (6, 5, 11).
 """
 
 from __future__ import annotations
@@ -106,16 +110,11 @@ def _ext_cocycle(e: ExtParams) -> BiPoly:
     return BiPoly({(1, 0): e.u, (0, 0): e.v})
 
 
-def _g12E(e: ExtParams) -> list[list[BiPoly]]:
-    return [[lau.monomial(0, -1), _ext_cocycle(e)], [BiPoly.zero(), Z2]]
-
-
 def _g21E(e: ExtParams) -> list[list[BiPoly]]:
-    # inverse of g12 (unimodular)
+    # inverse of the V1 & V2 transition g12 (unimodular)
     return [[Z2, -_ext_cocycle(e)], [BiPoly.zero(), lau.monomial(0, -1)]]
 
 
-_G13E = [[ONE, BiPoly.zero()], [BiPoly.zero(), lau.monomial(-1, 0)]]
 _G31E = [[ONE, BiPoly.zero()], [BiPoly.zero(), Z1]]
 
 
@@ -138,22 +137,40 @@ def end_rep3(g: list[list[BiPoly]], twist: BiPoly) -> list[list[BiPoly]]:
     return [[x * factor for x in row] for row in rows]
 
 
-def _twist_factor(twist: Twist, *, axis: int, inverse: bool) -> BiPoly:
-    """Transition factor of O(twist) across the involution of one axis."""
-    n = twist[0] if axis == 1 else twist[1]
-    if inverse:
-        n = -n
-    return lau.monomial(n, 0) if axis == 1 else lau.monomial(0, n)
-
-
 def _rep_v1_to_v2(e: ExtParams, twist: Twist) -> list[list[BiPoly]]:
-    return end_rep3(_g21E(e), _twist_factor(twist, axis=2, inverse=True))
+    return end_rep3(_g21E(e), lau.monomial(0, -twist[1]))
 
 
 def _rep_v1_to_v3(twist: Twist) -> list[list[BiPoly]]:
     # also V2 -> V4: the z1 involution inside the w2 = 1/z2 charts has the
     # same matrix shape
-    return end_rep3(_G31E, _twist_factor(twist, axis=1, inverse=True))
+    return end_rep3(_G31E, lau.monomial(-twist[0], 0))
+
+
+Coefficient = tuple[int, int, int]  # (comp, i, j): z1^i z2^j in component comp of (A, B, C)
+
+
+def _irregular_rows(e: ExtParams, twist: Twist, support: list[Coefficient]) -> dict:
+    """The image terms that charts V2 and V3 forbid, as linear forms in chart-V1 coefficients.
+
+    Maps ``(chart, comp_out, i, j)`` (chart 0 is V2 with coordinates z1, 1/z2;
+    1 is V3 with 1/z1, z2) to ``{coefficient in support: factor}``, for each
+    image term with a positive z2 exponent in V2 or a positive z1 exponent
+    in V3.  A section on ``support`` is global iff every form vanishes on it.
+    """
+    rows: dict[tuple[int, int, int, int], dict[Coefficient, Fraction]] = {}
+    reps = ((_rep_v1_to_v2(e, twist), 1), (_rep_v1_to_v3(twist), 0))
+    for chart, (rep, axis) in enumerate(reps):
+        terms = [[list(entry.terms()) for entry in row] for row in rep]
+        for key in support:
+            comp, i, j = key
+            for comp_out in range(3):
+                # an entry's terms have distinct exponents, so each cell is set once
+                for di, dj, c in terms[comp_out][comp]:
+                    out = (di + i, dj + j)
+                    if out[axis] > 0:
+                        rows.setdefault((chart, comp_out, *out), {})[key] = c
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -218,41 +235,25 @@ def build_phi2(e: ExtParams, p: Phi2Params) -> PolyMat2:
     return PolyMat2.trace_free(a2, b2, BiPoly.zero())
 
 
-def _phi_vector(phi: PolyMat2) -> list[BiPoly]:
-    a = phi.entry(0, 0)
-    d = phi.entry(1, 1)
-    if a + d != BiPoly.zero():
-        raise ValueError("section must be trace-free")
-    return [a, phi.entry(0, 1), phi.entry(1, 0)]
-
-
-def _mat_vec(rep: list[list[BiPoly]], vec: list[BiPoly]) -> list[BiPoly]:
-    return [row[0] * vec[0] + row[1] * vec[1] + row[2] * vec[2] for row in rep]
-
-
 def glue_check(e: ExtParams, phi_v1: PolyMat2, twist: Twist) -> bool:
     """Does the chart-V1 matrix extend to a global twisted endomorphism?
 
-    Transforms the coefficient vector into charts V2 and V3 and requires
-    both images to be polynomial there (no negative exponents).  Regularity
-    on V4 then follows from the cocycle structure (the complement of the
-    three charts has codimension two) and is re-checked as a property test,
-    not here.
+    True iff every form of ``_irregular_rows`` vanishes on the coefficients
+    of (A, B, C), that is iff the images in charts V2 and V3 are polynomial
+    there.  Regularity on V4 then follows from the cocycle structure (the
+    complement of the three charts has codimension two).
     """
-    vec = _phi_vector(phi_v1.to_bipoly())
-    in_v2 = _mat_vec(_rep_v1_to_v2(e, twist), vec)
-    if not all(lau.regular(f, z1_sign=1, z2_sign=-1) for f in in_v2):
-        return False
-    in_v3 = _mat_vec(_rep_v1_to_v3(twist), vec)
-    return all(lau.regular(f, z1_sign=-1, z2_sign=1) for f in in_v3)
-
-
-def v4_trivialization_regular(e: ExtParams, phi_v1: PolyMat2, twist: Twist) -> bool:
-    """Redundant fourth-chart regularity (via V2), for property testing."""
-    vec = _phi_vector(phi_v1.to_bipoly())
-    in_v2 = _mat_vec(_rep_v1_to_v2(e, twist), vec)
-    in_v4 = _mat_vec(_rep_v1_to_v3(twist), in_v2)
-    return all(lau.regular(f, z1_sign=-1, z2_sign=-1) for f in in_v4)
+    phi = phi_v1.to_bipoly()
+    a = phi.entry(0, 0)
+    if a + phi.entry(1, 1) != BiPoly.zero():
+        raise ValueError("section must be trace-free")
+    coeffs = {
+        (comp, i, j): c
+        for comp, entry in enumerate((a, phi.entry(0, 1), phi.entry(1, 0)))
+        for i, j, c in entry.terms()
+    }
+    forms = _irregular_rows(e, twist, list(coeffs))
+    return all(not sum(c * coeffs[k] for k, c in form.items()) for form in forms.values())
 
 
 # ---------------------------------------------------------------------------
@@ -277,31 +278,13 @@ def end0T_dimension(e: ExtParams) -> tuple[int, int, int]:
 
 
 def _ansatz_kernel_dim(e: ExtParams, twist: Twist) -> int:
-    box = _ANSATZ_BOX
-    unknowns = [
-        (comp, i, j)
-        for comp in range(3)
-        for i in range(box + 1)
-        for j in range(box + 1)
-    ]
-    index = {u: k for k, u in enumerate(unknowns)}
-    n = len(unknowns)
-    reps = (
-        (_rep_v1_to_v2(e, twist), lambda i, j: j > 0),
-        (_rep_v1_to_v3(twist), lambda i, j: i > 0),
+    box = range(_ANSATZ_BOX + 1)
+    unknowns = [(comp, i, j) for comp in range(3) for i in box for j in box]
+    column = {u: k for k, u in enumerate(unknowns)}
+    forms = _irregular_rows(e, twist, unknowns)
+    return len(unknowns) - rank(
+        [{column[u]: c for u, c in form.items()} for form in forms.values()]
     )
-    # sparse rows {unknown: coefficient}; an unknown meets a given row through
-    # at most one term of one transition entry, so each cell is set once
-    rows: dict[tuple[int, int, int, int], dict[int, Fraction]] = {}
-    for chart, (rep, bad) in enumerate(reps):
-        terms = [[list(entry.terms()) for entry in row] for row in rep]
-        for (comp, i, j), k in index.items():
-            for comp_out in range(3):
-                for di, dj, c in terms[comp_out][comp]:
-                    ti, tj = di + i, dj + j
-                    if bad(ti, tj):
-                        rows.setdefault((chart, comp_out, ti, tj), {})[k] = c
-    return n - rank(list(rows.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -425,9 +425,10 @@ def normal_form_F0(f: HiggsField) -> tuple[HiggsField, PolyMat2]:
 def normal_form_pm1(f: HiggsField) -> HiggsField:
     """Representative (0 B; 1 0) on O(1,0)+O(-1,0) with Phi_2 = 0.
 
-    Rescales the constant C1 to 1 and shears off the diagonal; the top-right
-    entry of the result is C1*B1 + A1^2 = -det Phi_1, so determinant is
-    preserved exactly and equal determinants give equal representatives.
+    With C1 a nonzero constant, conjugating by a rescale and a shear clears
+    the diagonal and leaves B = C1*B1 + A1^2 = -det Phi_1: the representative
+    is ``section_Q(det Phi_1, 1)``, so equal determinants give equal
+    representatives.
     """
     if f.bundle != _PM1_BUNDLE:
         raise BundleMismatch(f"expected {_PM1_BUNDLE}, got {f.bundle}")
@@ -435,15 +436,9 @@ def normal_form_pm1(f: HiggsField) -> HiggsField:
         raise SlotViolation("field violates its shape slots")
     if not f.phi2.is_zero():
         raise NotInNormalFormDomain("normal form requires Phi_2 = 0")
-    c = f.phi1.entry(1, 0).coeff(0, 0)
-    if not c:
+    if not f.phi1.entry(1, 0):
         raise ZeroC1("C1 vanishes identically")
-    a1 = f.phi1.entry(0, 0)
-    shear = PolyMat2([[BiPoly.const(1), -a1], [BiPoly.const(0), BiPoly.const(1)]])
-    rescale = PolyMat2([[BiPoly.const(c), BiPoly.const(0)], [BiPoly.const(0), BiPoly.const(1)]])
-    rep = conjugate2(f.phi1, shear @ rescale).to_bipoly()
-    assert not rep.entry(0, 0) and rep.entry(1, 0) == BiPoly.const(1)
-    return HiggsField(f.bundle, rep, PolyMat2.zero())
+    return section_Q(det2(f.phi1), 1)
 
 
 def section_Q(rho: BiPoly, axis: int) -> HiggsField:

@@ -183,24 +183,14 @@ def phi2_params_from_json(obj) -> Phi2Params:
     return _params_from_json(Phi2Params, obj)
 
 
-def phi1_params_to_json(p: Phi1Params) -> dict:
-    return _params_to_json(p)
-
-
-def phi2_params_to_json(p: Phi2Params) -> dict:
-    return _params_to_json(p)
-
-
 def point_to_json(m: ModuliPoint) -> dict:
     from .extension import Phi1Params, Phi2Params
     out = {
         "ext": {"u": rat_to_json(m.ext.u), "v": rat_to_json(m.ext.v)},
         "stratum": m.stratum.value,
     }
-    if isinstance(m.params, Phi1Params):
-        out["params"] = phi1_params_to_json(m.params)
-    elif isinstance(m.params, Phi2Params):
-        out["params"] = phi2_params_to_json(m.params)
+    if isinstance(m.params, (Phi1Params, Phi2Params)):
+        out["params"] = _params_to_json(m.params)
     else:
         out["params"] = {
             "p": rat_to_json(m.params.p),

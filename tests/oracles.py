@@ -359,6 +359,38 @@ def squarefree_by_trial_division(n: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
+# chart regularity of the extension family, by transforming the section
+# ---------------------------------------------------------------------------
+
+
+def mat_vec(rep: list[list[BiPoly]], vec: list[BiPoly]) -> list[BiPoly]:
+    return [row[0] * vec[0] + row[1] * vec[1] + row[2] * vec[2] for row in rep]
+
+
+def laurent_regular(f: BiPoly, *, z1_sign: int, z2_sign: int) -> bool:
+    """True iff the Laurent polynomial f is polynomial in the target chart.
+
+    z1_sign = +1 requires all z1 exponents >= 0 (the chart keeps z1 affine);
+    -1 requires <= 0 (the chart uses 1/z1).  Same for z2.
+    """
+    return all(i * z1_sign >= 0 and j * z2_sign >= 0 for i, j, _ in f.terms())
+
+
+def image_glue_check(e, phi_v1: PolyMat2, twist) -> bool:
+    """``extension.glue_check`` by multiplying out the images of (A, B, C)
+    in charts V2 and V3 and checking every exponent's sign there."""
+    from cohiggs.extension import _rep_v1_to_v2, _rep_v1_to_v3
+
+    phi = phi_v1.to_bipoly()
+    vec = [phi.entry(0, 0), phi.entry(0, 1), phi.entry(1, 0)]
+    in_v2 = mat_vec(_rep_v1_to_v2(e, twist), vec)
+    in_v3 = mat_vec(_rep_v1_to_v3(twist), vec)
+    return all(laurent_regular(f, z1_sign=1, z2_sign=-1) for f in in_v2) and all(
+        laurent_regular(f, z1_sign=-1, z2_sign=1) for f in in_v3
+    )
+
+
+# ---------------------------------------------------------------------------
 # random generators
 # ---------------------------------------------------------------------------
 

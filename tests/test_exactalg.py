@@ -100,6 +100,14 @@ def test_bipoly_exact_div_roundtrip():
     assert (Z1 * Z1 + 1).exact_div(Z1 + 1) is None
 
 
+def test_polymat2_accepts_generator_rows():
+    rows = [[1, Z1], [Z2, 4]]
+    assert PolyMat2((x for x in r) for r in rows) == PolyMat2(rows)
+    assert str(PolyMat2((x for x in r) for r in rows)) == str(PolyMat2(rows))
+    with pytest.raises(ValueError, match="2x2"):
+        PolyMat2((x for x in r) for r in [[1, 2, 3], [4, 5, 6]])
+
+
 def test_commutator_diagonal_matrices_commute():
     x = PolyMat2([[Z1, 0], [0, -Z1]])
     y = PolyMat2([[Z2, 0], [0, -Z2]])

@@ -18,7 +18,6 @@ from cohiggs.extension import (
     TRIVIAL_EXTENSION_BUNDLE,
     TWIST_02,
     TWIST_20,
-    _G13E,
     Dichotomy,
     ExtParams,
     ModuliPoint,
@@ -27,8 +26,9 @@ from cohiggs.extension import (
     Stratum,
     TrivialFieldData,
     Twist,
-    _g12E,
-    _twist_factor,
+    _ext_cocycle,
+    _rep_v1_to_v2,
+    _rep_v1_to_v3,
     build_phi1,
     build_phi2,
     dichotomy_check,
@@ -37,12 +37,11 @@ from cohiggs.extension import (
     glue_check,
     stratum_classify,
     trivial_extension_normal_form,
-    v4_trivialization_regular,
     weak_iso,
 )
 from cohiggs.higgs import field
 from cohiggs.linalg import rank
-from oracles import random_rat
+from oracles import image_glue_check, laurent_regular, mat_vec, random_bipoly, random_rat
 
 E01 = ExtParams(F(0), F(1))
 E10 = ExtParams(F(1), F(0))
@@ -103,13 +102,20 @@ def _reference_reps(u: F, v: F):
     }
 
 
+def _g12E(e: ExtParams) -> list[list[BiPoly]]:
+    return [[lau.monomial(0, -1), _ext_cocycle(e)], [BiPoly.zero(), Z2]]
+
+
+_G13E = [[BiPoly.const(1), BiPoly.zero()], [BiPoly.zero(), lau.monomial(-1, 0)]]
+
+
 def rep_v2_to_v1(e: ExtParams, twist: Twist) -> list[list[BiPoly]]:
     """Chart-V2 -> chart-V1 transition of the twisted trace-free endomorphisms."""
-    return end_rep3(_g12E(e), _twist_factor(twist, axis=2, inverse=False))
+    return end_rep3(_g12E(e), lau.monomial(0, twist[1]))
 
 
 def rep_v3_to_v1(twist: Twist) -> list[list[BiPoly]]:
-    return end_rep3(_G13E, _twist_factor(twist, axis=1, inverse=False))
+    return end_rep3(_G13E, lau.monomial(twist[0], 0))
 
 
 def test_derived_equals_displayed_transitions():
@@ -174,12 +180,44 @@ def test_glue_check_rejects_perturbation():
         assert not glue_check(e, perturbed, TWIST_20)
 
 
+def v4_trivialization_regular(e: ExtParams, phi_v1: PolyMat2, twist: Twist) -> bool:
+    """Fourth-chart regularity (via V2), which glue_check does not test."""
+    vec = [phi_v1.entry(0, 0), phi_v1.entry(0, 1), phi_v1.entry(1, 0)]
+    in_v4 = mat_vec(_rep_v1_to_v3(twist), mat_vec(_rep_v1_to_v2(e, twist), vec))
+    return all(laurent_regular(f, z1_sign=-1, z2_sign=-1) for f in in_v4)
+
+
 def test_v4_regularity_is_redundant():
     rng = random.Random(15)
     for _ in range(50):
         e = _random_ext(rng)
         assert v4_trivialization_regular(e, build_phi1(e, _random_p1(rng)), TWIST_20)
         assert v4_trivialization_regular(e, build_phi2(e, _random_p2(rng)), TWIST_02)
+
+
+def _random_trace_free(rng: random.Random, deg: int) -> PolyMat2:
+    a, b, c = (random_bipoly(rng, deg, deg, density=rng.choice((0.1, 0.4))) for _ in range(3))
+    return PolyMat2.trace_free(a, b, c)
+
+
+def test_glue_check_matches_image_oracle():
+    rng = random.Random(17)
+    on_axes = [ExtParams(F(0), F(2)), ExtParams(F(-3), F(0)), E01, E10]
+    outcomes = {True: 0, False: 0}
+    for k in range(300):
+        e = on_axes[k % 4] if k < 40 else _random_ext(rng)
+        twist = (TWIST_20, TWIST_02)[k % 2]
+        if twist == TWIST_20:
+            build = build_phi1(e, _random_p1(rng))
+        else:
+            build = build_phi2(e, _random_p2(rng))
+        bump = PolyMat2.trace_free(*(random_bipoly(rng, 2, 2, density=0.15) for _ in range(3)))
+        # random matrices reach bidegree 6, beyond the ansatz box
+        for phi in (build, build + bump, _random_trace_free(rng, rng.randint(0, 6))):
+            got = glue_check(e, phi, twist)
+            assert got == image_glue_check(e, phi, twist), (e, twist, phi)
+            outcomes[got] += 1
+    assert min(outcomes.values()) >= 200, outcomes
 
 
 def _coefficient_vector(m: PolyMat2, box: int = 4) -> list[F]:

@@ -479,6 +479,31 @@ def test_normal_form_pm1_zero_c1():
         normal_form_pm1(field(B_PM1, a1=Z1))
 
 
+def test_normal_form_pm1_is_section_q_of_det():
+    rng = random.Random(9)
+    for _ in range(40):
+        a1 = random_univariate(rng, 2, 1)
+        c = random_rat(rng) or F(1)
+        f = field(B_PM1, a1=a1, b1=random_univariate(rng, 4, 1), c1=c)
+        shear = PolyMat2([[1, -a1], [0, 1]])
+        rescale = PolyMat2([[c, 0], [0, 1]])
+        conjugated = conjugate2(f.phi1, shear @ rescale).to_bipoly()
+        by_conjugation = HiggsField(B_PM1, conjugated, PolyMat2.zero())
+        assert normal_form_pm1(f) == section_Q(det2(f.phi1), 1) == by_conjugation
+
+
+def test_normal_form_pm1_error_order():
+    off_slot = PolyMat2([[Z2, 0], [0, -Z2]])  # A1 = z2 lies outside O(2,0)
+    with pytest.raises(BundleMismatch):
+        normal_form_pm1(HiggsField(B_OO, off_slot, off_slot))
+    with pytest.raises(SlotViolation):
+        normal_form_pm1(HiggsField(B_PM1, off_slot, off_slot))
+    with pytest.raises(NotInNormalFormDomain):
+        normal_form_pm1(field(B_PM1, a1=Z1, a2=Z2))  # C1 = 0 as well
+    with pytest.raises(ZeroC1):
+        normal_form_pm1(field(B_PM1, a1=Z1))
+
+
 def test_section_q_nilpotent():
     f = section_Q(BiPoly.zero(), 1)
     assert det2(f.phi1) == BiPoly.zero()
