@@ -6,7 +6,7 @@ Everything downstream is built from four value types:
   stored gcd-reduced with a positive denominator, zero is 0/1),
 * :class:`BiPoly` - bivariate polynomials in the affine chart coordinates
   ``(z1, z2)`` with ``Rat`` coefficients and non-negative exponents, except
-  in ``_laurent.monomial`` values used inside ``extension``; stored as
+  in ``_laurent.monomial`` values; stored as
   ``int`` numerators over one shared positive ``int`` denominator, so the
   kernels (products, sums, exact division) run on integers and only the
   accessors build ``Rat`` values,

@@ -9,9 +9,10 @@ transition matrices over the standard four-chart cover
 
 on V1 & V2 and V1 & V3.  The trace-free endomorphism bundles twisted by
 O(2,0) and O(0,2) inherit 3x3 transitions on the coefficient vector
-(A, B, C) of (A B; C -A); these are derived here by conjugation rather
-than hard-coded.  Their entries are ``BiPoly`` values that may carry the
-negative exponents of ``_laurent.monomial``, which stay inside this module.
+(A, B, C) of (A B; C -A).  They are written here in closed form in u, v
+and the twist, as the Laurent terms of each column, and are no longer
+derived by conjugation at run time; the conjugation ``end_rep3`` in
+``tests/oracles.py`` is their reference.
 
 A chart-V1 section is global iff its images in charts V2 and V3 have no
 pole.  ``_irregular_rows`` states that condition once, as sparse linear
@@ -28,10 +29,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Union
 
-from . import _laurent as lau
 from .cohomology import LineBundle
 from .errors import (
     InconsistentPoint,
@@ -40,7 +41,7 @@ from .errors import (
     SlotViolation,
     TrivialExtension,
 )
-from .exactalg import ONE, Z1, Z2, BiPoly, PolyMat2, commutator2, conjugate2
+from .exactalg import BiPoly, PolyMat2, commutator2, conjugate2
 from .higgs import DecomposableBundle, HiggsField, validate_field
 from .linalg import rank
 
@@ -106,48 +107,45 @@ class TrivialFieldData:
 # ---------------------------------------------------------------------------
 
 
-def _ext_cocycle(e: ExtParams) -> BiPoly:
-    return BiPoly({(1, 0): e.u, (0, 0): e.v})
-
-
-def _g21E(e: ExtParams) -> list[list[BiPoly]]:
-    # inverse of the V1 & V2 transition g12 (unimodular)
-    return [[Z2, -_ext_cocycle(e)], [BiPoly.zero(), lau.monomial(0, -1)]]
-
-
-_G31E = [[ONE, BiPoly.zero()], [BiPoly.zero(), Z1]]
-
-
-def end_rep3(g: list[list[BiPoly]], twist: BiPoly) -> list[list[BiPoly]]:
-    """3x3 transition induced on the trace-free coefficient vector (A, B, C).
-
-    Conjugation by g on (a b; c -a), written in the basis
-    (E11 - E22, E12, E21), multiplied by the twisting line-bundle factor.
-    The determinant of g must be a single Laurent monomial (true for every
-    transition used here).
-    """
-    g11, g12 = g[0]
-    g21, g22 = g[1]
-    factor = twist * lau.inv_monomial(g11 * g22 - g12 * g21)
-    rows = [
-        [g11 * g22 + g12 * g21, -(g11 * g21), g12 * g22],
-        [g11 * g12 * -2, g11 * g11, -(g12 * g12)],
-        [g21 * g22 * 2, -(g21 * g21), g22 * g22],
-    ]
-    return [[x * factor for x in row] for row in rows]
-
-
-def _rep_v1_to_v2(e: ExtParams, twist: Twist) -> list[list[BiPoly]]:
-    return end_rep3(_g21E(e), lau.monomial(0, -twist[1]))
-
-
-def _rep_v1_to_v3(twist: Twist) -> list[list[BiPoly]]:
-    # also V2 -> V4: the z1 involution inside the w2 = 1/z2 charts has the
-    # same matrix shape
-    return end_rep3(_G31E, lau.monomial(-twist[0], 0))
-
-
 Coefficient = tuple[int, int, int]  # (comp, i, j): z1^i z2^j in component comp of (A, B, C)
+
+# Column comp of a 3x3 transition on (A, B, C): a (comp_out, di, dj, c) for
+# each term c z1^di z2^dj of its entry in row comp_out, zero terms left out.
+Column = tuple[tuple[int, int, int, Fraction], ...]
+
+_ONE = Fraction(1)
+
+
+# glue_check and the ansatz ask for one class many times over, so the
+# columns of the latest (class, twist) pairs are kept; they are tuples all
+# the way down, so no caller can alter a kept value
+@lru_cache(maxsize=64)
+def _v1_to_v2(e: ExtParams, twist: Twist) -> tuple[Column, Column, Column]:
+    """Columns of the V1 -> V2 transition, whose rows give the image's
+    (A, B, C); with q = u z1 + v and b = twist[1] it is
+
+        ( z2^-b            0           -q z2^(-1-b) )
+        ( 2 q z2^(1-b)     z2^(2-b)    -q^2 z2^-b   )
+        ( 0                0           z2^(-2-b)    )
+    """
+    u, v, b = Fraction(e.u), Fraction(e.v), twist[1]
+    columns = (
+        ((0, 0, -b, _ONE), (1, 1, 1 - b, 2 * u), (1, 0, 1 - b, 2 * v)),
+        ((1, 0, 2 - b, _ONE),),
+        ((0, 1, -1 - b, -u), (0, 0, -1 - b, -v),
+         (1, 2, -b, -u * u), (1, 1, -b, -2 * u * v), (1, 0, -b, -v * v),
+         (2, 0, -2 - b, _ONE)),
+    )
+    return tuple(tuple(t for t in column if t[3]) for column in columns)
+
+
+def _v1_to_v3(twist: Twist) -> tuple[Column, Column, Column]:
+    """Columns of the V1 -> V3 transition diag(z1^-a, z1^(-1-a), z1^(1-a)), a = twist[0].
+
+    It is also the V2 -> V4 transition: the z1 involution inside the
+    w2 = 1/z2 charts has the same matrix."""
+    a = twist[0]
+    return ((0, -a, 0, _ONE),), ((1, -1 - a, 0, _ONE),), ((2, 1 - a, 0, _ONE),)
 
 
 def _irregular_rows(e: ExtParams, twist: Twist, support: list[Coefficient]) -> dict:
@@ -159,17 +157,14 @@ def _irregular_rows(e: ExtParams, twist: Twist, support: list[Coefficient]) -> d
     in V3.  A section on ``support`` is global iff every form vanishes on it.
     """
     rows: dict[tuple[int, int, int, int], dict[Coefficient, Fraction]] = {}
-    reps = ((_rep_v1_to_v2(e, twist), 1), (_rep_v1_to_v3(twist), 0))
-    for chart, (rep, axis) in enumerate(reps):
-        terms = [[list(entry.terms()) for entry in row] for row in rep]
+    for chart, (columns, axis) in enumerate(((_v1_to_v2(e, twist), 1), (_v1_to_v3(twist), 0))):
         for key in support:
             comp, i, j = key
-            for comp_out in range(3):
-                # an entry's terms have distinct exponents, so each cell is set once
-                for di, dj, c in terms[comp_out][comp]:
-                    out = (di + i, dj + j)
-                    if out[axis] > 0:
-                        rows.setdefault((chart, comp_out, *out), {})[key] = c
+            # a column's terms in one row have distinct exponents, so each cell is set once
+            for comp_out, di, dj, c in columns[comp]:
+                out = (di + i, dj + j)
+                if out[axis] > 0:
+                    rows.setdefault((chart, comp_out, *out), {})[key] = c
     return rows
 
 

@@ -11,6 +11,13 @@ entries, so a row update costs the pivot row's nonzeros rather than the
 full width.  The ansatz systems behind the dimension counts are about 97%
 zeros, and ``extension`` hands such dicts in directly; a dense list row
 is filtered into one.
+
+Most ansatz rows hold a single nonzero entry (58 of 102 rows at twist
+(2, 0), 74 of 96 at (0, 2)).  Such a row is a pivot that only clears its
+column, with no arithmetic, so before eliminating, a singleton pass
+(the first step of structured Gaussian elimination) counts each column
+that holds a singleton row into the rank, deletes those columns from
+every row and drops the rows left empty, until no singleton is left.
 """
 
 from __future__ import annotations
@@ -26,6 +33,14 @@ def rank(rows: list[Row]) -> int:
     """Rank of the matrix with these rows; the rows passed in are not modified."""
     m = [dict(row) if type(row) is dict else {j: a for j, a in enumerate(row) if a}
          for row in rows]
+    singletons = 0
+    while cleared := {j for row in m if len(row) == 1 for j in row}:
+        singletons += len(cleared)
+        # the rows inside the cleared columns would be left empty
+        m = [row for row in m if not row.keys() <= cleared]
+        for row in m:
+            for j in cleared.intersection(row):
+                del row[j]
     # no pivot lies beyond the last column that holds a nonzero entry
     ncols = max((max(row) + 1 for row in m if row), default=0)
     r = 0
@@ -49,4 +64,4 @@ def rank(rows: list[Row]) -> int:
                     else:
                         del row[j]
         r += 1
-    return r
+    return singletons + r

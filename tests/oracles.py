@@ -13,8 +13,9 @@ import math
 import random
 from fractions import Fraction
 
+from cohiggs import _laurent as lau
 from cohiggs.cohomology import LineBundle
-from cohiggs.exactalg import BiPoly, PolyMat2, RatFn
+from cohiggs.exactalg import BiPoly, PolyMat2, RatFn, Z1, Z2
 from cohiggs.higgs import DecomposableBundle, HiggsField, field, higgs_shape
 
 # ---------------------------------------------------------------------------
@@ -376,15 +377,59 @@ def laurent_regular(f: BiPoly, *, z1_sign: int, z2_sign: int) -> bool:
     return all(i * z1_sign >= 0 and j * z2_sign >= 0 for i, j, _ in f.terms())
 
 
+# -- the extension transitions by conjugation ----------------------------------
+
+
+def ext_cocycle(e) -> BiPoly:
+    return BiPoly({(1, 0): e.u, (0, 0): e.v})
+
+
+def end_rep3(g: list[list[BiPoly]], twist: BiPoly) -> list[list[BiPoly]]:
+    """3x3 transition induced on the trace-free coefficient vector (A, B, C).
+
+    Conjugation by g on (a b; c -a), written in the basis
+    (E11 - E22, E12, E21), multiplied by the twisting line-bundle factor.
+    The determinant of g must be a single Laurent monomial (true for every
+    transition used here).
+    """
+    g11, g12 = g[0]
+    g21, g22 = g[1]
+    factor = twist * lau.inv_monomial(g11 * g22 - g12 * g21)
+    rows = [
+        [g11 * g22 + g12 * g21, -(g11 * g21), g12 * g22],
+        [g11 * g12 * -2, g11 * g11, -(g12 * g12)],
+        [g21 * g22 * 2, -(g21 * g21), g22 * g22],
+    ]
+    return [[x * factor for x in row] for row in rows]
+
+
+def rep_v1_to_v2(e, twist) -> list[list[BiPoly]]:
+    # conjugation by g21, the inverse of the unimodular V1 & V2 transition g12
+    g21 = [[Z2, -ext_cocycle(e)], [BiPoly.zero(), lau.monomial(0, -1)]]
+    return end_rep3(g21, lau.monomial(0, -twist[1]))
+
+
+def rep_v1_to_v3(twist) -> list[list[BiPoly]]:
+    g31 = [[BiPoly.const(1), BiPoly.zero()], [BiPoly.zero(), Z1]]
+    return end_rep3(g31, lau.monomial(-twist[0], 0))
+
+
+def columns_of(rep: list[list[BiPoly]]) -> tuple:
+    """A 3x3 transition in the column form of ``extension._v1_to_v2``: per
+    input component, the (comp_out, di, dj, c) of every term, as a set."""
+    return tuple(
+        {(comp_out, i, j, c) for comp_out in range(3) for i, j, c in rep[comp_out][comp].terms()}
+        for comp in range(3)
+    )
+
+
 def image_glue_check(e, phi_v1: PolyMat2, twist) -> bool:
     """``extension.glue_check`` by multiplying out the images of (A, B, C)
     in charts V2 and V3 and checking every exponent's sign there."""
-    from cohiggs.extension import _rep_v1_to_v2, _rep_v1_to_v3
-
     phi = phi_v1.to_bipoly()
     vec = [phi.entry(0, 0), phi.entry(0, 1), phi.entry(1, 0)]
-    in_v2 = mat_vec(_rep_v1_to_v2(e, twist), vec)
-    in_v3 = mat_vec(_rep_v1_to_v3(twist), vec)
+    in_v2 = mat_vec(rep_v1_to_v2(e, twist), vec)
+    in_v3 = mat_vec(rep_v1_to_v3(twist), vec)
     return all(laurent_regular(f, z1_sign=1, z2_sign=-1) for f in in_v2) and all(
         laurent_regular(f, z1_sign=-1, z2_sign=1) for f in in_v3
     )

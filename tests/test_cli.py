@@ -157,6 +157,29 @@ def test_hitchin_diag(capsys, diag_field):
     assert out["rho1"]["monomials"] == [{"i": 2, "j": 0, "num": -1, "den": 1}]
 
 
+def test_hitchin_answer_beyond_the_int_str_cap(capsys, tmp_path):
+    # A1 = n with 3,001 digits reads under CPython's 4,300-digit cap on
+    # int <-> str conversion; rho1 = -n^2 has 6,002 digits and is written
+    n = 7 * 10**3000 + 1
+    f = field(DecomposableBundle(O(0, 0), O(0, 0)), a1=BiPoly.const(n))
+    path = write_json(tmp_path, "big.json", jsonio.field_to_json(f))
+    limit = sys.get_int_max_str_digits()
+    assert 0 < limit < 6002
+    code = main(["hitchin", "--field", path])
+    assert sys.get_int_max_str_digits() == limit  # lifted for output only
+    out = capsys.readouterr().out
+    assert code == 0
+    sys.set_int_max_str_digits(0)
+    try:
+        answer = json.loads(out)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert answer["rho1"]["monomials"] == [{"i": 0, "j": 0, "num": -n * n, "den": 1}]
+    assert answer["consistent"] is True
+    code, (out,) = run(capsys, "higgs", "check", "--field", path)
+    assert code == 0 and out["valid"] and out["integrable"]
+
+
 def test_higgs_normal_form_f0(capsys, tmp_path):
     f = field(DecomposableBundle(O(0, 0), O(-1, 0)), a1=Z1 * Z1, c1=Z1)
     path = write_json(tmp_path, "f0.json", jsonio.field_to_json(f))

@@ -128,6 +128,106 @@ def test_eliminate_edge_cases():
     assert rank([[F(1), F(2), F(3)], [F(2), F(4), F(6)]]) == 1
 
 
+# -- the singleton pass ---------------------------------------------------------
+
+
+def as_dicts(rows):
+    return [{j: a for j, a in enumerate(r) if a} for r in rows]
+
+
+def singleton_passes(rows) -> int:
+    """How many rounds of clearing singleton columns a matrix offers: more
+    than one means clearing a column left another row a singleton."""
+    m, passes = as_dicts(rows), 0
+    while cleared := {j for r in m if len(r) == 1 for j in r}:
+        passes += 1
+        m = [{j: a for j, a in r.items() if j not in cleared} for r in m]
+    return passes
+
+
+def singleton_heavy_matrices(seed: int, count: int, max_size: int):
+    """Rows of zero to three nonzeros, most of them one, plus a few sums of
+    two rows so that some matrices are rank deficient, in shuffled order."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        nrows, ncols = rng.randint(1, max_size), rng.randint(1, max_size)
+
+        def row():
+            cols = set(rng.sample(range(ncols), min(ncols, rng.choice([0, 1, 1, 1, 1, 2, 2, 3]))))
+            return [F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 2)) if j in cols else F(0)
+                    for j in range(ncols)]
+
+        rows = [row() for _ in range(nrows)]
+        for _ in range(rng.randint(0, 2)):
+            a, b = rng.choice(rows), rng.choice(rows)
+            rows.append([x + y for x, y in zip(a, b)])
+        rng.shuffle(rows)
+        yield rows
+
+
+def test_singleton_pass_cascades():
+    one, two = F(1), F(2)
+    z = F(0)
+    # clearing column 0 leaves row 1 a singleton in column 1, and clearing
+    # that leaves row 2 a singleton in column 2
+    chain = [[one, z, z], [two, F(3), z], [z, F(4), F(5)]]
+    # the cascade stops at two proportional rows, which the elimination takes
+    stalled = [[one, z, z, z], [one, one, z, z], [z, one, one, one], [z, two, two, two]]
+    for rows, expected, passes in ((chain, 3, 3), (stalled, 3, 2)):
+        assert singleton_passes(rows) == passes
+        assert rank(rows) == rank(as_dicts(rows)) == expected == dense_rank(rows)
+
+
+class NoDivision(F):
+    def __truediv__(self, other):
+        raise AssertionError("a singleton pivot needs no division")
+
+
+def test_singleton_chain_needs_no_arithmetic():
+    # a bidiagonal chain is cleared by the cascade alone, one column a round
+    n = 40
+    rows = [{k: NoDivision(k + 1), k + 1: NoDivision(-1)} for k in range(n)] + [{0: NoDivision(7)}]
+    assert rank(rows) == n + 1
+
+
+def test_singleton_pass_shared_column_and_zero_rows():
+    z = F(0)
+    # two singleton rows in one column count once
+    same_column = [[z, F(2), z], [z, F(-5), z], [F(1), F(1), F(1)]]
+    assert rank(same_column) == rank(as_dicts(same_column)) == 2 == minor_rank(same_column)
+    assert rank([{0: F(1)}, {0: F(1)}]) == 1
+    # all-zero rows, dense and dict, among singletons and alone
+    assert rank([[z, z], [F(3), z], [z, z]]) == rank([{}, {0: F(3)}, {}]) == 1
+    assert rank([[z, z], [z, z]]) == rank([{}, {}]) == 0
+    # a single column: every nonzero row is a singleton
+    assert rank([[F(4)], [z], [F(-1)]]) == 1
+
+
+def test_singleton_pass_matches_oracles_and_leaves_rows_alone():
+    cascades = shared = 0
+    for k, rows in enumerate(singleton_heavy_matrices(43, 300, 12)):
+        dense_before = [list(r) for r in rows]
+        sparse = as_dicts(rows)
+        sparse_before = [dict(r) for r in sparse]
+        expected = dense_rank(rows)
+        assert rank(rows) == rank(sparse) == expected
+        if len(rows) <= 6 and len(rows[0]) <= 6:
+            assert expected == minor_rank(rows)
+        assert rows == dense_before and sparse == sparse_before
+        cascades += singleton_passes(rows) > 1
+        singles = [next(iter(r)) for r in sparse if len(r) == 1]
+        shared += len(singles) > len(set(singles))
+    # the seeded matrices must exercise cascades and shared singleton columns
+    assert cascades > 30 and shared > 30
+
+
+def test_singleton_pass_sympy_cross_check():
+    sympy = pytest.importorskip("sympy")
+    q = lambda c: sympy.Rational(c.numerator, c.denominator)
+    for rows in singleton_heavy_matrices(47, 60, 25):
+        assert rank(as_dicts(rows)) == sympy.Matrix([[q(c) for c in row] for row in rows]).rank()
+
+
 def test_resultant_matches_sylvester_cofactor_oracle():
     for f, g in random_polys(5, 200):
         assert has_full_rank(f, g) == (cofactor_det(sylvester_matrix(f, g)) != 0)
