@@ -42,17 +42,18 @@ def _load_json(path: str):
 
 
 def _emit(payload) -> None:
-    # CPython (3.10.7 on) refuses to convert an int of more than 4,300
-    # digits to or from str.  That caps every input as it is read, but an
-    # answer can hold a small multiple of its input's digits (rho1 = -n^2
-    # has twice as many as n), so the cap is lifted while one is written.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
     try:
         text = json.dumps(payload)
-    finally:
-        if limit:
+    except ValueError:
+        # CPython (3.10.7 on) refuses to convert an int of more than 4,300
+        # digits to or from str.  That caps every input as it is read, but
+        # an answer can hold a small multiple of its input's digits (rho1 =
+        # -n^2 has twice as many as n), so the cap is lifted to write one.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            text = json.dumps(payload)
+        finally:
             sys.set_int_max_str_digits(limit)
     print(text)
 
