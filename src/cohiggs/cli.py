@@ -41,20 +41,22 @@ def _load_json(path: str):
         return json.load(fh)
 
 
+# CPython before 3.10.7 has no int <-> str cap; these are then no-ops
+_get_int_cap = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_set_int_cap = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+
+
 def _emit(payload) -> None:
+    # CPython (3.10.7 on) refuses to convert an int of more than 4,300
+    # digits to or from str.  That caps every input as it is read, but an
+    # answer can hold a small multiple of its input's digits (rho1 = -n^2
+    # has twice as many as n), so the cap is lifted while one is written.
+    limit = _get_int_cap()
+    _set_int_cap(0)
     try:
         text = json.dumps(payload)
-    except ValueError:
-        # CPython (3.10.7 on) refuses to convert an int of more than 4,300
-        # digits to or from str.  That caps every input as it is read, but
-        # an answer can hold a small multiple of its input's digits (rho1 =
-        # -n^2 has twice as many as n), so the cap is lifted to write one.
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            text = json.dumps(payload)
-        finally:
-            sys.set_int_max_str_digits(limit)
+    finally:
+        _set_int_cap(limit)
     print(text)
 
 

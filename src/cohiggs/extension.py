@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 from fractions import Fraction
 from typing import Union
 
@@ -116,10 +115,6 @@ Column = tuple[tuple[int, int, int, Fraction], ...]
 _ONE = Fraction(1)
 
 
-# glue_check and the ansatz ask for one class many times over, so the
-# columns of the latest (class, twist) pairs are kept; they are tuples all
-# the way down, so no caller can alter a kept value
-@lru_cache(maxsize=64)
 def _v1_to_v2(e: ExtParams, twist: Twist) -> tuple[Column, Column, Column]:
     """Columns of the V1 -> V2 transition, whose rows give the image's
     (A, B, C); with q = u z1 + v and b = twist[1] it is

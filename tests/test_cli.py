@@ -163,8 +163,9 @@ def test_hitchin_answer_beyond_the_int_str_cap(capsys, tmp_path):
     n = 7 * 10**3000 + 1
     f = field(DecomposableBundle(O(0, 0), O(0, 0)), a1=BiPoly.const(n))
     path = write_json(tmp_path, "big.json", jsonio.field_to_json(f))
-    limit = sys.get_int_max_str_digits()
-    assert 0 < limit < 6002
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not 0 < limit < 6002:
+        pytest.skip("this interpreter's int <-> str cap would not refuse the answer")
     code = main(["hitchin", "--field", path])
     assert sys.get_int_max_str_digits() == limit  # lifted for output only
     out = capsys.readouterr().out
