@@ -20,12 +20,3 @@ def monomial(i: int, j: int, c=1) -> BiPoly:
     """c * z1^i * z2^j for any integers i, j."""
     c = Fraction(c)
     return _normalized({(i, j): c.numerator}, c.denominator)
-
-
-def inv_monomial(f: BiPoly) -> BiPoly:
-    """Inverse of a single-term Laurent polynomial."""
-    terms = list(f.terms())
-    if len(terms) != 1:
-        raise ValueError("only monomials are invertible here")
-    (i, j, c), = terms
-    return monomial(-i, -j, 1 / c)

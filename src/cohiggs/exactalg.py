@@ -381,9 +381,6 @@ class RatFn:
         g = -g if d[max(d, key=_grlex_key)] < 0 else g
         self.num, self.den = (_normalized({t: c // g for t, c in x.items()}, 1) for x in (n, d))
 
-    def is_polynomial(self) -> bool:
-        return self.den == ONE or self.num.exact_div(self.den) is not None
-
     def as_bipoly(self) -> BiPoly:
         if self.den == ONE:
             return self.num
@@ -488,9 +485,6 @@ class PolyMat2:
                 [b[0] * c[0] + b[1] * d[0], b[0] * c[1] + b[1] * d[1]],
             ]
         )
-
-    def scale(self, c) -> "PolyMat2":
-        return PolyMat2([[x * c for x in row] for row in self._e])
 
     def trace(self) -> Entry:
         return self._e[0][0] + self._e[1][1]

@@ -19,10 +19,11 @@ pole.  ``_irregular_rows`` states that condition once, as sparse linear
 forms in the chart-V1 coefficients: ``glue_check`` evaluates them on one
 section, and the generic-ansatz dimension count takes their rank.
 
-The global Higgs-field components then come in closed form: C1 carries six
-free coefficients which determine A1 and B1, and (A2, B2) carry five free
-coefficients.  The closed forms and the ansatz must (and do) agree on the
-dimension counts (6, 5, 11).
+The global Higgs-field components then come in closed form, as BiPoly
+arithmetic in the cocycle q = u*z1 + v: C1 carries six free coefficients
+which determine A1 and B1, and (A2, B2) carry five free coefficients.  The
+closed forms and the ansatz must (and do) agree on the dimension counts
+(6, 5, 11).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .errors import (
     SlotViolation,
     TrivialExtension,
 )
-from .exactalg import BiPoly, PolyMat2, commutator2, conjugate2
+from .exactalg import BiPoly, PolyMat2, Z2, commutator2, conjugate2
 from .higgs import DecomposableBundle, HiggsField, validate_field
 from .linalg import rank
 
@@ -171,57 +172,27 @@ def _irregular_rows(e: ExtParams, twist: Twist, support: list[Coefficient]) -> d
 def build_phi1(e: ExtParams, p: Phi1Params) -> PolyMat2:
     """O(2,0)-component on chart V1 from the six free C1 coefficients.
 
-    C1 = c00 + c01 z2 + c02 z2^2 + c10 z1 + c11 z1 z2 + c12 z1 z2^2, with A1
-    and B1 the unique polynomials making the section glue across charts:
-    the chart-V2 regularity constraints are
-    2 (a00 + a10 z1 + a20 z1^2) = (u z1 + v)(c01 + c11 z1) for the diagonal
-    and B1 = -(u z1 + v)^2 (c02 + c12 z1) for the upper-right entry.
+    C1 = c00 + c01 z2 + c02 z2^2 + c10 z1 + c11 z1 z2 + c12 z1 z2^2 fixes the
+    A1 and B1 that make the section glue across charts: with q = u z1 + v
+    and r = c02 + c12 z1,
+
+        A1 = q ((c01 + c11 z1)/2 + r z2),    B1 = -q^2 r.
     """
-    u, v = e.u, e.v
-    a1 = BiPoly(
-        {
-            (0, 0): v * p.c01 / 2,
-            (0, 1): v * p.c02,
-            (1, 0): (u * p.c01 + v * p.c11) / 2,
-            (1, 1): u * p.c02 + v * p.c12,
-            (2, 0): u * p.c11 / 2,
-            (2, 1): u * p.c12,
-        }
-    )
-    b1 = BiPoly(
-        {
-            (0, 0): -v * v * p.c02,
-            (1, 0): -(v * v * p.c12 + 2 * u * v * p.c02),
-            (2, 0): -(u * u * p.c02 + 2 * u * v * p.c12),
-            (3, 0): -u * u * p.c12,
-        }
-    )
+    q = BiPoly({(1, 0): e.u, (0, 0): e.v})
+    r = BiPoly({(1, 0): p.c12, (0, 0): p.c02})
+    a1 = q * (BiPoly({(1, 0): p.c11, (0, 0): p.c01}) * Fraction(1, 2) + r * Z2)
     c1 = BiPoly(
-        {
-            (0, 0): p.c00,
-            (0, 1): p.c01,
-            (0, 2): p.c02,
-            (1, 0): p.c10,
-            (1, 1): p.c11,
-            (1, 2): p.c12,
-        }
+        {(0, 0): p.c00, (0, 1): p.c01, (0, 2): p.c02, (1, 0): p.c10, (1, 1): p.c11, (1, 2): p.c12}
     )
-    return PolyMat2.trace_free(a1, b1, c1)
+    return PolyMat2.trace_free(a1, -(q * q * r), c1)
 
 
 def build_phi2(e: ExtParams, p: Phi2Params) -> PolyMat2:
     """O(0,2)-component on chart V1: upper triangular with
-    A2 = a00 + a01 z2 + a02 z2^2 and B2 = b00 + b10 z1 - 2(u z1 + v) a02 z2."""
-    u, v = e.u, e.v
+    A2 = a00 + a01 z2 + a02 z2^2 and B2 = b00 + b10 z1 - 2 a02 q z2, q = u z1 + v."""
+    q = BiPoly({(1, 0): e.u, (0, 0): e.v})
     a2 = BiPoly({(0, 0): p.a00, (0, 1): p.a01, (0, 2): p.a02})
-    b2 = BiPoly(
-        {
-            (0, 0): p.b00,
-            (1, 0): p.b10,
-            (0, 1): -2 * v * p.a02,
-            (1, 1): -2 * u * p.a02,
-        }
-    )
+    b2 = BiPoly({(0, 0): p.b00, (1, 0): p.b10}) - q * Z2 * (2 * p.a02)
     return PolyMat2.trace_free(a2, b2, BiPoly.zero())
 
 

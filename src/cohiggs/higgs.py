@@ -27,6 +27,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from ._univariate import shifted_rows
 from .cohomology import LineBundle
@@ -45,7 +46,6 @@ from .exactalg import (
     BiPoly,
     PolyMat2,
     _coerce_bipoly,
-    commutator2,
     conjugate2,
     det2,
     rational_sqrt,
@@ -66,9 +66,9 @@ class DecomposableBundle:
         return f"{self.L1}+{self.L2}"
 
 
-@dataclass(frozen=True)
-class HiggsShape:
-    """Slot (degree box) of each of the six matrix entries."""
+class HiggsShape(NamedTuple):
+    """Slot (degree box) of each of the six matrix entries, in the order of
+    :meth:`HiggsField.entries`."""
 
     a1: LineBundle
     b1: LineBundle
@@ -136,34 +136,7 @@ def validate_field(f: HiggsField) -> bool:
     """Trace-freeness of both components plus the slot boxes of all six entries."""
     if not (f.phi1.is_trace_free() and f.phi2.is_trace_free()):
         return False
-    s = higgs_shape(f.bundle)
-    a1, b1, c1, a2, b2, c2 = f.entries()
-    return (
-        fits_slot(a1, s.a1) and fits_slot(b1, s.b1) and fits_slot(c1, s.c1)
-        and fits_slot(a2, s.a2) and fits_slot(b2, s.b2) and fits_slot(c2, s.c2)
-    )
-
-
-def trace_free_part(phi1_raw: PolyMat2, phi2_raw: PolyMat2) -> tuple[PolyMat2, PolyMat2]:
-    """Subtract (trace/2) * Id from each component."""
-
-    def centre(m: PolyMat2) -> PolyMat2:
-        half_tr = m.trace() * Fraction(1, 2)
-        return PolyMat2(
-            [
-                [m.entry(0, 0) - half_tr, m.entry(0, 1)],
-                [m.entry(1, 0), m.entry(1, 1) - half_tr],
-            ]
-        )
-
-    return centre(phi1_raw), centre(phi2_raw)
-
-
-def wedge(psi: HiggsField, phi: HiggsField) -> PolyMat2:
-    """[Psi_1, Phi_2] - [Psi_2, Phi_1]: the d/dz1 ^ d/dz2 coefficient of Psi ^ Phi."""
-    if psi.bundle != phi.bundle:
-        raise BundleMismatch(f"{psi.bundle} vs {phi.bundle}")
-    return commutator2(psi.phi1, phi.phi2) - commutator2(psi.phi2, phi.phi1)
+    return all(map(fits_slot, f.entries(), higgs_shape(f.bundle)))
 
 
 def is_integrable(f: HiggsField) -> bool:
@@ -192,27 +165,21 @@ class BinaryQuadratic:
         return not (self.q20 or self.q11 or self.q02)
 
 
-def _constant_matrix(x) -> tuple[Fraction, Fraction, Fraction]:
-    """(a, b, c) of a constant trace-free matrix (a b; c -a)."""
-    if isinstance(x, PolyMat2):
-        rows = [[x.entry(i, 0), x.entry(i, 1)] for i in range(2)]
-        if any(max(e.bidegree()) > 0 for row in rows for e in row):
-            raise ValueError("matrix entry is not constant")
-        (a, b), (c, d) = ((e.coeff(0, 0) for e in row) for row in rows)
-    else:
-        (a, b), (c, d) = ((Fraction(v) for v in row) for row in x)
+def _constant_matrix(rows) -> tuple[Fraction, Fraction, Fraction]:
+    """(a, b, c) of a constant trace-free matrix (a b; c -a), given as rows."""
+    (a, b), (c, d) = ((Fraction(v) for v in row) for row in rows)
     if a + d != 0:
         raise ValueError("matrix is not trace-free")
     return a, b, c
 
 
-def eigen_quadratic(x) -> BinaryQuadratic:
-    """Eigenvector form of a constant trace-free matrix (a b; c -a).
+def eigen_quadratic(rows) -> BinaryQuadratic:
+    """Eigenvector form of a constant trace-free matrix (a b; c -a), given as rows.
 
     v = (x, y) is an eigenvector iff q(v) = 0, with
     q(x, y) = c x^2 - 2a xy - b y^2.
     """
-    a, b, c = _constant_matrix(x)
+    a, b, c = _constant_matrix(rows)
     return BinaryQuadratic(c, -2 * a, -b)
 
 
@@ -466,19 +433,14 @@ class PullbackField:
     rho: BiPoly
     axis: int
 
-    def membership(self, p: Fraction, eta: Fraction) -> bool:
-        """Does (p, eta) lie on the associated spectral curve eta^2 = -rho(p)?"""
-        value = self.rho.evaluate(p, 0) if self.axis == 1 else self.rho.evaluate(0, p)
-        return Fraction(eta) ** 2 + value == 0
-
 
 def pullback_from_line(a: BiPoly, b: BiPoly, c: BiPoly, axis: int) -> PullbackField:
     """Pull back a stable degree -1 field from a projective line factor.
 
     a, b, c are univariate in the axis variable of degrees <= 2, 3, 1; the
     result lives on O+O(-1,0) (axis 1) or O+O(0,-1) (axis 2) with the other
-    component zero.  rho = det Phi = -(a^2 + b c); the membership test of
-    :class:`PullbackField` recognises points of eta^2 = a(p)^2 + b(p)c(p).
+    component zero.  rho = det Phi = -(a^2 + b c), so the spectral curve
+    eta^2 = -rho(p) is eta^2 = a(p)^2 + b(p)c(p).
     """
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")

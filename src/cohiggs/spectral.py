@@ -31,15 +31,9 @@ from fractions import Fraction
 
 from ._univariate import shifted_rows
 from .cohomology import LineBundle
-from .errors import (
-    BundleMismatch,
-    InconsistentRho,
-    NotIntegrable,
-    NotUnivariate,
-    SlotViolation,
-)
+from .errors import InconsistentRho, NotIntegrable, NotUnivariate, SlotViolation
 from .exactalg import BiPoly, EtaValue, det2, exact_sqrt
-from .higgs import DecomposableBundle, HiggsField, fits_slot, is_integrable, validate_field
+from .higgs import HiggsField, fits_slot, is_integrable, validate_field
 from .linalg import rank
 
 
@@ -207,20 +201,3 @@ def fibre_decomposability(s: SpectralData) -> FibreClass:
     if s.rho12.is_zero() and s.rho1.is_zero() and is_generic_quartic(s.rho2):
         return FibreClass.PRODUCT_CASE_AXIS2
     return FibreClass.NON_GENERIC_OTHER
-
-
-def product_case_verify(a: int, b: int, m: int, f: HiggsField) -> bool:
-    """Verification half of the product-case correspondence.
-
-    For a validated field on O(a,m)+O(b,m): true iff Phi_2 = 0 and the
-    Hitchin image has the form (rho1, 0, 0).
-    """
-    expected = DecomposableBundle(LineBundle(a, m), LineBundle(b, m))
-    if f.bundle != expected:
-        raise BundleMismatch(f"expected {expected}, got {f.bundle}")
-    if not validate_field(f):
-        raise SlotViolation("field violates its shape slots")
-    if not f.phi2.is_zero():
-        return False
-    s = hitchin_map(f)
-    return s.rho12.is_zero() and s.rho2.is_zero()

@@ -15,8 +15,17 @@ from fractions import Fraction
 
 from cohiggs import _laurent as lau
 from cohiggs.cohomology import LineBundle
-from cohiggs.exactalg import BiPoly, PolyMat2, RatFn, Z1, Z2
-from cohiggs.higgs import DecomposableBundle, HiggsField, field, higgs_shape
+from cohiggs.errors import BundleMismatch, SlotViolation
+from cohiggs.exactalg import BiPoly, PolyMat2, RatFn, Z1, Z2, commutator2
+from cohiggs.higgs import (
+    DecomposableBundle,
+    HiggsField,
+    PullbackField,
+    field,
+    higgs_shape,
+    validate_field,
+)
+from cohiggs.spectral import hitchin_map
 
 # ---------------------------------------------------------------------------
 # quadratic-extension arithmetic: numbers a + b*sqrt(D)
@@ -163,6 +172,66 @@ def check_trace_det(result: PolyMat2, trace: BiPoly, det: BiPoly) -> bool:
         n00 * d11 + n11 * d00 == trace * d00 * d11
         and n00 * n11 * d01 * d10 - n01 * n10 * d00 * d11 == det * d00 * d11 * d01 * d10
     )
+
+
+def mat_scale(m: PolyMat2, c) -> PolyMat2:
+    """Every entry of m times the scalar c."""
+    return m.map_entries(lambda x: x * c)
+
+
+def constant_rows(m: PolyMat2) -> list[list[Fraction]]:
+    """The rows of a constant matrix, as ``higgs.eigen_quadratic`` takes them."""
+    return [[m.entry(i, j).coeff(0, 0) for j in range(2)] for i in range(2)]
+
+
+# ---------------------------------------------------------------------------
+# Higgs-field identities that only the tests use
+# ---------------------------------------------------------------------------
+
+
+def trace_free_part(phi1_raw: PolyMat2, phi2_raw: PolyMat2) -> tuple[PolyMat2, PolyMat2]:
+    """Subtract (trace/2) * Id from each component."""
+
+    def centre(m: PolyMat2) -> PolyMat2:
+        half_tr = m.trace() * Fraction(1, 2)
+        return PolyMat2(
+            [
+                [m.entry(0, 0) - half_tr, m.entry(0, 1)],
+                [m.entry(1, 0), m.entry(1, 1) - half_tr],
+            ]
+        )
+
+    return centre(phi1_raw), centre(phi2_raw)
+
+
+def wedge(psi: HiggsField, phi: HiggsField) -> PolyMat2:
+    """[Psi_1, Phi_2] - [Psi_2, Phi_1]: the d/dz1 ^ d/dz2 coefficient of Psi ^ Phi."""
+    if psi.bundle != phi.bundle:
+        raise BundleMismatch(f"{psi.bundle} vs {phi.bundle}")
+    return commutator2(psi.phi1, phi.phi2) - commutator2(psi.phi2, phi.phi1)
+
+
+def membership(pb: PullbackField, p: Fraction, eta: Fraction) -> bool:
+    """Does (p, eta) lie on the spectral curve eta^2 = -rho(p) of a pulled-back field?"""
+    value = pb.rho.evaluate(p, 0) if pb.axis == 1 else pb.rho.evaluate(0, p)
+    return Fraction(eta) ** 2 + value == 0
+
+
+def product_case_verify(a: int, b: int, m: int, f: HiggsField) -> bool:
+    """Verification half of the product-case correspondence.
+
+    For a validated field on O(a,m)+O(b,m): true iff Phi_2 = 0 and the
+    Hitchin image has the form (rho1, 0, 0).
+    """
+    expected = DecomposableBundle(LineBundle(a, m), LineBundle(b, m))
+    if f.bundle != expected:
+        raise BundleMismatch(f"expected {expected}, got {f.bundle}")
+    if not validate_field(f):
+        raise SlotViolation("field violates its shape slots")
+    if not f.phi2.is_zero():
+        return False
+    s = hitchin_map(f)
+    return s.rho12.is_zero() and s.rho2.is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +453,15 @@ def ext_cocycle(e) -> BiPoly:
     return BiPoly({(1, 0): e.u, (0, 0): e.v})
 
 
+def inv_monomial(f: BiPoly) -> BiPoly:
+    """Inverse of a single-term Laurent polynomial."""
+    terms = list(f.terms())
+    if len(terms) != 1:
+        raise ValueError("only monomials are invertible here")
+    (i, j, c), = terms
+    return lau.monomial(-i, -j, 1 / c)
+
+
 def end_rep3(g: list[list[BiPoly]], twist: BiPoly) -> list[list[BiPoly]]:
     """3x3 transition induced on the trace-free coefficient vector (A, B, C).
 
@@ -394,7 +472,7 @@ def end_rep3(g: list[list[BiPoly]], twist: BiPoly) -> list[list[BiPoly]]:
     """
     g11, g12 = g[0]
     g21, g22 = g[1]
-    factor = twist * lau.inv_monomial(g11 * g22 - g12 * g21)
+    factor = twist * inv_monomial(g11 * g22 - g12 * g21)
     rows = [
         [g11 * g22 + g12 * g21, -(g11 * g21), g12 * g22],
         [g11 * g12 * -2, g11 * g11, -(g12 * g12)],
@@ -433,6 +511,49 @@ def image_glue_check(e, phi_v1: PolyMat2, twist) -> bool:
     return all(laurent_regular(f, z1_sign=1, z2_sign=-1) for f in in_v2) and all(
         laurent_regular(f, z1_sign=-1, z2_sign=1) for f in in_v3
     )
+
+
+# -- the closed-form sections, coefficient by coefficient ---------------------
+
+
+def build_phi1_termwise(e, p) -> PolyMat2:
+    """``extension.build_phi1`` with each coefficient of A1 and B1 written out:
+    2 (a00 + a10 z1 + a20 z1^2) = (u z1 + v)(c01 + c11 z1) on the diagonal and
+    B1 = -(u z1 + v)^2 (c02 + c12 z1)."""
+    u, v = Fraction(e.u), Fraction(e.v)
+    c00, c01, c02, c10, c11, c12 = (
+        Fraction(x) for x in (p.c00, p.c01, p.c02, p.c10, p.c11, p.c12)
+    )
+    a1 = BiPoly(
+        {
+            (0, 0): v * c01 / 2,
+            (0, 1): v * c02,
+            (1, 0): (u * c01 + v * c11) / 2,
+            (1, 1): u * c02 + v * c12,
+            (2, 0): u * c11 / 2,
+            (2, 1): u * c12,
+        }
+    )
+    b1 = BiPoly(
+        {
+            (0, 0): -v * v * c02,
+            (1, 0): -(v * v * c12 + 2 * u * v * c02),
+            (2, 0): -(u * u * c02 + 2 * u * v * c12),
+            (3, 0): -u * u * c12,
+        }
+    )
+    c1 = BiPoly(
+        {(0, 0): c00, (0, 1): c01, (0, 2): c02, (1, 0): c10, (1, 1): c11, (1, 2): c12}
+    )
+    return PolyMat2.trace_free(a1, b1, c1)
+
+
+def build_phi2_termwise(e, p) -> PolyMat2:
+    """``extension.build_phi2`` with each coefficient of B2 written out."""
+    u, v, a02 = Fraction(e.u), Fraction(e.v), Fraction(p.a02)
+    a2 = BiPoly({(0, 0): p.a00, (0, 1): p.a01, (0, 2): a02})
+    b2 = BiPoly({(0, 0): p.b00, (1, 0): p.b10, (0, 1): -2 * v * a02, (1, 1): -2 * u * a02})
+    return PolyMat2.trace_free(a2, b2, BiPoly.zero())
 
 
 # ---------------------------------------------------------------------------

@@ -224,7 +224,6 @@ def test_ratfn_content_normalization():
 
 def test_ratfn_polynomial_detection():
     assert RatFn(Z1 * Z2 + Z1, Z1).as_bipoly() == Z2 + 1
-    assert not RatFn(Z1, Z2).is_polynomial()
     with pytest.raises(ValueError):
         RatFn(Z1, Z2).as_bipoly()
 

@@ -41,6 +41,8 @@ from cohiggs.extension import (
 from cohiggs.higgs import field
 from cohiggs.linalg import rank
 from oracles import (
+    build_phi1_termwise,
+    build_phi2_termwise,
     columns_of,
     end_rep3,
     ext_cocycle,
@@ -207,6 +209,46 @@ def test_build_phi2_examples():
     assert m.entry(0, 1) == -2 * Z1 * Z2  # b11 = -2 u a02
     assert build_phi2(E37, Phi2Params()).is_zero()
     assert build_phi2(E37, Phi2Params(b00=F(2), b10=F(3))).entry(0, 1) == 3 * Z1 + 2
+
+
+def _assert_same_storage(got: PolyMat2, want: PolyMat2) -> None:
+    assert got == want
+    for i in range(2):
+        for j in range(2):
+            x, y = got.entry(i, j), want.entry(i, j)
+            assert (x._den, x._terms) == (y._den, y._terms)
+            # int parameters give int storage too
+            assert type(x._den) is int and all(type(n) is int for n in x._terms.values())
+
+
+def test_closed_forms_equal_termwise_reference():
+    rng = random.Random(43)
+
+    def coeff():
+        k = rng.randrange(4)
+        if k == 0:
+            return 0
+        if k == 1:
+            return rng.randint(-9, 9)
+        return F(rng.getrandbits(rng.randint(4, 100)) * rng.choice([-1, 1]),
+                 rng.getrandbits(rng.randint(4, 100)) | 1)
+
+    huge = ExtParams(F(int("7" * 4000) + 2, int("3" * 3999 + "1")),
+                     F(-int("5" * 4000) - 6, int("9" * 3999 + "7")))
+    ints = [ExtParams(3, -2), ExtParams(0, 5), ExtParams(-4, 0), ExtParams(0, 0)]
+    classes = _transition_classes() + ints + [huge]
+    assert any(not e.u for e in classes) and any(not e.v for e in classes)
+    for e in classes:
+        p1s = [Phi1Params(), Phi1Params(*[1] * 6)]
+        p1s += [Phi1Params(**{k: F(1)}) for k in ("c00", "c01", "c02", "c10", "c11", "c12")]
+        p1s += [Phi1Params(*(coeff() for _ in range(6))) for _ in range(3)]
+        p2s = [Phi2Params(), Phi2Params(*[1] * 5)]
+        p2s += [Phi2Params(**{k: F(1)}) for k in ("a00", "a01", "a02", "b00", "b10")]
+        p2s += [Phi2Params(*(coeff() for _ in range(5))) for _ in range(3)]
+        for p1 in p1s:
+            _assert_same_storage(build_phi1(e, p1), build_phi1_termwise(e, p1))
+        for p2 in p2s:
+            _assert_same_storage(build_phi2(e, p2), build_phi2_termwise(e, p2))
 
 
 def test_glue_check_accepts_constructors():
