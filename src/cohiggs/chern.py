@@ -13,6 +13,11 @@ necessity theorem for -C0-F (which forces c2 >= 1):  the composition yields
 2*gamma >= alpha*beta + 1.  This module follows the reduction route and
 exposes the disagreement as a diagnostic flag; the two verdicts differ
 exactly on the boundary tuples with gamma' = 0.
+
+One reduction answers all three questions about a class: ``reduce_class``
+returns a ``ReducedClass`` whose ``nonempty`` states the threshold and whose
+``printed_bound_disagrees`` gives the flag, so ``moduli nonempty --batch``
+reduces each tuple once.
 """
 
 from __future__ import annotations
@@ -53,6 +58,17 @@ class ReducedClass:
     twist: LineBundle
     gamma_prime: int
 
+    def nonempty(self) -> bool:
+        """The co-Higgs moduli threshold: gamma' >= 1 for MinusC0MinusF, >= 0 otherwise."""
+        return self.gamma_prime >= (1 if self.tag is ReducedTag.MINUS_C0_MINUS_F else 0)
+
+    def printed_bound_disagrees(self, c: ChernData) -> bool:
+        """For the class c that reduces to self: True iff c is odd-odd and the
+        printed bound 2*gamma >= alpha*beta - 2 and the threshold disagree."""
+        if self.tag is not ReducedTag.MINUS_C0_MINUS_F:
+            return False
+        return (2 * c.gamma >= c.alpha * c.beta - 2) != self.nonempty()
+
 
 def intersect(c0_coeff1: int, f_coeff1: int, c0_coeff2: int, f_coeff2: int) -> int:
     """Intersection number of a1*C0 + b1*F with a2*C0 + b2*F."""
@@ -65,8 +81,12 @@ def twisted_chern(c: ChernData, x: int, y: int) -> ChernData:
     O(x,y) has class y*C0 + x*F, so c1 shifts by (2y, 2x) and
     c2 by c1(E).c1(L) + c1(L)^2 = alpha*x + beta*y + 2*x*y.
     """
-    shift = intersect(c.alpha, c.beta, y, x) + intersect(y, x, y, x)
-    return ChernData(c.alpha + 2 * y, c.beta + 2 * x, c.gamma + shift)
+    return ChernData(c.alpha + 2 * y, c.beta + 2 * x, _twisted_gamma(c, x, y))
+
+
+def _twisted_gamma(c: ChernData, x: int, y: int) -> int:
+    """c2 of E tensor O(x,y), as in twisted_chern."""
+    return c.gamma + intersect(c.alpha, c.beta, y, x) + intersect(y, x, y, x)
 
 
 def reduce_class(c: ChernData) -> ReducedClass:
@@ -92,8 +112,7 @@ def reduce_class(c: ChernData) -> ReducedClass:
     else:
         tag = ReducedTag.MINUS_C0_MINUS_F
         x, y = -(1 + c.beta) // 2, -(1 + c.alpha) // 2
-    twisted = twisted_chern(c, x, y)
-    return ReducedClass(tag, LineBundle(x, y), twisted.gamma)
+    return ReducedClass(tag, LineBundle(x, y), _twisted_gamma(c, x, y))
 
 
 def ext_length(c: ChernData, inv: NumericalInvariants) -> int:
@@ -123,10 +142,7 @@ def cohiggs_moduli_nonempty(c: ChernData) -> bool:
     >= 1 for MinusC0MinusF.  When non-empty the moduli always contains a
     pair with nonzero Higgs field.
     """
-    red = reduce_class(c)
-    if red.tag is ReducedTag.MINUS_C0_MINUS_F:
-        return red.gamma_prime >= 1
-    return red.gamma_prime >= 0
+    return reduce_class(c).nonempty()
 
 
 def theorem48_case2_discrepancy(c: ChernData) -> bool:
@@ -135,11 +151,7 @@ def theorem48_case2_discrepancy(c: ChernData) -> bool:
     For odd alpha, beta the printed bound 2*gamma >= alpha*beta - 2 admits
     exactly one extra line of tuples, those with gamma' = 0.
     """
-    if c.alpha % 2 == 0 or c.beta % 2 == 0:
-        return False
-    red = reduce_class(c)
-    printed = 2 * c.gamma >= c.alpha * c.beta - 2
-    return printed != (red.gamma_prime >= 1)
+    return reduce_class(c).printed_bound_disagrees(c)
 
 
 def no_nontrivial_higgs_region(inv: NumericalInvariants, c2: int) -> bool:

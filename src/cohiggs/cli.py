@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 from . import __version__
-from .errors import CoHiggsError
+from .errors import CoHiggsError, int_from_json
 
 
 def _parse_rat(text: str) -> Fraction:
@@ -47,17 +47,7 @@ _set_int_cap = getattr(sys, "set_int_max_str_digits", lambda limit: None)
 
 
 def _emit(payload) -> None:
-    # CPython (3.10.7 on) refuses to convert an int of more than 4,300
-    # digits to or from str.  That caps every input as it is read, but an
-    # answer can hold a small multiple of its input's digits (rho1 = -n^2
-    # has twice as many as n), so the cap is lifted while one is written.
-    limit = _get_int_cap()
-    _set_int_cap(0)
-    try:
-        text = json.dumps(payload)
-    finally:
-        _set_int_cap(limit)
-    print(text)
+    print(json.dumps(payload))
 
 
 def _debug(*args) -> None:
@@ -79,8 +69,7 @@ def _cohomology(args) -> dict:
     return dict(zip(("h0", "h1", "h2"), cohomology.h_dims(args.a, args.b)))
 
 
-def _reduced(chern, c) -> dict:
-    red = chern.reduce_class(c)
+def _reduced(red) -> dict:
     return {
         "tag": red.tag.value,
         "twist": [red.twist.a, red.twist.b],
@@ -90,24 +79,27 @@ def _reduced(chern, c) -> dict:
 
 def _nonempty(chern, alpha: int, beta: int, gamma: int) -> dict:
     c = chern.ChernData(alpha, beta, gamma)
+    red = chern.reduce_class(c)
     return {
-        "nonempty": chern.cohiggs_moduli_nonempty(c),
-        "reduced": _reduced(chern, c),
-        "theorem48_case2_discrepancy": chern.theorem48_case2_discrepancy(c),
+        "nonempty": red.nonempty(),
+        "reduced": _reduced(red),
+        "theorem48_case2_discrepancy": red.printed_bound_disagrees(c),
     }
 
 
 def _moduli_nonempty(args):
     from . import chern
     if args.batch:
-        from . import jsonio
         grid = _load_json(args.batch)
         if isinstance(grid, dict):
+            unknown = set(grid) - {"tuples"}
+            if unknown:
+                raise ValueError(f"unknown batch grid keys: {sorted(unknown)}")
             grid = grid.get("tuples")
         if not isinstance(grid, list):
             raise ValueError("batch grid must be a list of [alpha, beta, gamma] tuples")
         # check every tuple before the first line is printed
-        tuples = [[jsonio.int_from_json(x, "batch entry") for x in entry] for entry in grid]
+        tuples = [[int_from_json(x, "batch entry") for x in entry] for entry in grid]
         if any(len(t) != 3 for t in tuples):
             raise ValueError("batch tuples must have three entries")
         _debug("batch of %d tuples", len(tuples))
@@ -133,7 +125,7 @@ def _no_higgs_region(args) -> dict:
 
 def _reduce(args) -> dict:
     from . import chern
-    return _reduced(chern, chern.ChernData(args.alpha, args.beta, args.gamma))
+    return _reduced(chern.reduce_class(chern.ChernData(args.alpha, args.beta, args.gamma)))
 
 
 def _higgs_check(args) -> dict:
@@ -370,11 +362,18 @@ def main(argv=None) -> int:
             stream=sys.stderr,
             format="%(name)s %(levelname)s %(message)s",
         )
+    limit = _get_int_cap()
     try:
         argv = sys.argv[1:] if argv is None else argv
         args = _build_parser(argv).parse_args(argv)
         _debug("dispatch %s", args.command)
         result = args.handler(args)
+        # CPython (3.10.7 on) refuses to convert an int of more than 4,300
+        # digits to or from str.  That caps every input as the handler reads
+        # it, but an answer can hold a small multiple of its input's digits
+        # (rho1 = -n^2 has twice as many as n), so the cap is lifted, once,
+        # while the answers are written.
+        _set_int_cap(0)
         for payload in [result] if isinstance(result, dict) else result:
             _emit(payload)
         sys.stdout.flush()  # so that a closed pipe raises here, not at exit
@@ -389,6 +388,8 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, TypeError, OSError) as exc:
         _emit({"error": {"kind": "InputError", "detail": str(exc)}})
         return 2
+    finally:
+        _set_int_cap(limit)
 
 
 if __name__ == "__main__":

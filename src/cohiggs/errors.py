@@ -4,10 +4,18 @@ Every failure of a mathematical precondition raises a subclass of
 :class:`CoHiggsError`; the class name doubles as the machine-readable
 ``kind`` reported by the CLI.  Malformed input (bad JSON, missing files,
 unparseable flags) is *not* a domain error and is handled separately by
-the CLI with exit code 2.
+the CLI with exit code 2; ``int_from_json`` is the one check of a JSON
+integer, kept here so that the CLI can use it without the JSON codecs.
 """
 
 from __future__ import annotations
+
+
+def int_from_json(obj, what: str) -> int:
+    # bool is a subclass of int, but true/false are not JSON integers
+    if not isinstance(obj, int) or isinstance(obj, bool):
+        raise ValueError(f"{what} must be an integer, got {obj!r}")
+    return obj
 
 
 class CoHiggsError(Exception):

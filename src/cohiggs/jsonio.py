@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .cohomology import LineBundle
+from .errors import int_from_json
 from .exactalg import BiPoly, PolyMat2
 from .higgs import DecomposableBundle, HiggsField
 
@@ -28,13 +29,6 @@ if TYPE_CHECKING:
 def rat_to_json(q: Fraction) -> dict:
     q = Fraction(q)
     return {"num": q.numerator, "den": q.denominator}
-
-
-def int_from_json(obj, what: str) -> int:
-    # bool is a subclass of int, but true/false are not JSON integers
-    if not isinstance(obj, int) or isinstance(obj, bool):
-        raise ValueError(f"{what} must be an integer, got {obj!r}")
-    return obj
 
 
 def _fraction(num, den) -> Fraction:

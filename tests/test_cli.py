@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import subprocess
@@ -77,6 +78,59 @@ def test_moduli_batch_mode(capsys, tmp_path):
     shuffled = write_json(tmp_path, "grid2.json", {"tuples": grid[::-1]})
     _, lines3 = run(capsys, "moduli", "nonempty", "--batch", shuffled)
     assert lines3 == lines[::-1]
+
+
+@contextlib.contextmanager
+def _int_cap(limit):
+    """CPython's int <-> str cap set to limit (0: none) for the block; a no-op
+    before 3.10.7, which has no cap."""
+    saved = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_cap = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    set_cap(limit)
+    try:
+        yield
+    finally:
+        set_cap(saved)
+
+
+def test_batch_lines_equal_single_tuple_answers(capsys, tmp_path):
+    """Every batch line is the single-tuple answer plus alpha/beta/gamma, byte
+    for byte, and agrees with the library: over every parity class, the
+    odd-odd boundary gamma' = 0 where the discrepancy flag fires, and a
+    tuple whose gamma' has about 8,000 digits, written past the 4,300-digit
+    cap that inputs keep."""
+    from cohiggs import chern
+
+    small = [[a, b, g] for a in range(-2, 3) for b in range(-2, 3) for g in range(-2, 3)]
+    boundary = [[a, b, (a * b - 1) // 2] for a in range(-5, 6, 2) for b in range(-5, 6, 2)]
+    big = [7 * 10**3999 + 1, -(5 * 10**3999 + 3), 11]
+    assert abs(chern.reduce_class(chern.ChernData(*big)).gamma_prime) > 10**7990
+    grid = small + boundary + [big]
+    path = write_json(tmp_path, "grid.json", {"tuples": grid})
+    with _int_cap(4300):
+        assert main(["moduli", "nonempty", "--batch", path]) == 0
+        assert getattr(sys, "get_int_max_str_digits", lambda: 4300)() == 4300
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(grid)
+        for (a, b, g), line in zip(grid, lines):
+            assert main(["moduli", "nonempty", f"--alpha={a}", f"--beta={b}", f"--gamma={g}"]) == 0
+            single = capsys.readouterr().out
+            assert line == f'{single[:-2]}, "alpha": {a}, "beta": {b}, "gamma": {g}}}'
+            with _int_cap(0):
+                out = json.loads(line)
+            c = chern.ChernData(a, b, g)
+            red = chern.reduce_class(c)
+            assert out["reduced"] == {
+                "tag": red.tag.value, "twist": [red.twist.a, red.twist.b],
+                "gamma_prime": red.gamma_prime}
+            assert out["nonempty"] is chern.cohiggs_moduli_nonempty(c)
+            assert out["theorem48_case2_discrepancy"] is chern.theorem48_case2_discrepancy(c)
+            assert out["theorem48_case2_discrepancy"] is ([a, b, g] in boundary)
+        # an entry over the cap is refused before any line is written
+        over = tmp_path / "over.json"
+        over.write_text('{"tuples": [[0, 0, 0], [' + "9" * 4301 + ", 0, 0]]}", encoding="utf-8")
+        code, lines = run(capsys, "moduli", "nonempty", "--batch", str(over))
+    assert code == 2 and [line["error"]["kind"] for line in lines] == ["InputError"]
 
 
 def test_closed_pipe_ends_quietly_as_exit_2(tmp_path):
@@ -384,6 +438,7 @@ def test_zero_denominator_is_input_error(capsys, tmp_path, argv, payload):
         (["moduli", "nonempty", "--batch"], {"tuples": [[0, 0, "3"]]}),
         (["moduli", "nonempty", "--batch"], {"tuples": [[0, -1, 0], [1.7, 0, 0]]}),
         (["moduli", "nonempty", "--batch"], {"tuples": [[0, -1, 0], [0, 0]]}),
+        (["moduli", "nonempty", "--batch"], {"tuples": [[0, 0, 0]], "tupels": [[1, 1, 1]]}),
         (
             ["ext", "classify", "--point"],
             {"ext": {"u": 0, "v": 0}, "stratum": "S0", "params": [1, 2]},
@@ -407,7 +462,8 @@ def test_zero_denominator_is_input_error(capsys, tmp_path, argv, payload):
     ids=[
         "float-exponent", "bool-exponent", "string-numerator", "float-denominator",
         "string-degree", "float-degree", "float-batch", "bool-batch", "string-batch",
-        "batch-second-tuple", "batch-short-tuple", "s0-params-list", "s2-params-list",
+        "batch-second-tuple", "batch-short-tuple", "unknown-batch-key", "s0-params-list",
+        "s2-params-list",
         "phi1-params-list", "unknown-phi1-key", "unknown-s1-key", "unknown-s0-key",
         "negative-exponent",
     ],

@@ -66,9 +66,13 @@ def test_import_cli_loads_no_domain_module():
 @pytest.mark.parametrize("argv, modules", [
     ("cohomology --a 1 --b -2", ["cohiggs.cohomology"]),
     ("moduli nonempty --alpha 1 --beta 1 --gamma 0", ["cohiggs.chern", "cohiggs.cohomology"]),
+    ("moduli nonempty --batch {grid}", ["cohiggs.chern", "cohiggs.cohomology"]),
 ])
-def test_command_adds_only_its_modules(argv, modules):
-    assert _loaded_after(_cli_call(argv.split())) == {"cohiggs": modules, "logging": False}
+def test_command_adds_only_its_modules(tmp_path, argv, modules):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"tuples": [[1, 1, 0], [0, -1, 0]]}), encoding="utf-8")
+    loaded = _loaded_after(_cli_call(argv.format(grid=grid).split()))
+    assert loaded == {"cohiggs": modules, "logging": False}
 
 
 def test_higgs_check_never_loads_extension(tmp_path):
