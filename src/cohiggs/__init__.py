@@ -1,9 +1,9 @@
 """Exact computations for rank-2 co-Higgs bundles on P1 x P1.
 
-Subpackages by theme:
+Modules by theme:
 
 * :mod:`cohiggs.exactalg` - rationals, bivariate polynomials, 2x2 matrices
-  and conjugation (the arithmetic substrate);
+  and general conjugation (the arithmetic substrate);
 * :mod:`cohiggs.cohomology` - line bundles O(a,b): cohomology dimensions,
   monomial section bases, slopes for the polarization C0 + F;
 * :mod:`cohiggs.chern` - Chern-class reduction and the moduli existence

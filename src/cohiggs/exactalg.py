@@ -12,7 +12,8 @@ Everything downstream is built from four value types:
   accessors build ``Rat`` values,
 * :class:`PolyMat2` - 2x2 matrices of ``BiPoly`` entries,
 * :class:`RatFn` - a quotient of two ``BiPoly`` (denominator nonzero); it is
-  what :func:`conjugate2` returns entrywise and carries no arithmetic.
+  what :func:`conjugate2` returns entrywise, serves only its callers (no
+  library procedure conjugates) and carries no arithmetic.
 
 Square roots of rationals are exact too, at a capped cost: :func:`exact_sqrt`
 returns an :class:`EtaValue` ``coef * sqrt(radicand)`` with a squarefree
@@ -470,9 +471,6 @@ class PolyMat2:
         return PolyMat2(
             [[self._e[i][j] - other._e[i][j] for j in range(2)] for i in range(2)]
         )
-
-    def __neg__(self):
-        return PolyMat2([[-self._e[i][j] for j in range(2)] for i in range(2)])
 
     def __matmul__(self, other):
         if not isinstance(other, PolyMat2):

@@ -41,7 +41,7 @@ from .errors import (
     SlotViolation,
     TrivialExtension,
 )
-from .exactalg import BiPoly, PolyMat2, Z2, commutator2, conjugate2
+from .exactalg import BiPoly, PolyMat2, Z2, commutator2
 from .higgs import DecomposableBundle, HiggsField, validate_field
 from .linalg import rank
 
@@ -204,13 +204,12 @@ def glue_check(e: ExtParams, phi_v1: PolyMat2, twist: Twist) -> bool:
     there.  Regularity on V4 then follows from the cocycle structure (the
     complement of the three charts has codimension two).
     """
-    phi = phi_v1.to_bipoly()
-    a = phi.entry(0, 0)
-    if a + phi.entry(1, 1) != BiPoly.zero():
+    a = phi_v1.entry(0, 0)
+    if a + phi_v1.entry(1, 1) != BiPoly.zero():
         raise ValueError("section must be trace-free")
     coeffs = {
         (comp, i, j): c
-        for comp, entry in enumerate((a, phi.entry(0, 1), phi.entry(1, 0)))
+        for comp, entry in enumerate((a, phi_v1.entry(0, 1), phi_v1.entry(1, 0)))
         for i, j, c in entry.terms()
     }
     forms = _irregular_rows(e, twist, list(coeffs))
@@ -330,8 +329,8 @@ def weak_iso(e1: ExtParams, e2: ExtParams) -> bool:
 def trivial_extension_normal_form(f: HiggsField) -> HiggsField:
     """Make B2 monic of the form z1 - p on the split bundle O(0,-1)+O(-1,1).
 
-    Requires Phi_1 = 0 and B2 with nonzero z1 coefficient; conjugation by
-    diag(1, b1) rescales B2 exactly, preserving A2 and the determinant.
+    Requires Phi_1 = 0 and B2 with nonzero z1 coefficient b; conjugation by
+    diag(1, b) gives (A2, B2/b; b C2, -A2), preserving A2 and the determinant.
     """
     if f.bundle != TRIVIAL_EXTENSION_BUNDLE:
         raise NotInNormalFormDomain(f"expected the split bundle {TRIVIAL_EXTENSION_BUNDLE}")
@@ -339,10 +338,8 @@ def trivial_extension_normal_form(f: HiggsField) -> HiggsField:
         raise SlotViolation("field violates its shape slots")
     if not f.phi1.is_zero():
         raise NotInNormalFormDomain("normal form requires Phi_1 = 0")
-    b2 = f.phi2.entry(0, 1)
-    b_lead = b2.coeff(1, 0)
-    if not b_lead:
+    a2, b2, c2 = (f.phi2.entry(i, j) for i, j in ((0, 0), (0, 1), (1, 0)))
+    b = b2.coeff(1, 0)
+    if not b:
         raise LeadingCoefficientZero("B2 must have nonzero z1 coefficient")
-    psi = PolyMat2([[BiPoly.const(1), BiPoly.const(0)], [BiPoly.const(0), BiPoly.const(b_lead)]])
-    rep = conjugate2(f.phi2, psi).to_bipoly()
-    return HiggsField(f.bundle, PolyMat2.zero(), rep)
+    return HiggsField(f.bundle, PolyMat2.zero(), PolyMat2.trace_free(a2, b2 * (1 / b), c2 * b))

@@ -20,6 +20,10 @@ equivalent to a common eigenvector of the six coefficient matrices) and
 the O(1,0)+O(-1,0) / O(0,1)+O(0,-1) pairs; every other equal-slope bundle
 reports Unsupported rather than guessing.  A common eigenvector (a common
 root of the eigenvector quadratics) is decided by one :func:`linalg.rank`.
+
+Nothing here conjugates.  The graded object of a strictly semistable field
+on O+O is the diagonal of its eigenvalues along a rational common
+eigenvector, and the normal forms are fixed by det Phi in closed form.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ from .exactalg import (
     BiPoly,
     PolyMat2,
     _coerce_bipoly,
-    conjugate2,
     det2,
     rational_sqrt,
 )
@@ -150,44 +153,22 @@ def is_integrable(f: HiggsField) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BinaryQuadratic:
-    """q(x,y) = q20 x^2 + q11 xy + q02 y^2 over the rationals."""
-
-    q20: Fraction
-    q11: Fraction
-    q02: Fraction
-
-    def evaluate(self, x: Fraction, y: Fraction) -> Fraction:
-        return self.q20 * x * x + self.q11 * x * y + self.q02 * y * y
-
-    def is_zero(self) -> bool:
-        return not (self.q20 or self.q11 or self.q02)
-
-
-def _constant_matrix(rows) -> tuple[Fraction, Fraction, Fraction]:
-    """(a, b, c) of a constant trace-free matrix (a b; c -a), given as rows."""
-    (a, b), (c, d) = ((Fraction(v) for v in row) for row in rows)
-    if a + d != 0:
-        raise ValueError("matrix is not trace-free")
-    return a, b, c
-
-
-def eigen_quadratic(rows) -> BinaryQuadratic:
+def eigen_quadratic(rows) -> tuple[Fraction, Fraction, Fraction]:
     """Eigenvector form of a constant trace-free matrix (a b; c -a), given as rows.
 
     v = (x, y) is an eigenvector iff q(v) = 0, with
-    q(x, y) = c x^2 - 2a xy - b y^2.
+    q(x, y) = c x^2 - 2a xy - b y^2, returned as (q20, q11, q02) = (c, -2a, -b).
     """
-    a, b, c = _constant_matrix(rows)
-    return BinaryQuadratic(c, -2 * a, -b)
+    (a, b), (c, d) = ((Fraction(v) for v in row) for row in rows)
+    if a + d != 0:
+        raise ValueError("matrix is not trace-free")
+    return c, -2 * a, -b
 
 
-def _eigen_quadratics(mats) -> list[BinaryQuadratic]:
+def _eigen_quadratics(mats) -> list[tuple[Fraction, Fraction, Fraction]]:
     """The nonzero eigenvector quadratics of the family; a zero matrix has
     every vector as an eigenvector and drops out."""
-    quads = (eigen_quadratic(m) for m in mats)
-    return [q for q in quads if not q.is_zero()]
+    return [q for q in map(eigen_quadratic, mats) if any(q)]
 
 
 def common_eigenvector_exists(mats) -> bool:
@@ -199,25 +180,26 @@ def common_eigenvector_exists(mats) -> bool:
     divides every row, and two quadratics without one already span all
     cubics (their Sylvester matrix is nonsingular).
     """
-    rows = [r for q in _eigen_quadratics(mats) for r in shifted_rows([q.q02, q.q11, q.q20], 2)]
+    rows = [r for q in _eigen_quadratics(mats) for r in shifted_rows(q[::-1], 2)]
     return rank(rows) <= 3  # the rows y*q, x*q, with the power of x as the column
 
 
-def _rational_common_eigenvector(quads: list[BinaryQuadratic]):
+def _rational_common_eigenvector(quads: list[tuple[Fraction, Fraction, Fraction]]):
     """A projective rational common root (x, y) of the family, or None.
 
     Prefers [1:0] when available (it keeps upper-triangular input fixed),
     then the smallest rational affine root.  Returns None when the common
     roots are irrational.
     """
-    q = next((q for q in quads if q.q20), None)
+    q = next((q for q in quads if q[0]), None)
     if q is None:
         return (Fraction(1), Fraction(0))
-    root = rational_sqrt(q.q11 * q.q11 - 4 * q.q20 * q.q02)
+    q20, q11, q02 = q
+    root = rational_sqrt(q11 * q11 - 4 * q20 * q02)
     if root is None:
         return None
-    xs = ((-q.q11 - root) / (2 * q.q20), (-q.q11 + root) / (2 * q.q20))
-    common = [x for x in xs if all(not p.evaluate(x, Fraction(1)) for p in quads)]
+    xs = ((-q11 - root) / (2 * q20), (-q11 + root) / (2 * q20))
+    common = [x for x in xs if all(not (a * x + b) * x + c for a, b, c in quads)]
     return (min(common), Fraction(1)) if common else None
 
 
@@ -292,12 +274,13 @@ def stability_classify(f: HiggsField) -> StabilityClass:
 def graded_object(f: HiggsField) -> HiggsField:
     """Associated graded of a strictly semistable field on O+O.
 
-    Conjugates a rational common eigenvector to the first basis vector and
-    keeps only the diagonal (A, -A) per component.  Raises
-    NotStrictlySemistable when the field is not strictly semistable, and
-    IrrationalEigenvector when the only common eigenvectors live in a
-    quadratic extension (the graded object then has no representation with
-    rational coefficients).
+    It is the diagonal (lambda_i, -lambda_i) of the eigenvalues along a
+    rational common eigenvector v, which every coefficient matrix shares:
+    lambda_i = C_i x0 - A_i for v = (x0, 1), and A_i for v = [1:0], where
+    every C_i vanishes.  Raises NotStrictlySemistable when the field is not
+    strictly semistable, and IrrationalEigenvector when the only common
+    eigenvectors live in a quadratic extension (the graded object then has
+    no representation with rational coefficients).
     """
     if stability_classify(f) is not StabilityClass.STRICTLY_SEMISTABLE:
         raise NotStrictlySemistable("graded object needs a strictly semistable field")
@@ -310,21 +293,10 @@ def graded_object(f: HiggsField) -> HiggsField:
             "common eigenvector exists only over a quadratic extension"
         )
     x0, y0 = v
-    if y0 == 0:
-        phi1, phi2 = f.phi1, f.phi2
+    if y0:
+        a1, a2 = (m.entry(1, 0) * x0 - m.entry(0, 0) for m in (f.phi1, f.phi2))
     else:
-        # change of basis (v, e1); conjugating by its inverse sends v to e1
-        psi_inv = PolyMat2(
-            [[BiPoly.const(0), BiPoly.const(1 / y0)],
-             [BiPoly.const(1), BiPoly.const(-x0 / y0)]]
-        )
-        phi1 = conjugate2(f.phi1, psi_inv).to_bipoly()
-        phi2 = conjugate2(f.phi2, psi_inv).to_bipoly()
-    for m in (phi1, phi2):
-        if m.entry(1, 0):
-            raise NotStrictlySemistable("eigenvector conjugation failed to triangularize")
-    a1 = phi1.entry(0, 0)
-    a2 = phi2.entry(0, 0)
+        a1, a2 = f.phi1.entry(0, 0), f.phi2.entry(0, 0)
     return field(f.bundle, a1=a1, a2=a2)
 
 
@@ -359,10 +331,12 @@ def normal_form_F0(f: HiggsField) -> tuple[HiggsField, PolyMat2]:
     """Conjugacy-class representative on O+O(-1,0) with Phi_2 = 0.
 
     Writes C1 = alpha (z1 - p) (alpha = leading coefficient, required
-    nonzero) and conjugates by Psi = (1 P; 0 Q) with Q = 1/alpha and
-    P = -(1/alpha) [A1'(p) + (A1''(p)/2)(z1 - p)], producing constant
-    diagonal A1(p) and subdiagonal z1 - p.  Determinant is preserved
-    exactly and the representative is a fixed point of the map.
+    nonzero); Psi = (1 P; 0 Q) with Q = 1/alpha and
+    P = -(1/alpha) [A1'(p) + (A1''(p)/2)(z1 - p)] conjugates Phi_1 to
+    constant diagonal A1(p) and subdiagonal z1 - p.  Conjugation keeps the
+    determinant, which fixes the last entry: the representative is
+    (A1(p), -(det Phi_1 + A1(p)^2)/(z1 - p); z1 - p, -A1(p)), so it is a
+    fixed point of the map.  Returns it with Psi.
     """
     if f.bundle != _F0_BUNDLE:
         raise BundleMismatch(f"expected {_F0_BUNDLE}, got {f.bundle}")
@@ -383,9 +357,8 @@ def normal_form_F0(f: HiggsField) -> tuple[HiggsField, PolyMat2]:
     z1_minus_p = BiPoly({(1, 0): 1, (0, 0): -p})
     big_p = (BiPoly.const(a_prime_p) + a_half_second * z1_minus_p) * (-1 / alpha)
     psi = PolyMat2([[BiPoly.const(1), big_p], [BiPoly.const(0), BiPoly.const(1 / alpha)]])
-    rep = conjugate2(f.phi1, psi).to_bipoly()
-    assert rep.entry(0, 0) == BiPoly.const(a_at_p)
-    assert rep.entry(1, 0) == z1_minus_p
+    b = -(det2(f.phi1) + a_at_p * a_at_p).exact_div(z1_minus_p)
+    rep = PolyMat2.trace_free(BiPoly.const(a_at_p), b, z1_minus_p)
     return HiggsField(f.bundle, rep, PolyMat2.zero()), psi
 
 

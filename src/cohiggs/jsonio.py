@@ -67,7 +67,6 @@ def bipoly_from_json(obj) -> BiPoly:
 
 
 def mat_to_json(m: PolyMat2) -> dict:
-    m = m.to_bipoly()
     return {"m": [[bipoly_to_json(m.entry(i, j)) for j in range(2)] for i in range(2)]}
 
 

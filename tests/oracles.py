@@ -16,13 +16,18 @@ from fractions import Fraction
 from cohiggs import _laurent as lau
 from cohiggs.cohomology import LineBundle
 from cohiggs.errors import BundleMismatch, SlotViolation
-from cohiggs.exactalg import BiPoly, PolyMat2, RatFn, Z1, Z2, commutator2
+from cohiggs.exactalg import BiPoly, PolyMat2, RatFn, Z1, Z2, commutator2, conjugate2
 from cohiggs.higgs import (
     DecomposableBundle,
     HiggsField,
     PullbackField,
+    StabilityClass,
+    _coefficient_matrices,
+    _eigen_quadratics,
+    _rational_common_eigenvector,
     field,
     higgs_shape,
+    stability_classify,
     validate_field,
 )
 from cohiggs.spectral import hitchin_map
@@ -557,6 +562,65 @@ def build_phi2_termwise(e, p) -> PolyMat2:
 
 
 # ---------------------------------------------------------------------------
+# normal forms and the graded object by general conjugation
+# ---------------------------------------------------------------------------
+
+
+def graded_object_by_conjugation(f: HiggsField) -> HiggsField:
+    """``higgs.graded_object`` of a strictly semistable field with a rational
+    common eigenvector v = (x0, y0): conjugating by psi_inv, the inverse of
+    the basis change (v, e1), sends v to e1; the result must be upper
+    triangular, and its diagonal is the graded object.  v comes from the
+    library's own search, so this checks the closed form only."""
+    assert stability_classify(f) is StabilityClass.STRICTLY_SEMISTABLE
+    quads = _eigen_quadratics(_coefficient_matrices(f))
+    if not quads:
+        return f
+    x0, y0 = _rational_common_eigenvector(quads)
+    if y0 == 0:
+        phi1, phi2 = f.phi1, f.phi2
+    else:
+        psi_inv = PolyMat2(
+            [[BiPoly.const(0), BiPoly.const(1 / y0)],
+             [BiPoly.const(1), BiPoly.const(-x0 / y0)]]
+        )
+        phi1 = conjugate2(f.phi1, psi_inv).to_bipoly()
+        phi2 = conjugate2(f.phi2, psi_inv).to_bipoly()
+    assert not phi1.entry(1, 0) and not phi2.entry(1, 0)
+    return field(f.bundle, a1=phi1.entry(0, 0), a2=phi2.entry(0, 0))
+
+
+def normal_form_F0_by_conjugation(f: HiggsField) -> tuple[HiggsField, PolyMat2]:
+    """``higgs.normal_form_F0`` of a field in its domain as psi . Phi_1 . psi^-1,
+    with psi = (1 P; 0 1/alpha), P = -(1/alpha) [A1'(p) + (A1''(p)/2)(z1 - p)]
+    for C1 = alpha (z1 - p)."""
+    c1 = f.phi1.entry(1, 0)
+    alpha = c1.coeff(1, 0)
+    p = -c1.coeff(0, 0) / alpha
+    a1 = f.phi1.entry(0, 0)
+    a_half_second = a1.coeff(2, 0)
+    a_prime_p = a1.coeff(1, 0) + 2 * a_half_second * p
+    z1_minus_p = BiPoly({(1, 0): 1, (0, 0): -p})
+    big_p = (BiPoly.const(a_prime_p) + a_half_second * z1_minus_p) * (-1 / alpha)
+    psi = PolyMat2([[BiPoly.const(1), big_p], [BiPoly.const(0), BiPoly.const(1 / alpha)]])
+    rep = conjugate2(f.phi1, psi).to_bipoly()
+    return HiggsField(f.bundle, rep, PolyMat2.zero()), psi
+
+
+def split_extension_normal_form_by_conjugation(f: HiggsField) -> HiggsField:
+    """``extension.trivial_extension_normal_form`` of a field in its domain as
+    the conjugate of Phi_2 by diag(1, b), b the z1 coefficient of B2."""
+    b = f.phi2.entry(0, 1).coeff(1, 0)
+    psi = PolyMat2([[BiPoly.const(1), BiPoly.const(0)], [BiPoly.const(0), BiPoly.const(b)]])
+    return HiggsField(f.bundle, PolyMat2.zero(), conjugate2(f.phi2, psi).to_bipoly())
+
+
+def storage(m: PolyMat2) -> list[tuple[dict, int]]:
+    """The stored numerators and denominator of each entry, row by row."""
+    return [(m.entry(i, j)._terms, m.entry(i, j)._den) for i in range(2) for j in range(2)]
+
+
+# ---------------------------------------------------------------------------
 # random generators
 # ---------------------------------------------------------------------------
 
@@ -651,12 +715,35 @@ def random_integrable_field(rng: random.Random, bundle: DecomposableBundle) -> H
             a2=g2 * am, b2=g2 * bm, c2=g2 * cm,
         )
     if bundle == _O00 and rng.random() < 0.5:
-        from cohiggs.exactalg import conjugate2
-
         psi = random_constant_invertible(rng)
         f = HiggsField(
             bundle,
             conjugate2(f.phi1, psi).to_bipoly(),
             conjugate2(f.phi2, psi).to_bipoly(),
         )
+    return f
+
+
+def random_strictly_semistable_field(rng: random.Random, height: int = 9) -> HiggsField:
+    """Random strictly semistable field on O+O with a rational common eigenvector.
+
+    An integrable upper-triangular field (one component zero, both diagonal,
+    or both components univariate multiples of one constant (a b; 0 -a)),
+    conjugated by a random constant automorphism three times in four, so
+    the common eigenvector is e1 or a random rational vector.
+    """
+    g = [random_univariate(rng, 2, axis, height) for axis in (1, 2)]
+    choice = rng.randrange(4)
+    if choice == 0:
+        f = field(_O00, a1=g[0], b1=random_univariate(rng, 2, 1, height))
+    elif choice == 1:
+        f = field(_O00, a2=g[1], b2=random_univariate(rng, 2, 2, height))
+    elif choice == 2:
+        f = field(_O00, a1=g[0], a2=g[1])
+    else:
+        a, b = random_rat(rng, height), random_rat(rng, height)
+        f = field(_O00, a1=g[0] * a, b1=g[0] * b, a2=g[1] * a, b2=g[1] * b)
+    if rng.random() < 0.75:
+        psi = random_constant_invertible(rng)
+        f = HiggsField(_O00, conjugate2(f.phi1, psi).to_bipoly(), conjugate2(f.phi2, psi).to_bipoly())
     return f

@@ -277,6 +277,60 @@ def test_higgs_graded(capsys, tmp_path):
     assert out["s_equiv_rep"]["A1"]["monomials"] == [{"i": 1, "j": 0, "num": 1, "den": 1}]
 
 
+# stdout of the three closed-form commands, byte for byte: the F0 normal
+# form with its psi, the split-extension normal form, and the graded object
+# of an O+O field whose common eigenvector is (2, 1)
+_PINNED = {
+    "f0": (
+        "normal-form",
+        lambda: field(DecomposableBundle(O(0, 0), O(-1, 0)),
+                      a1=2 * Z1 * Z1 - Z1 + F(1, 3), b1=Z1**3 - 5, c1=3 * Z1 - 2),
+        '{"field": {"bundle": {"L1": [0, 0], "L2": [-1, 0]}, "phi1": {"m": [[{"monomials": '
+        '[{"i": 0, "j": 0, "num": 5, "den": 9}]}, {"monomials": [{"i": 3, "j": 0, "num": 7, '
+        '"den": 1}, {"i": 2, "j": 0, "num": -4, "den": 3}, {"i": 1, "j": 0, "num": 13, "den": '
+        '9}, {"i": 0, "j": 0, "num": -397, "den": 27}]}], [{"monomials": [{"i": 1, "j": 0, '
+        '"num": 1, "den": 1}, {"i": 0, "j": 0, "num": -2, "den": 3}]}, {"monomials": [{"i": 0, '
+        '"j": 0, "num": -5, "den": 9}]}]]}, "phi2": {"m": [[{"monomials": []}, {"monomials": '
+        '[]}], [{"monomials": []}, {"monomials": []}]]}}, "psi": {"m": [[{"monomials": [{"i": 0, '
+        '"j": 0, "num": 1, "den": 1}]}, {"monomials": [{"i": 1, "j": 0, "num": -2, "den": 3}, '
+        '{"i": 0, "j": 0, "num": -1, "den": 9}]}], [{"monomials": []}, {"monomials": [{"i": 0, '
+        '"j": 0, "num": 1, "den": 3}]}]]}}\n',
+    ),
+    "split-extension": (
+        "normal-form",
+        lambda: field(DecomposableBundle(O(0, -1), O(-1, 1)),
+                      a2=Z2 * Z2 - 3 * Z2 + F(1, 2), b2=F(-3, 2) * Z1 + 5),
+        '{"field": {"bundle": {"L1": [0, -1], "L2": [-1, 1]}, "phi1": {"m": [[{"monomials": []}, '
+        '{"monomials": []}], [{"monomials": []}, {"monomials": []}]]}, "phi2": {"m": '
+        '[[{"monomials": [{"i": 0, "j": 2, "num": 1, "den": 1}, {"i": 0, "j": 1, "num": -3, '
+        '"den": 1}, {"i": 0, "j": 0, "num": 1, "den": 2}]}, {"monomials": [{"i": 1, "j": 0, '
+        '"num": 1, "den": 1}, {"i": 0, "j": 0, "num": -10, "den": 3}]}], [{"monomials": []}, '
+        '{"monomials": [{"i": 0, "j": 2, "num": -1, "den": 1}, {"i": 0, "j": 1, "num": 3, "den": '
+        '1}, {"i": 0, "j": 0, "num": -1, "den": 2}]}]]}}}\n',
+    ),
+    "graded": (
+        "graded",
+        lambda: field(DecomposableBundle(O(0, 0), O(0, 0)), a1=-2 * Z1 * Z1 + 3 * Z1 + F(15, 2),
+                      b1=4 * Z1 * Z1 - 4 * Z1 - 14, c1=-(Z1 * Z1) + 2 * Z1 + 4),
+        '{"field": {"bundle": {"L1": [0, 0], "L2": [0, 0]}, "phi1": {"m": [[{"monomials": [{"i": '
+        '1, "j": 0, "num": 1, "den": 1}, {"i": 0, "j": 0, "num": 1, "den": 2}]}, {"monomials": '
+        '[]}], [{"monomials": []}, {"monomials": [{"i": 1, "j": 0, "num": -1, "den": 1}, {"i": '
+        '0, "j": 0, "num": -1, "den": 2}]}]]}, "phi2": {"m": [[{"monomials": []}, {"monomials": '
+        '[]}], [{"monomials": []}, {"monomials": []}]]}}, "s_equiv_rep": {"A1": {"monomials": '
+        '[{"i": 1, "j": 0, "num": 1, "den": 1}, {"i": 0, "j": 0, "num": 1, "den": 2}]}, "A2": '
+        '{"monomials": []}}}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_closed_form_commands_print_pinned_stdout(capsys, tmp_path, name):
+    command, build, expected = _PINNED[name]
+    path = write_json(tmp_path, f"{name}.json", jsonio.field_to_json(build()))
+    assert main(["higgs", command, "--field", path]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_higgs_section_q_and_pullback(capsys, tmp_path):
     rho = write_json(tmp_path, "rho.json", jsonio.bipoly_to_json(Z1**4 - 1))
     code, (out,) = run(capsys, "higgs", "section-q", "--rho", rho, "--axis", "1")

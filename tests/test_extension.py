@@ -53,6 +53,8 @@ from oracles import (
     random_rat,
     rep_v1_to_v2,
     rep_v1_to_v3,
+    split_extension_normal_form_by_conjugation,
+    storage,
 )
 
 E01 = ExtParams(F(0), F(1))
@@ -512,6 +514,22 @@ def test_trivial_extension_normal_form_idempotent_and_det():
         rep = trivial_extension_normal_form(f)
         assert det2(rep.phi2) == det2(f.phi2)
         assert trivial_extension_normal_form(rep) == rep
+
+
+@pytest.mark.parametrize("height", [9, 2**60], ids=["height9", "bits60"])
+def test_trivial_extension_normal_form_equals_conjugation_reference(height):
+    # (A2, B2/b; b C2, -A2) equals the conjugate by diag(1, b), in value and in storage
+    rng = random.Random(height + 2)
+    for _ in range(200):
+        b = F(0)
+        while not b:
+            b = random_rat(rng, height)
+        a2 = BiPoly.from_univariate([random_rat(rng, height) for _ in range(3)], 2)
+        b2 = BiPoly.from_univariate([random_rat(rng, height), b], 1)
+        f = field(TRIVIAL_EXTENSION_BUNDLE, a2=a2, b2=b2)
+        rep, ref = trivial_extension_normal_form(f), split_extension_normal_form_by_conjugation(f)
+        assert rep == ref
+        assert storage(rep.phi1) == storage(ref.phi1) and storage(rep.phi2) == storage(ref.phi2)
 
 
 def test_trivial_extension_normal_form_errors():

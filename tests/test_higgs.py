@@ -17,10 +17,12 @@ from cohiggs.errors import (
 )
 from cohiggs.exactalg import BiPoly, PolyMat2, Z1, Z2, commutator2, conjugate2, det2
 from cohiggs.higgs import (
-    BinaryQuadratic,
     DecomposableBundle,
     HiggsField,
     StabilityClass,
+    _coefficient_matrices,
+    _eigen_quadratics,
+    _rational_common_eigenvector,
     common_eigenvector_exists,
     eigen_quadratic,
     field,
@@ -38,14 +40,18 @@ from cohiggs.higgs import (
 from oracles import (
     brute_force_common_eigenvector,
     check_conjugation,
+    graded_object_by_conjugation,
     mat_scale,
     membership,
+    normal_form_F0_by_conjugation,
     random_bipoly,
     random_constant_invertible,
     random_field,
     random_integrable_field,
     random_rat,
+    random_strictly_semistable_field,
     random_univariate,
+    storage,
     trace_free_part,
     wedge,
 )
@@ -182,17 +188,23 @@ def test_shape_rigidity_on_F0():
 # -- eigenvector machinery ------------------------------------------------------
 
 
+def _at(q, x, y):
+    """q(x, y) for the coefficient triple (q20, q11, q02)."""
+    q20, q11, q02 = q
+    return q20 * x * x + q11 * x * y + q02 * y * y
+
+
 def test_eigen_quadratic_examples():
     q = eigen_quadratic([[1, 0], [0, -1]])
-    assert q == BinaryQuadratic(F(0), F(-2), F(0))  # -2xy
-    assert q.evaluate(F(1), F(0)) == 0 and q.evaluate(F(0), F(1)) == 0
+    assert q == (F(0), F(-2), F(0))  # -2xy
+    assert _at(q, F(1), F(0)) == 0 and _at(q, F(0), F(1)) == 0
 
     q = eigen_quadratic([[0, 1], [0, 0]])
-    assert q == BinaryQuadratic(F(0), F(0), F(-1))  # -y^2, double root (1,0)
+    assert q == (F(0), F(0), F(-1))  # -y^2, double root (1,0)
 
     q = eigen_quadratic([[0, 1], [1, 0]])
-    assert q == BinaryQuadratic(F(1), F(0), F(-1))  # x^2 - y^2
-    assert q.evaluate(F(1), F(1)) == 0 and q.evaluate(F(1), F(-1)) == 0
+    assert q == (F(1), F(0), F(-1))  # x^2 - y^2
+    assert _at(q, F(1), F(1)) == 0 and _at(q, F(1), F(-1)) == 0
 
 
 def test_common_eigenvector_examples():
@@ -200,10 +212,15 @@ def test_common_eigenvector_examples():
     assert not common_eigenvector_exists([[[0, 1], [0, 0]], [[0, 0], [1, 0]]])
     # family sharing the eigenvector (1, 1): both quadratics vanish there
     shared = [[[0, 1], [1, 0]], [[1, 0], [2, -1]]]
-    assert eigen_quadratic(shared[0]).evaluate(F(1), F(1)) == 0
-    assert eigen_quadratic(shared[1]).evaluate(F(1), F(1)) == 0
+    assert _at(eigen_quadratic(shared[0]), F(1), F(1)) == 0
+    assert _at(eigen_quadratic(shared[1]), F(1), F(1)) == 0
     assert common_eigenvector_exists(shared)
     assert brute_force_common_eigenvector(shared)
+
+
+def test_eigen_quadratic_rejects_nonzero_trace():
+    with pytest.raises(ValueError):
+        eigen_quadratic([[1, 0], [0, 1]])
 
 
 def test_common_eigenvector_trivial_families():
@@ -363,6 +380,23 @@ def test_graded_object_irrational_common_eigenvector():
         graded_object(field(B_OO, b1=(2**61 - 1) * Z1, c1=Z1))
 
 
+@pytest.mark.parametrize("height", [9, 2**60], ids=["height9", "bits60"])
+def test_graded_object_equals_conjugation_reference(height):
+    # the eigenvalue diagonal equals the diagonal after conjugating the
+    # common eigenvector to e1, in value and in storage; the zero field,
+    # v = [1:0] and v = (x0, 1) with x0 != 0 all occur
+    rng = random.Random(height)
+    seen = set()
+    for f in [field(B_OO)] + [random_strictly_semistable_field(rng, height) for _ in range(200)]:
+        quads = _eigen_quadratics(_coefficient_matrices(f))
+        x0, y0 = _rational_common_eigenvector(quads) if quads else (None, None)
+        seen.add("zero" if not quads else "[1:0]" if not y0 else "x0 = 0" if not x0 else "x0 != 0")
+        g, ref = graded_object(f), graded_object_by_conjugation(f)
+        assert g == ref
+        assert storage(g.phi1) == storage(ref.phi1) and storage(g.phi2) == storage(ref.phi2)
+    assert {"zero", "[1:0]", "x0 != 0"} <= seen
+
+
 def test_s_equiv_rep_sign_normalization():
     f = field(B_OO, a1=-Z1)
     a1, a2 = s_equiv_rep(f)
@@ -429,6 +463,22 @@ def test_normal_form_F0_preserves_det():
         assert det2(rep.phi1) == det2(f.phi1)
         assert check_conjugation(rep.phi1, psi, f.phi1)
         assert validate_field(rep)
+
+
+@pytest.mark.parametrize("height", [9, 2**60], ids=["height9", "bits60"])
+def test_normal_form_F0_equals_conjugation_reference(height):
+    # the representative fixed by det Phi_1 equals the conjugate by psi, in
+    # value and in storage, and psi is the reference's
+    rng = random.Random(height + 1)
+    for _ in range(200):
+        c = BiPoly.zero()
+        while not c.coeff(1, 0):
+            c = random_univariate(rng, 1, 1, height)
+        f = field(B_F0, a1=random_univariate(rng, 2, 1, height),
+                  b1=random_univariate(rng, 3, 1, height), c1=c)
+        (rep, psi), (ref, ref_psi) = normal_form_F0(f), normal_form_F0_by_conjugation(f)
+        assert (rep, psi) == (ref, ref_psi)
+        assert storage(rep.phi1) == storage(ref.phi1) and storage(psi) == storage(ref_psi)
 
 
 def test_normal_form_F0_errors():

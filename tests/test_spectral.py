@@ -323,7 +323,7 @@ def test_commuting_matrix_lemma():
         q1 = eigen_quadratic(constant_rows(m1))
         q2 = eigen_quadratic(constant_rows(m2))
         # q2 = c * q1, so q1 divides q2
-        assert q2.q20 == c * q1.q20 and q2.q11 == c * q1.q11 and q2.q02 == c * q1.q02
+        assert q2 == tuple(c * x for x in q1)
         done += 1
 
 
