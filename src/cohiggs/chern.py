@@ -89,30 +89,26 @@ def _twisted_gamma(c: ChernData, x: int, y: int) -> int:
     return c.gamma + intersect(c.alpha, c.beta, y, x) + intersect(y, x, y, x)
 
 
+# the reduced class by the parities (alpha % 2, beta % 2)
+_TAGS = (
+    (ReducedTag.ZERO, ReducedTag.MINUS_F),
+    (ReducedTag.MINUS_C0, ReducedTag.MINUS_C0_MINUS_F),
+)
+
+
 def reduce_class(c: ChernData) -> ReducedClass:
     """Twist to the unique reduced class determined by the parities of (alpha, beta).
 
-    Returns the tag, the twisting line bundle L, and the twisted second
-    Chern class gamma', which is always an integer:
+    Returns the tag, the twisting line bundle L = O(x, y), and the twisted
+    second Chern class gamma', which is always an integer:
     gamma - alpha*beta/2 for the tags Zero/MinusF/MinusC0 and
-    gamma + (1 - alpha*beta)/2 for MinusC0MinusF.
+    gamma + (1 - alpha*beta)/2 for MinusC0MinusF.  The twist takes
+    (alpha, beta) to -(alpha % 2, beta % 2): y = -(alpha % 2 + alpha)/2 and
+    x = -(beta % 2 + beta)/2.
     """
-    a_even = c.alpha % 2 == 0
-    b_even = c.beta % 2 == 0
-    # choose (x, y) with alpha + 2y and beta + 2x the reduced class
-    if a_even and b_even:
-        tag = ReducedTag.ZERO
-        x, y = -c.beta // 2, -c.alpha // 2
-    elif a_even:
-        tag = ReducedTag.MINUS_F
-        x, y = -(1 + c.beta) // 2, -c.alpha // 2
-    elif b_even:
-        tag = ReducedTag.MINUS_C0
-        x, y = -c.beta // 2, -(1 + c.alpha) // 2
-    else:
-        tag = ReducedTag.MINUS_C0_MINUS_F
-        x, y = -(1 + c.beta) // 2, -(1 + c.alpha) // 2
-    return ReducedClass(tag, LineBundle(x, y), _twisted_gamma(c, x, y))
+    a, b = c.alpha % 2, c.beta % 2
+    x, y = -(b + c.beta) // 2, -(a + c.alpha) // 2
+    return ReducedClass(_TAGS[a][b], LineBundle(x, y), _twisted_gamma(c, x, y))
 
 
 def ext_length(c: ChernData, inv: NumericalInvariants) -> int:

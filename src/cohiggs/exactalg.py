@@ -19,10 +19,12 @@ Square roots of rationals are exact too, at a capped cost: :func:`exact_sqrt`
 returns an :class:`EtaValue` ``coef * sqrt(radicand)`` with a squarefree
 radicand or raises ``SqrtCostCap``; :func:`rational_sqrt` is its first step.
 
-All arithmetic is polynomial: ``PolyMat2`` products, commutators and
-determinants stay inside ``BiPoly``, and a ``RatFn`` is only normalized
-(on integer numerators), compared by cross-multiplication, printed, or
-divided out exactly.
+All arithmetic is polynomial: determinants, and the ``PolyMat2`` products
+and sums behind :func:`conjugate2`, :func:`commutator2` and ``to_bipoly``
+(the only callers of ``@``, ``+``, ``-`` and ``map_entries``; every other
+procedure of the library works on the entries), stay inside ``BiPoly``,
+and a ``RatFn`` is only normalized (on integer numerators), compared by
+cross-multiplication, printed, or divided out exactly.
 All values are immutable after construction and all operations are pure
 functions, so everything here is safe to share between threads.
 
@@ -102,14 +104,6 @@ class BiPoly:
     @classmethod
     def monomial(cls, i: int, j: int, c: Scalar = 1) -> "BiPoly":
         return cls({(i, j): c})
-
-    @classmethod
-    def variable(cls, axis: int) -> "BiPoly":
-        if axis == 1:
-            return cls({(1, 0): 1})
-        if axis == 2:
-            return cls({(0, 1): 1})
-        raise ValueError("axis must be 1 or 2")
 
     @classmethod
     def from_univariate(cls, coeffs: Iterable[Scalar], axis: int) -> "BiPoly":
@@ -347,8 +341,8 @@ def _normalized(terms: dict[Term, int], den: int) -> BiPoly:
     return out
 
 
-Z1 = BiPoly.variable(1)
-Z2 = BiPoly.variable(2)
+Z1 = BiPoly({(1, 0): 1})
+Z2 = BiPoly({(0, 1): 1})
 ONE = BiPoly.const(1)
 
 
@@ -366,9 +360,6 @@ class RatFn:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        if isinstance(num, RatFn) and den is None:
-            self.num, self.den = num.num, num.den
-            return
         num = _coerce_bipoly(num)
         den = ONE if den is None else _coerce_bipoly(den)
         if not den:

@@ -41,8 +41,8 @@ from .errors import (
     SlotViolation,
     TrivialExtension,
 )
-from .exactalg import BiPoly, PolyMat2, Z2, commutator2
-from .higgs import DecomposableBundle, HiggsField, validate_field
+from .exactalg import BiPoly, PolyMat2, Z2
+from .higgs import DecomposableBundle, HiggsField, commute, validate_field
 from .linalg import rank
 
 O = LineBundle
@@ -204,12 +204,11 @@ def glue_check(e: ExtParams, phi_v1: PolyMat2, twist: Twist) -> bool:
     there.  Regularity on V4 then follows from the cocycle structure (the
     complement of the three charts has codimension two).
     """
-    a = phi_v1.entry(0, 0)
-    if a + phi_v1.entry(1, 1) != BiPoly.zero():
+    if not phi_v1.is_trace_free():
         raise ValueError("section must be trace-free")
     coeffs = {
         (comp, i, j): c
-        for comp, entry in enumerate((a, phi_v1.entry(0, 1), phi_v1.entry(1, 0)))
+        for comp, entry in enumerate((phi_v1.entry(0, 0), phi_v1.entry(0, 1), phi_v1.entry(1, 0)))
         for i, j, c in entry.terms()
     }
     forms = _irregular_rows(e, twist, list(coeffs))
@@ -264,13 +263,14 @@ def dichotomy_check(e: ExtParams, p1: Phi1Params, p2: Phi2Params) -> Dichotomy:
 
     An integrable field has C1 = 0 (then Phi = Phi_2) or C1 != 0 (then
     Phi_2 = 0); assembling both components with nonzero parameters is never
-    integrable.
+    integrable.  Both components are trace-free, so :func:`higgs.commute`
+    decides integrability.
     """
     if e.is_trivial():
         raise TrivialExtension("dichotomy applies to non-trivial extensions")
     m1 = build_phi1(e, p1)
     m2 = build_phi2(e, p2)
-    if not commutator2(m1, m2).is_zero():
+    if not commute(m1, m2):
         return Dichotomy.NOT_INTEGRABLE
     if m1.is_zero() and m2.is_zero():
         return Dichotomy.ZERO

@@ -9,8 +9,10 @@ L1 + L2: writing Phi_i = (A_i B_i; C_i -A_i),
     B_1 in H0(O(a1-a2+2, b1-b2)),   B_2 in H0(O(a1-a2, b1-b2+2)),
     C_1 in H0(O(a2-a1+2, b2-b1)),   C_2 in H0(O(a2-a1, b2-b1+2)).
 
-Integrability is the vanishing of [Phi_1, Phi_2], equivalently the three
-entrywise identities B1*C2 = C1*B2, A1*B2 = B1*A2, C1*A2 = A1*C2.
+Integrability is the vanishing of [Phi_1, Phi_2]; for trace-free matrices
+that is the three entrywise identities B1*C2 = C1*B2, A1*B2 = B1*A2,
+C1*A2 = A1*C2, which :func:`commute` states once for this module and the
+extension family.  No procedure here multiplies matrices.
 
 Stability is slope stability for the polarization H = C0 + F against
 Phi-invariant sub-line bundles.  Classification is implemented exactly for
@@ -46,13 +48,7 @@ from .errors import (
     ZeroC,
     ZeroC1,
 )
-from .exactalg import (
-    BiPoly,
-    PolyMat2,
-    _coerce_bipoly,
-    det2,
-    rational_sqrt,
-)
+from .exactalg import BiPoly, PolyMat2, det2, rational_sqrt
 from .linalg import rank
 
 O = LineBundle
@@ -111,10 +107,6 @@ class HiggsField:
     phi1: PolyMat2
     phi2: PolyMat2
 
-    def __post_init__(self):
-        object.__setattr__(self, "phi1", self.phi1.map_entries(_coerce_bipoly))
-        object.__setattr__(self, "phi2", self.phi2.map_entries(_coerce_bipoly))
-
     def entries(self) -> tuple[BiPoly, ...]:
         """(A1, B1, C1, A2, B2, C2)."""
         return (
@@ -127,12 +119,8 @@ class HiggsField:
 
 
 def field(bundle: DecomposableBundle, a1=0, b1=0, c1=0, a2=0, b2=0, c2=0) -> HiggsField:
-    """Convenience constructor from the six entries."""
-    return HiggsField(
-        bundle,
-        PolyMat2.trace_free(_coerce_bipoly(a1), _coerce_bipoly(b1), _coerce_bipoly(c1)),
-        PolyMat2.trace_free(_coerce_bipoly(a2), _coerce_bipoly(b2), _coerce_bipoly(c2)),
-    )
+    """Convenience constructor from the six entries (BiPoly, int or Fraction)."""
+    return HiggsField(bundle, PolyMat2.trace_free(a1, b1, c1), PolyMat2.trace_free(a2, b2, c2))
 
 
 def validate_field(f: HiggsField) -> bool:
@@ -142,10 +130,20 @@ def validate_field(f: HiggsField) -> bool:
     return all(map(fits_slot, f.entries(), higgs_shape(f.bundle)))
 
 
-def is_integrable(f: HiggsField) -> bool:
-    """The three entrywise identities; equivalent to [Phi_1, Phi_2] = 0."""
-    a1, b1, c1, a2, b2, c2 = f.entries()
+def commute(x: PolyMat2, y: PolyMat2) -> bool:
+    """[x, y] = 0 for trace-free x = (a1 b1; c1 -a1), y = (a2 b2; c2 -a2).
+
+    The commutator is (b1c2 - c1b2, 2(a1b2 - b1a2); 2(c1a2 - a1c2), c1b2 - b1c2),
+    so it vanishes iff the three entrywise identities hold.
+    """
+    a1, b1, c1 = x.entry(0, 0), x.entry(0, 1), x.entry(1, 0)
+    a2, b2, c2 = y.entry(0, 0), y.entry(0, 1), y.entry(1, 0)
     return b1 * c2 == c1 * b2 and a1 * b2 == b1 * a2 and c1 * a2 == a1 * c2
+
+
+def is_integrable(f: HiggsField) -> bool:
+    """[Phi_1, Phi_2] = 0."""
+    return commute(f.phi1, f.phi2)
 
 
 # ---------------------------------------------------------------------------
@@ -327,36 +325,39 @@ _F0_BUNDLE = DecomposableBundle(O(0, 0), O(-1, 0))
 _PM1_BUNDLE = DecomposableBundle(O(1, 0), O(-1, 0))
 
 
+def _check_normal_form_domain(f: HiggsField, bundle: DecomposableBundle) -> None:
+    """The preconditions the normal forms share: the bundle, the slots, Phi_2 = 0."""
+    if f.bundle != bundle:
+        raise BundleMismatch(f"expected {bundle}, got {f.bundle}")
+    if not validate_field(f):
+        raise SlotViolation("field violates its shape slots")
+    if not f.phi2.is_zero():
+        raise NotInNormalFormDomain("normal form requires Phi_2 = 0")
+
+
 def normal_form_F0(f: HiggsField) -> tuple[HiggsField, PolyMat2]:
     """Conjugacy-class representative on O+O(-1,0) with Phi_2 = 0.
 
     Writes C1 = alpha (z1 - p) (alpha = leading coefficient, required
-    nonzero); Psi = (1 P; 0 Q) with Q = 1/alpha and
-    P = -(1/alpha) [A1'(p) + (A1''(p)/2)(z1 - p)] conjugates Phi_1 to
+    nonzero) and A1 = a20 z1^2 + a10 z1 + a00; Psi = (1 P; 0 Q) with
+    Q = 1/alpha and P = -(a20 (z1 + p) + a10)/alpha conjugates Phi_1 to
     constant diagonal A1(p) and subdiagonal z1 - p.  Conjugation keeps the
     determinant, which fixes the last entry: the representative is
     (A1(p), -(det Phi_1 + A1(p)^2)/(z1 - p); z1 - p, -A1(p)), so it is a
     fixed point of the map.  Returns it with Psi.
     """
-    if f.bundle != _F0_BUNDLE:
-        raise BundleMismatch(f"expected {_F0_BUNDLE}, got {f.bundle}")
-    if not validate_field(f):
-        raise SlotViolation("field violates its shape slots")
-    if not f.phi2.is_zero():
-        raise NotInNormalFormDomain("normal form requires Phi_2 = 0")
+    _check_normal_form_domain(f, _F0_BUNDLE)
     c1 = f.phi1.entry(1, 0)
-    c_lead = c1.coeff(1, 0)
-    if not c_lead:
+    alpha = c1.coeff(1, 0)
+    if not alpha:
         raise LeadingCoefficientZero("C1 must have nonzero z1 coefficient")
-    alpha = c_lead
     p = -c1.coeff(0, 0) / alpha
     a1 = f.phi1.entry(0, 0)
     a_at_p = a1.evaluate(p, 0)
-    a_half_second = a1.coeff(2, 0)
-    a_prime_p = a1.coeff(1, 0) + 2 * a_half_second * p
+    a20 = a1.coeff(2, 0)
     z1_minus_p = BiPoly({(1, 0): 1, (0, 0): -p})
-    big_p = (BiPoly.const(a_prime_p) + a_half_second * z1_minus_p) * (-1 / alpha)
-    psi = PolyMat2([[BiPoly.const(1), big_p], [BiPoly.const(0), BiPoly.const(1 / alpha)]])
+    big_p = BiPoly({(1, 0): -a20 / alpha, (0, 0): -(a20 * p + a1.coeff(1, 0)) / alpha})
+    psi = PolyMat2([[1, big_p], [0, 1 / alpha]])
     b = -(det2(f.phi1) + a_at_p * a_at_p).exact_div(z1_minus_p)
     rep = PolyMat2.trace_free(BiPoly.const(a_at_p), b, z1_minus_p)
     return HiggsField(f.bundle, rep, PolyMat2.zero()), psi
@@ -370,15 +371,19 @@ def normal_form_pm1(f: HiggsField) -> HiggsField:
     is ``section_Q(det Phi_1, 1)``, so equal determinants give equal
     representatives.
     """
-    if f.bundle != _PM1_BUNDLE:
-        raise BundleMismatch(f"expected {_PM1_BUNDLE}, got {f.bundle}")
-    if not validate_field(f):
-        raise SlotViolation("field violates its shape slots")
-    if not f.phi2.is_zero():
-        raise NotInNormalFormDomain("normal form requires Phi_2 = 0")
+    _check_normal_form_domain(f, _PM1_BUNDLE)
     if not f.phi1.entry(1, 0):
         raise ZeroC1("C1 vanishes identically")
     return section_Q(det2(f.phi1), 1)
+
+
+def _on_axis(bundle: DecomposableBundle, mat: PolyMat2, axis: int) -> HiggsField:
+    """mat as Phi_axis with the other component zero.  The bundle is written
+    for axis 1; axis 2 takes its mirror O(b,a)+O(d,c) of O(a,b)+O(c,d)."""
+    if axis == 1:
+        return HiggsField(bundle, mat, PolyMat2.zero())
+    l1, l2 = bundle.L1, bundle.L2
+    return HiggsField(DecomposableBundle(O(l1.b, l1.a), O(l2.b, l2.a)), PolyMat2.zero(), mat)
 
 
 def section_Q(rho: BiPoly, axis: int) -> HiggsField:
@@ -390,12 +395,7 @@ def section_Q(rho: BiPoly, axis: int) -> HiggsField:
         raise ValueError("axis must be 1 or 2")
     if not fits_slot(rho, slot):
         raise SlotViolation(f"rho does not fit the slot {slot}")
-    mat = PolyMat2([[BiPoly.const(0), -rho], [BiPoly.const(1), BiPoly.const(0)]])
-    if axis == 1:
-        return HiggsField(_PM1_BUNDLE, mat, PolyMat2.zero())
-    return HiggsField(
-        DecomposableBundle(O(0, 1), O(0, -1)), PolyMat2.zero(), mat
-    )
+    return _on_axis(_PM1_BUNDLE, PolyMat2([[0, -rho], [1, 0]]), axis)
 
 
 @dataclass(frozen=True)
@@ -424,12 +424,4 @@ def pullback_from_line(a: BiPoly, b: BiPoly, c: BiPoly, axis: int) -> PullbackFi
     if not c:
         raise ZeroC("the lower-left entry must be nonzero for stability")
     mat = PolyMat2.trace_free(a, b, c)
-    if axis == 1:
-        f = HiggsField(_F0_BUNDLE, mat, PolyMat2.zero())
-        rho = det2(f.phi1)
-    else:
-        f = HiggsField(
-            DecomposableBundle(O(0, 0), O(0, -1)), PolyMat2.zero(), mat
-        )
-        rho = det2(f.phi2)
-    return PullbackField(f, rho, axis)
+    return PullbackField(_on_axis(_F0_BUNDLE, mat, axis), det2(mat), axis)

@@ -561,6 +561,16 @@ def build_phi2_termwise(e, p) -> PolyMat2:
     return PolyMat2.trace_free(a2, b2, BiPoly.zero())
 
 
+def dichotomy_by_commutator(m1: PolyMat2, m2: PolyMat2) -> str:
+    """``extension.dichotomy_check``'s verdict (a ``Dichotomy`` value) on the
+    built components, with integrability decided by the full 2x2 commutator."""
+    if not commutator2(m1, m2).is_zero():
+        return "NotIntegrable"
+    if m1.is_zero() and m2.is_zero():
+        return "Zero"
+    return "Phi1Only" if m1.entry(1, 0) else "Phi2Only"
+
+
 # ---------------------------------------------------------------------------
 # normal forms and the graded object by general conjugation
 # ---------------------------------------------------------------------------

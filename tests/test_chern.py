@@ -46,12 +46,17 @@ def test_reduce_class_examples():
     assert red.gamma_prime == 1  # gamma + (1 - alpha*beta)/2
 
 
+# 4,000-digit values of both parities and signs, next to the small grid
+_BIG = int("7" * 4000)
+_CLASS_VALUES = [*range(-5, 6), _BIG, _BIG + 1, -_BIG, -_BIG - 1]
+
+
 def test_reduce_class_twist_correctness_on_grid():
     # the returned twist O(x,y) really lands on the tagged class, and
     # gamma' agrees with the intersection-form computation
-    for alpha in range(-5, 6):
-        for beta in range(-5, 6):
-            for gamma in range(-10, 11):
+    for alpha in _CLASS_VALUES:
+        for beta in _CLASS_VALUES:
+            for gamma in [*range(-10, 11), _BIG * _BIG, -_BIG]:
                 c = ChernData(alpha, beta, gamma)
                 red = reduce_class(c)
                 x, y = red.twist.a, red.twist.b

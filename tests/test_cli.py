@@ -331,6 +331,27 @@ def test_closed_form_commands_print_pinned_stdout(capsys, tmp_path, name):
     assert capsys.readouterr().out == expected
 
 
+def test_higgs_graded_classifies_the_input_once(capsys, tmp_path, monkeypatch):
+    # the representative comes from the graded object, so the input field
+    # is validated and classified once
+    from cohiggs import higgs
+
+    classified = []
+    classify = higgs.stability_classify
+
+    def counting(f):
+        classified.append(f)
+        return classify(f)
+
+    monkeypatch.setattr(higgs, "stability_classify", counting)
+    _, build, expected = _PINNED["graded"]
+    f = build()
+    path = write_json(tmp_path, "graded.json", jsonio.field_to_json(f))
+    assert main(["higgs", "graded", "--field", path]) == 0
+    assert capsys.readouterr().out == expected
+    assert sum(g == f for g in classified) == 1
+
+
 def test_higgs_section_q_and_pullback(capsys, tmp_path):
     rho = write_json(tmp_path, "rho.json", jsonio.bipoly_to_json(Z1**4 - 1))
     code, (out,) = run(capsys, "higgs", "section-q", "--rho", rho, "--axis", "1")

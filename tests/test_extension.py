@@ -44,6 +44,7 @@ from oracles import (
     build_phi1_termwise,
     build_phi2_termwise,
     columns_of,
+    dichotomy_by_commutator,
     end_rep3,
     ext_cocycle,
     image_glue_check,
@@ -407,6 +408,22 @@ def test_dichotomy_random_draws():
         assert dichotomy_check(e, p1, Phi2Params()) is Dichotomy.PHI1_ONLY
         assert dichotomy_check(e, Phi1Params(), p2) is Dichotomy.PHI2_ONLY
     assert both_checked >= 90
+
+
+def test_dichotomy_check_agrees_with_commutator_reference():
+    # zero, sparse and dense parameters on each side, so all four verdicts
+    # occur; the reference decides integrability by the full commutator
+    rng = random.Random(15)
+    seen = set()
+    for _ in range(300):
+        e = _random_ext(rng)
+        d1, d2 = rng.choice((0, 0.2, 0.5, 1)), rng.choice((0, 0.2, 0.5, 1))
+        p1 = Phi1Params(*(random_rat(rng, 6) if rng.random() < d1 else F(0) for _ in range(6)))
+        p2 = Phi2Params(*(random_rat(rng, 6) if rng.random() < d2 else F(0) for _ in range(5)))
+        got = dichotomy_check(e, p1, p2)
+        assert got.value == dichotomy_by_commutator(build_phi1(e, p1), build_phi2(e, p2))
+        seen.add(got)
+    assert seen == set(Dichotomy)
 
 
 # -- strata and weak isomorphism ---------------------------------------------------

@@ -107,6 +107,21 @@ def test_trace_free_part():
     assert t1 == PolyMat2([[(Z1 - Z2) * half, Z2], [1, (Z2 - Z1) * half]])
 
 
+def test_field_stores_scalars_as_their_constants():
+    # int and Fraction entries are stored exactly as the BiPoly constants
+    rng = random.Random(8)
+    for _ in range(50):
+        vals = [
+            rng.choice((0, rng.randint(-9, 9), F(rng.randint(-9, 9), rng.randint(1, 9)), 10**60 + 1))
+            for _ in range(6)
+        ]
+        f = field(B_OO, *vals)
+        g = field(B_OO, *(BiPoly.const(v) for v in vals))
+        assert storage(f.phi1) == storage(g.phi1) and storage(f.phi2) == storage(g.phi2)
+        assert all(type(m.entry(i, j)) is BiPoly for m in (f.phi1, f.phi2)
+                   for i in range(2) for j in range(2))
+
+
 # -- wedge and integrability ---------------------------------------------------
 
 
@@ -397,6 +412,17 @@ def test_graded_object_equals_conjugation_reference(height):
     assert {"zero", "[1:0]", "x0 != 0"} <= seen
 
 
+@pytest.mark.parametrize("height", [9, 2**60], ids=["height9", "bits60"])
+def test_s_equiv_rep_of_graded_object(height):
+    # the graded object is its own graded object, so its representative is
+    # the field's; the zero field included
+    rng = random.Random(height + 1)
+    for f in [field(B_OO)] + [random_strictly_semistable_field(rng, height) for _ in range(100)]:
+        g = graded_object(f)
+        assert graded_object(g) == g
+        assert s_equiv_rep(g) == s_equiv_rep(f)
+
+
 def test_s_equiv_rep_sign_normalization():
     f = field(B_OO, a1=-Z1)
     a1, a2 = s_equiv_rep(f)
@@ -565,6 +591,26 @@ def test_section_q_det_is_identity():
         assert det2(mat) == rho
         assert validate_field(f)
         assert stability_classify(f) is StabilityClass.STABLE
+
+
+def test_section_q_and_pullback_bundles_and_entries_on_both_axes():
+    # the matrix lands on Phi_axis of the bundle for that axis, the other
+    # component zero; axis 2 mirrors the axis-1 bundle
+    for axis, z, bundles in (
+        (1, Z1, (B_PM1, B_F0)),
+        (2, Z2, (DecomposableBundle(O(0, 1), O(0, -1)), DecomposableBundle(O(0, 0), O(0, -1)))),
+    ):
+        rho = z**4 - 3 * z + F(1, 2)
+        a, b, c = z * z - 1, F(2, 3) * z**3, 3 * z + 1
+        for f, mat, bundle in (
+            (section_Q(rho, axis), PolyMat2([[0, -rho], [1, 0]]), bundles[0]),
+            (pullback_from_line(a, b, c, axis).field, PolyMat2([[a, b], [c, -a]]), bundles[1]),
+        ):
+            assert f.bundle == bundle
+            placed, other = (f.phi1, f.phi2) if axis == 1 else (f.phi2, f.phi1)
+            assert storage(placed) == storage(mat)
+            assert other.is_zero()
+        assert pullback_from_line(a, b, c, axis).rho == -(a * a + b * c)
 
 
 def test_section_q_slot_violation():
