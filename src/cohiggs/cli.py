@@ -90,6 +90,8 @@ def _nonempty(chern, alpha: int, beta: int, gamma: int) -> dict:
 def _moduli_nonempty(args):
     from . import chern
     if args.batch:
+        if (args.alpha, args.beta, args.gamma) != (None, None, None):
+            raise ValueError("--batch takes no --alpha/--beta/--gamma")
         grid = _load_json(args.batch)
         if isinstance(grid, dict):
             unknown = set(grid) - {"tuples"}
@@ -99,9 +101,10 @@ def _moduli_nonempty(args):
         if not isinstance(grid, list):
             raise ValueError("batch grid must be a list of [alpha, beta, gamma] tuples")
         # check every tuple before the first line is printed
+        for i, entry in enumerate(grid):
+            if not isinstance(entry, list) or len(entry) != 3:
+                raise ValueError(f"batch entry {i} is not an [alpha, beta, gamma] array")
         tuples = [[int_from_json(x, "batch entry") for x in entry] for entry in grid]
-        if any(len(t) != 3 for t in tuples):
-            raise ValueError("batch tuples must have three entries")
         _debug("batch of %d tuples", len(tuples))
         return ({**_nonempty(chern, a, b, g), "alpha": a, "beta": b, "gamma": g}
                 for a, b, g in tuples)

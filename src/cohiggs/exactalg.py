@@ -10,7 +10,7 @@ Everything downstream is built from four value types:
   ``int`` numerators over one shared positive ``int`` denominator, so the
   kernels (products, sums, exact division) run on integers and only the
   accessors build ``Rat`` values,
-* :class:`PolyMat2` - 2x2 matrices of ``BiPoly`` entries,
+* :class:`PolyMat2` - 2x2 holders of ``BiPoly`` entries (no matrix arithmetic),
 * :class:`RatFn` - a quotient of two ``BiPoly`` (denominator nonzero); it is
   what :func:`conjugate2` returns entrywise, serves only its callers (no
   library procedure conjugates) and carries no arithmetic.
@@ -19,11 +19,10 @@ Square roots of rationals are exact too, at a capped cost: :func:`exact_sqrt`
 returns an :class:`EtaValue` ``coef * sqrt(radicand)`` with a squarefree
 radicand or raises ``SqrtCostCap``; :func:`rational_sqrt` is its first step.
 
-All arithmetic is polynomial: determinants, and the ``PolyMat2`` products
-and sums behind :func:`conjugate2`, :func:`commutator2` and ``to_bipoly``
-(the only callers of ``@``, ``+``, ``-`` and ``map_entries``; every other
-procedure of the library works on the entries), stay inside ``BiPoly``,
-and a ``RatFn`` is only normalized (on integer numerators), compared by
+All arithmetic is polynomial: determinants, and the one 2x2 product
+(``_mul2``) behind :func:`conjugate2` and :func:`commutator2`, stay inside
+``BiPoly``; every other procedure of the library works on the entries.
+A ``RatFn`` is only normalized (on integer numerators), compared by
 cross-multiplication, printed, or divided out exactly.
 All values are immutable after construction and all operations are pure
 functions, so everything here is safe to share between threads.
@@ -416,7 +415,7 @@ Entry = Union[BiPoly, RatFn]
 
 
 class PolyMat2:
-    """2x2 matrix of polynomials.
+    """2x2 matrix of polynomials, held with no arithmetic of its own.
 
     The one with RatFn entries that :func:`conjugate2` returns supports only
     entry access, equality, ``is_zero`` and ``to_bipoly``.
@@ -449,48 +448,15 @@ class PolyMat2:
     def entry(self, i: int, j: int) -> Entry:
         return self._e[i][j]
 
-    def __add__(self, other):
-        if not isinstance(other, PolyMat2):
-            return NotImplemented
-        return PolyMat2(
-            [[self._e[i][j] + other._e[i][j] for j in range(2)] for i in range(2)]
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, PolyMat2):
-            return NotImplemented
-        return PolyMat2(
-            [[self._e[i][j] - other._e[i][j] for j in range(2)] for i in range(2)]
-        )
-
-    def __matmul__(self, other):
-        if not isinstance(other, PolyMat2):
-            return NotImplemented
-        a, b = self._e
-        c, d = other._e[0], other._e[1]
-        return PolyMat2(
-            [
-                [a[0] * c[0] + a[1] * d[0], a[0] * c[1] + a[1] * d[1]],
-                [b[0] * c[0] + b[1] * d[0], b[0] * c[1] + b[1] * d[1]],
-            ]
-        )
-
-    def trace(self) -> Entry:
-        return self._e[0][0] + self._e[1][1]
-
     def is_zero(self) -> bool:
         return all(not x for row in self._e for x in row)
 
     def is_trace_free(self) -> bool:
-        t = self.trace()
-        return not t
-
-    def map_entries(self, f) -> "PolyMat2":
-        return PolyMat2([[f(x) for x in row] for row in self._e])
+        return not (self._e[0][0] + self._e[1][1])
 
     def to_bipoly(self) -> "PolyMat2":
         """Coerce every entry to BiPoly; raises ValueError if any is not polynomial."""
-        return self.map_entries(lambda x: x.as_bipoly() if isinstance(x, RatFn) else x)
+        return PolyMat2([[x.as_bipoly() if type(x) is RatFn else x for x in r] for r in self._e])
 
     def __eq__(self, other):
         if not isinstance(other, PolyMat2):
@@ -516,9 +482,17 @@ class PolyMat2:
 # ---------------------------------------------------------------------------
 
 
+def _mul2(x, y):
+    """The product of two 2x2 tuples of entries, as a tuple of rows."""
+    (a, b), (c, d) = x
+    (e, f), (g, h) = y
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+
+
 def commutator2(x: PolyMat2, y: PolyMat2) -> PolyMat2:
     """XY - YX."""
-    return (x @ y) - (y @ x)
+    xy, yx = _mul2(x._e, y._e), _mul2(y._e, x._e)
+    return PolyMat2([[p - q for p, q in zip(r, s)] for r, s in zip(xy, yx)])
 
 
 def det2(x: PolyMat2) -> BiPoly:
@@ -536,11 +510,9 @@ def conjugate2(phi: PolyMat2, psi: PolyMat2) -> PolyMat2:
     d = det2(psi)
     if not d:
         raise SingularAutomorphism("conjugating matrix has identically zero determinant")
-    adj = PolyMat2(
-        [[psi.entry(1, 1), -psi.entry(0, 1)], [-psi.entry(1, 0), psi.entry(0, 0)]]
-    )
-    raw = (psi @ phi) @ adj
-    return raw.map_entries(lambda x: RatFn(x, d))
+    (a, b), (c, e) = psi._e
+    raw = _mul2(_mul2(psi._e, phi._e), ((e, -b), (-c, a)))
+    return PolyMat2([[RatFn(x, d) for x in row] for row in raw])
 
 
 # ---------------------------------------------------------------------------

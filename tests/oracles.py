@@ -133,7 +133,7 @@ def brute_force_common_eigenvector(mats) -> bool:
 
 
 def mat_mul_oracle(x: PolyMat2, y: PolyMat2) -> list[list]:
-    """2x2 product written out by hand (independent of PolyMat2.__matmul__)."""
+    """2x2 product written out by hand (independent of exactalg's own product)."""
     e = lambda m, i, j: m.entry(i, j)
     return [
         [
@@ -181,7 +181,12 @@ def check_trace_det(result: PolyMat2, trace: BiPoly, det: BiPoly) -> bool:
 
 def mat_scale(m: PolyMat2, c) -> PolyMat2:
     """Every entry of m times the scalar c."""
-    return m.map_entries(lambda x: x * c)
+    return PolyMat2([[m.entry(i, j) * c for j in range(2)] for i in range(2)])
+
+
+def mat_add(x: PolyMat2, y: PolyMat2, sign: int = 1) -> PolyMat2:
+    """x + sign * y, entry by entry."""
+    return PolyMat2([[x.entry(i, j) + sign * y.entry(i, j) for j in range(2)] for i in range(2)])
 
 
 def constant_rows(m: PolyMat2) -> list[list[Fraction]]:
@@ -198,7 +203,7 @@ def trace_free_part(phi1_raw: PolyMat2, phi2_raw: PolyMat2) -> tuple[PolyMat2, P
     """Subtract (trace/2) * Id from each component."""
 
     def centre(m: PolyMat2) -> PolyMat2:
-        half_tr = m.trace() * Fraction(1, 2)
+        half_tr = (m.entry(0, 0) + m.entry(1, 1)) * Fraction(1, 2)
         return PolyMat2(
             [
                 [m.entry(0, 0) - half_tr, m.entry(0, 1)],
@@ -213,7 +218,7 @@ def wedge(psi: HiggsField, phi: HiggsField) -> PolyMat2:
     """[Psi_1, Phi_2] - [Psi_2, Phi_1]: the d/dz1 ^ d/dz2 coefficient of Psi ^ Phi."""
     if psi.bundle != phi.bundle:
         raise BundleMismatch(f"{psi.bundle} vs {phi.bundle}")
-    return commutator2(psi.phi1, phi.phi2) - commutator2(psi.phi2, phi.phi1)
+    return mat_add(commutator2(psi.phi1, phi.phi2), commutator2(psi.phi2, phi.phi1), -1)
 
 
 def membership(pb: PullbackField, p: Fraction, eta: Fraction) -> bool:

@@ -472,16 +472,19 @@ def _diag_json_degree(value):
     return obj
 
 
+BATCH_FLAGS = "--batch takes no --alpha/--beta/--gamma"
+
+
 def run_input_error(capsys, tmp_path, argv, payload):
     """Run argv with the payload's file appended; expect exit 2 and one
-    InputError line, with nothing on stderr."""
+    InputError line, with nothing on stderr, and return its detail."""
     code = main([*argv, write_json(tmp_path, "input.json", payload)])
     captured = capsys.readouterr()
     assert code == 2
-    assert [json.loads(line)["error"]["kind"] for line in captured.out.splitlines()] == [
-        "InputError"
-    ]
+    errors = [json.loads(line)["error"] for line in captured.out.splitlines()]
+    assert [e["kind"] for e in errors] == ["InputError"]
     assert captured.err == ""
+    return errors[0]["detail"]
 
 
 @pytest.mark.parametrize(
@@ -500,38 +503,56 @@ def test_zero_denominator_is_input_error(capsys, tmp_path, argv, payload):
 
 
 @pytest.mark.parametrize(
-    "argv, payload",
+    "argv, payload, detail",
     [
-        (["hitchin", "--field"], _diag_json(i=1.5)),
-        (["hitchin", "--field"], _diag_json(j=True)),
-        (["hitchin", "--field"], _diag_json(num="3")),
-        (["hitchin", "--field"], _diag_json(den=2.0)),
-        (["hitchin", "--field"], _diag_json_degree("0")),
-        (["hitchin", "--field"], _diag_json_degree(0.0)),
-        (["moduli", "nonempty", "--batch"], {"tuples": [[1.7, 0, 0]]}),
-        (["moduli", "nonempty", "--batch"], {"tuples": [[0, True, 0]]}),
-        (["moduli", "nonempty", "--batch"], {"tuples": [[0, 0, "3"]]}),
-        (["moduli", "nonempty", "--batch"], {"tuples": [[0, -1, 0], [1.7, 0, 0]]}),
-        (["moduli", "nonempty", "--batch"], {"tuples": [[0, -1, 0], [0, 0]]}),
-        (["moduli", "nonempty", "--batch"], {"tuples": [[0, 0, 0]], "tupels": [[1, 1, 1]]}),
+        (["hitchin", "--field"], _diag_json(i=1.5), None),
+        (["hitchin", "--field"], _diag_json(j=True), None),
+        (["hitchin", "--field"], _diag_json(num="3"), None),
+        (["hitchin", "--field"], _diag_json(den=2.0), None),
+        (["hitchin", "--field"], _diag_json_degree("0"), None),
+        (["hitchin", "--field"], _diag_json_degree(0.0), None),
+        (["moduli", "nonempty", "--batch"], {"tuples": [[1.7, 0, 0]]}, None),
+        (["moduli", "nonempty", "--batch"], {"tuples": [[0, True, 0]]}, None),
+        (["moduli", "nonempty", "--batch"], {"tuples": [[0, 0, "3"]]}, None),
+        (["moduli", "nonempty", "--batch"], {"tuples": [[0, -1, 0], [1.7, 0, 0]]}, None),
+        (
+            ["moduli", "nonempty", "--batch"],
+            {"tuples": [[0, -1, 0], [0, 0]]},
+            "batch entry 1 is not an [alpha,",
+        ),
+        (["moduli", "nonempty", "--batch"], {"tuples": [[0, 0, 0]], "tupels": [[1, 1, 1]]}, None),
         (
             ["ext", "classify", "--point"],
             {"ext": {"u": 0, "v": 0}, "stratum": "S0", "params": [1, 2]},
+            None,
         ),
-        (["ext", "classify", "--point"], {"ext": {"u": 1, "v": 1}, "stratum": "S2", "params": [1]}),
-        (["ext", "build", "--u", "1", "--v", "1", "--phi1"], [1, 2]),
-        (["ext", "build", "--u", "1", "--v", "1", "--phi1"], {"c0O": 5, "c11": 1}),
+        (["ext", "classify", "--point"], {"ext": {"u": 1, "v": 1}, "stratum": "S2", "params": [1]}, None),
+        (["ext", "build", "--u", "1", "--v", "1", "--phi1"], [1, 2], None),
+        (["ext", "build", "--u", "1", "--v", "1", "--phi1"], {"c0O": 5, "c11": 1}, None),
         (
             ["ext", "classify", "--point"],
             {"ext": {"u": 1, "v": 1}, "stratum": "S1", "params": {"c0O": 5, "c11": 1}},
+            None,
         ),
         (
             ["ext", "classify", "--point"],
             {"ext": {"u": 0, "v": 0}, "stratum": "S0", "params": {"p": 1, "w": [1, 2, 3], "q": 0}},
+            None,
         ),
         (
             ["higgs", "section-q", "--axis", "1", "--rho"],
             {"monomials": [{"i": -1, "j": 0, "num": 1, "den": 1}]},
+            None,
+        ),
+        (["moduli", "nonempty", "--alpha", "5", "--batch"], {"tuples": [[0, -1, 0]]}, BATCH_FLAGS),
+        (["moduli", "nonempty", "--beta", "0", "--batch"], {"tuples": [[0, -1, 0]]}, BATCH_FLAGS),
+        (["moduli", "nonempty", "--gamma", "0", "--batch"], [[0, -1, 0]], BATCH_FLAGS),
+        (["moduli", "nonempty", "--batch"], [[1, 2, 3], 7], "batch entry 1 is not an [alpha,"),
+        (["moduli", "nonempty", "--batch"], {"tuples": ["012"]}, "batch entry 0 is not an [alpha,"),
+        (
+            ["moduli", "nonempty", "--batch"],
+            {"tuples": [[0, -1, 0], {"alpha": 1}]},
+            "batch entry 1 is not an [alpha,",
         ),
     ],
     ids=[
@@ -540,11 +561,13 @@ def test_zero_denominator_is_input_error(capsys, tmp_path, argv, payload):
         "batch-second-tuple", "batch-short-tuple", "unknown-batch-key", "s0-params-list",
         "s2-params-list",
         "phi1-params-list", "unknown-phi1-key", "unknown-s1-key", "unknown-s0-key",
-        "negative-exponent",
+        "negative-exponent", "batch-with-alpha", "batch-with-beta", "batch-with-gamma",
+        "batch-entry-int", "batch-entry-string", "batch-entry-object",
     ],
 )
-def test_non_integer_json_is_input_error(capsys, tmp_path, argv, payload):
-    run_input_error(capsys, tmp_path, argv, payload)
+def test_non_integer_json_is_input_error(capsys, tmp_path, argv, payload, detail):
+    got = run_input_error(capsys, tmp_path, argv, payload)
+    assert detail is None or detail in got, got
 
 
 @pytest.mark.parametrize(

@@ -29,6 +29,8 @@ from oracles import (
     mul_oracle,
     poly_dict,
     random_bipoly,
+    random_constant_invertible,
+    random_rat,
 )
 
 
@@ -130,6 +132,24 @@ def test_commutator_against_multiply_subtract_oracle():
     assert got == expected
     # frozen values from the oracle
     assert got == PolyMat2([[1, -2 * Z2], [-2 * Z1, -1]])
+    # XY - YX holds for any 2x2 matrices, here not trace-free, with int and
+    # Fraction entries mixed in among the polynomials
+    rng = random.Random(29)
+    kinds = (
+        lambda: rng.randint(-5, 5),
+        lambda: F(rng.randint(-5, 5), rng.randint(1, 4)),
+        lambda: random_bipoly(rng, 2, 2, 5),
+    )
+    square = lambda: PolyMat2([[rng.choice(kinds)() for _ in range(2)] for _ in range(2)])
+    done = 0
+    while done < 50:
+        x, y = square(), square()
+        if x.is_trace_free() or y.is_trace_free():
+            continue
+        xy, yx = mat_mul_oracle(x, y), mat_mul_oracle(y, x)
+        got = commutator2(x, y)
+        assert got == PolyMat2([[xy[i][j] - yx[i][j] for j in range(2)] for i in range(2)])
+        done += 1
 
 
 def test_commutator_with_self_vanishes():
@@ -178,26 +198,39 @@ def test_conjugate_shear_closed_form():
 
 def test_conjugate_preserves_trace_and_det():
     rng = random.Random(71)
+    square = lambda h: PolyMat2([[random_bipoly(rng, 1, 1, h) for _ in range(2)] for _ in range(2)])
+    parts = lambda r: (r.num._terms, r.num._den, r.den._terms, r.den._den)
+
+    def check(phi, psi):
+        res = conjugate2(phi, psi)
+        assert check_trace_det(res, phi.entry(0, 0) + phi.entry(1, 1), det2(phi))
+        assert check_conjugation(res, psi, phi)
+        # each entry has the storage of RatFn(that entry of psi . phi . adj(psi), det(psi))
+        adj = PolyMat2(
+            [[psi.entry(1, 1), -psi.entry(0, 1)], [-psi.entry(1, 0), psi.entry(0, 0)]]
+        )
+        ref = mat_mul_oracle(PolyMat2(mat_mul_oracle(psi, phi)), adj)
+        for i in range(2):
+            for j in range(2):
+                assert parts(res.entry(i, j)) == parts(RatFn(ref[i][j], det2(psi)))
+
     done = 0
     while done < 100:
-        phi = PolyMat2(
-            [
-                [random_bipoly(rng, 1, 1, 4), random_bipoly(rng, 1, 1, 4)],
-                [random_bipoly(rng, 1, 1, 4), random_bipoly(rng, 1, 1, 4)],
-            ]
-        )
-        psi = PolyMat2(
-            [
-                [random_bipoly(rng, 1, 1, 3), random_bipoly(rng, 1, 1, 3)],
-                [random_bipoly(rng, 1, 1, 3), random_bipoly(rng, 1, 1, 3)],
-            ]
-        )
+        phi, psi = square(4), square(3)
         if not det2(psi):
             continue
-        res = conjugate2(phi, psi)
-        assert check_trace_det(res, phi.trace(), det2(phi))
-        assert check_conjugation(res, psi, phi)
+        check(phi, psi)
         done += 1
+    # psi of constant determinant k: (k(1 + pq) kp; q 1), and constant psi
+    for n in range(40):
+        if n % 4:
+            p, q = random_bipoly(rng, 1, 1, 3), random_bipoly(rng, 1, 1, 3)
+            k = random_rat(rng, 4) or F(1)
+            psi = PolyMat2([[k * (1 + p * q), k * p], [q, 1]])
+            assert det2(psi) == k
+        else:
+            psi = random_constant_invertible(rng)
+        check(square(4), psi)
 
 
 def test_conjugate_singular_raises():

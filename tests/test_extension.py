@@ -49,6 +49,7 @@ from oracles import (
     ext_cocycle,
     image_glue_check,
     laurent_regular,
+    mat_add,
     mat_vec,
     random_bipoly,
     random_rat,
@@ -309,7 +310,7 @@ def test_glue_check_matches_image_oracle():
             build = build_phi2(e, _random_p2(rng))
         bump = PolyMat2.trace_free(*(random_bipoly(rng, 2, 2, density=0.15) for _ in range(3)))
         # random matrices reach bidegree 6, beyond the ansatz box
-        for phi in (build, build + bump, _random_trace_free(rng, rng.randint(0, 6))):
+        for phi in (build, mat_add(build, bump), _random_trace_free(rng, rng.randint(0, 6))):
             got = glue_check(e, phi, twist)
             assert got == image_glue_check(e, phi, twist), (e, twist, phi)
             outcomes[got] += 1

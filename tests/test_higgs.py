@@ -41,6 +41,7 @@ from oracles import (
     brute_force_common_eigenvector,
     check_conjugation,
     graded_object_by_conjugation,
+    mat_mul_oracle,
     mat_scale,
     membership,
     normal_form_F0_by_conjugation,
@@ -558,7 +559,7 @@ def test_normal_form_pm1_is_section_q_of_det():
         f = field(B_PM1, a1=a1, b1=random_univariate(rng, 4, 1), c1=c)
         shear = PolyMat2([[1, -a1], [0, 1]])
         rescale = PolyMat2([[c, 0], [0, 1]])
-        conjugated = conjugate2(f.phi1, shear @ rescale).to_bipoly()
+        conjugated = conjugate2(f.phi1, PolyMat2(mat_mul_oracle(shear, rescale))).to_bipoly()
         by_conjugation = HiggsField(B_PM1, conjugated, PolyMat2.zero())
         assert normal_form_pm1(f) == section_Q(det2(f.phi1), 1) == by_conjugation
 
