@@ -11,12 +11,10 @@ inputs or outputs.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .exactalg import BiPoly, _normalized
+from .exactalg import BiPoly, _as_rat, _normalized
 
 
 def monomial(i: int, j: int, c=1) -> BiPoly:
     """c * z1^i * z2^j for any integers i, j."""
-    c = Fraction(c)
+    c = _as_rat(c)
     return _normalized({(i, j): c.numerator}, c.denominator)

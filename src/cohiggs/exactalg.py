@@ -8,7 +8,7 @@ Everything downstream is built from four value types:
   ``(z1, z2)`` with ``Rat`` coefficients and non-negative exponents, except
   in ``_laurent.monomial`` values; stored as
   ``int`` numerators over one shared positive ``int`` denominator, so the
-  kernels (products, sums, exact division) run on integers and only the
+  kernels (products, sums, evaluation) run on integers and only the
   accessors build ``Rat`` values,
 * :class:`PolyMat2` - 2x2 holders of ``BiPoly`` entries (no matrix arithmetic),
 * :class:`RatFn` - a quotient of two ``BiPoly`` (denominator nonzero); it is
@@ -23,7 +23,7 @@ All arithmetic is polynomial: determinants, and the one 2x2 product
 (``_mul2``) behind :func:`conjugate2` and :func:`commutator2`, stay inside
 ``BiPoly``; every other procedure of the library works on the entries.
 A ``RatFn`` is only normalized (on integer numerators), compared by
-cross-multiplication, printed, or divided out exactly.
+cross-multiplication, printed, or scaled by 1/den when den is a constant.
 All values are immutable after construction and all operations are pure
 functions, so everything here is safe to share between threads.
 
@@ -240,7 +240,7 @@ class BiPoly:
     def __hash__(self):
         return hash((self._den, frozenset(self._terms.items())))
 
-    # -- evaluation and division ------------------------------------------
+    # -- evaluation --------------------------------------------------------
 
     def evaluate(self, z1: Scalar, z2: Scalar) -> Fraction:
         """Value at (z1, z2) = (a/b, c/d), summed in integers: every term is
@@ -257,46 +257,6 @@ class BiPoly:
             for (i, j), n in self._terms.items()
         )
         return Fraction(total, self._den * a**-lo1 * b**hi1 * c**-lo2 * d**hi2)
-
-    def exact_div(self, d: "BiPoly") -> "BiPoly | None":
-        """Return self / d when d divides self exactly, else None.
-
-        Single-divisor division in graded-lex order: the remainder is zero
-        iff d divides self, so this is a complete divisibility test.  It
-        runs on the numerators: before each step the remainder and the
-        quotient so far are scaled by lc / gcd(lc, leading remainder
-        coefficient) > 0, so the quotient term stays an integer, and the
-        scale joins the denominator once at the end.
-        """
-        if not d:
-            raise ZeroDivisionError("division by the zero polynomial")
-        lt_d = max(d._terms, key=_grlex_key)
-        lc_d = d._terms[lt_d]
-        rem = dict(self._terms)
-        quot: dict[Term, int] = {}
-        scale = 1  # scale * self numerators == quot * d numerators + rem
-        while rem:
-            lt_r = max(rem, key=_grlex_key)
-            qi, qj = lt_r[0] - lt_d[0], lt_r[1] - lt_d[1]
-            if qi < 0 or qj < 0:
-                return None
-            r = rem[lt_r]
-            g = math.gcd(r, lc_d) if lc_d > 0 else -math.gcd(r, lc_d)
-            m = lc_d // g
-            if m != 1:
-                scale *= m
-                rem = {t: c * m for t, c in rem.items()}
-                quot = {t: c * m for t, c in quot.items()}
-            qc = r // g
-            quot[(qi, qj)] = qc
-            for (i, j), c in d._terms.items():
-                t = (i + qi, j + qj)
-                s = rem.get(t, 0) - qc * c
-                if s:
-                    rem[t] = s
-                else:
-                    del rem[t]
-        return _normalized({t: c * d._den for t, c in quot.items()}, scale * self._den)
 
     # -- display -----------------------------------------------------------
 
@@ -353,7 +313,7 @@ class RatFn:
     those integers and makes the denominator's leading coefficient
     positive; no multivariate gcd is attempted.  Equality is decided by
     cross-multiplication, so equal values always compare equal regardless
-    of representation.
+    of representation.  Only a constant denominator divides out.
     """
 
     __slots__ = ("num", "den")
@@ -373,12 +333,11 @@ class RatFn:
         self.num, self.den = (_normalized({t: c // g for t, c in x.items()}, 1) for x in (n, d))
 
     def as_bipoly(self) -> BiPoly:
-        if self.den == ONE:
-            return self.num
-        q = self.num.exact_div(self.den)
-        if q is None:
-            raise ValueError(f"{self} is not a polynomial")
-        return q
+        """num / den for a constant den; ValueError for any other."""
+        c = self.den.coeff(0, 0)
+        if self.den != c:
+            raise ValueError(f"{self} has a non-constant denominator")
+        return self.num * (1 / c)
 
     def __bool__(self) -> bool:
         return bool(self.num)
@@ -455,7 +414,8 @@ class PolyMat2:
         return not (self._e[0][0] + self._e[1][1])
 
     def to_bipoly(self) -> "PolyMat2":
-        """Coerce every entry to BiPoly; raises ValueError if any is not polynomial."""
+        """Every entry as a BiPoly; ValueError for a RatFn entry whose
+        denominator is not a constant."""
         return PolyMat2([[x.as_bipoly() if type(x) is RatFn else x for x in r] for r in self._e])
 
     def __eq__(self, other):

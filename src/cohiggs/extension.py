@@ -41,7 +41,7 @@ from .errors import (
     SlotViolation,
     TrivialExtension,
 )
-from .exactalg import BiPoly, PolyMat2, Z2
+from .exactalg import BiPoly, PolyMat2, Z2, _as_rat
 from .higgs import DecomposableBundle, HiggsField, commute, validate_field
 from .linalg import rank
 
@@ -124,7 +124,7 @@ def _v1_to_v2(e: ExtParams, twist: Twist) -> tuple[Column, Column, Column]:
         ( 2 q z2^(1-b)     z2^(2-b)    -q^2 z2^-b   )
         ( 0                0           z2^(-2-b)    )
     """
-    u, v, b = Fraction(e.u), Fraction(e.v), twist[1]
+    u, v, b = _as_rat(e.u), _as_rat(e.v), twist[1]
     columns = (
         ((0, 0, -b, _ONE), (1, 1, 1 - b, 2 * u), (1, 0, 1 - b, 2 * v)),
         ((1, 0, 2 - b, _ONE),),

@@ -48,7 +48,7 @@ from .errors import (
     ZeroC,
     ZeroC1,
 )
-from .exactalg import BiPoly, PolyMat2, det2, rational_sqrt
+from .exactalg import BiPoly, PolyMat2, _as_rat, det2, rational_sqrt
 from .linalg import rank
 
 O = LineBundle
@@ -157,7 +157,7 @@ def eigen_quadratic(rows) -> tuple[Fraction, Fraction, Fraction]:
     v = (x, y) is an eigenvector iff q(v) = 0, with
     q(x, y) = c x^2 - 2a xy - b y^2, returned as (q20, q11, q02) = (c, -2a, -b).
     """
-    (a, b), (c, d) = ((Fraction(v) for v in row) for row in rows)
+    (a, b), (c, d) = ((_as_rat(v) for v in row) for row in rows)
     if a + d != 0:
         raise ValueError("matrix is not trace-free")
     return c, -2 * a, -b
@@ -342,9 +342,10 @@ def normal_form_F0(f: HiggsField) -> tuple[HiggsField, PolyMat2]:
     nonzero) and A1 = a20 z1^2 + a10 z1 + a00; Psi = (1 P; 0 Q) with
     Q = 1/alpha and P = -(a20 (z1 + p) + a10)/alpha conjugates Phi_1 to
     constant diagonal A1(p) and subdiagonal z1 - p.  Conjugation keeps the
-    determinant, which fixes the last entry: the representative is
-    (A1(p), -(det Phi_1 + A1(p)^2)/(z1 - p); z1 - p, -A1(p)), so it is a
-    fixed point of the map.  Returns it with Psi.
+    determinant, which fixes the last entry: as A1 - A1(p) = -alpha P (z1 - p)
+    and C1 = alpha (z1 - p), it is B = alpha (B1 - P (A1 + A1(p))).  The
+    representative (A1(p), B; z1 - p, -A1(p)) is a fixed point of the map.
+    Returns it with Psi.
     """
     _check_normal_form_domain(f, _F0_BUNDLE)
     c1 = f.phi1.entry(1, 0)
@@ -358,7 +359,7 @@ def normal_form_F0(f: HiggsField) -> tuple[HiggsField, PolyMat2]:
     z1_minus_p = BiPoly({(1, 0): 1, (0, 0): -p})
     big_p = BiPoly({(1, 0): -a20 / alpha, (0, 0): -(a20 * p + a1.coeff(1, 0)) / alpha})
     psi = PolyMat2([[1, big_p], [0, 1 / alpha]])
-    b = -(det2(f.phi1) + a_at_p * a_at_p).exact_div(z1_minus_p)
+    b = alpha * (f.phi1.entry(0, 1) - big_p * (a1 + a_at_p))
     rep = PolyMat2.trace_free(BiPoly.const(a_at_p), b, z1_minus_p)
     return HiggsField(f.bundle, rep, PolyMat2.zero()), psi
 

@@ -4,9 +4,9 @@ All rational numbers travel as {"num": int, "den": int} pairs; no floats
 anywhere.  Polynomials serialize their monomials in descending graded-lex
 order, which makes output byte-deterministic.  Decoders accept only JSON
 integers where an integer is expected (no floats, strings or booleans), a
-nonzero denominator, and parameter objects whose keys are all fields of
-their dataclass; they raise ValueError on anything else, which the CLI maps
-to exit code 2.  The extension and spectral types are imported by the
+nonzero denominator, objects with no key they do not read and arrays of
+the expected length; they raise ValueError on anything else, which the CLI
+maps to exit code 2.  The extension and spectral types are imported by the
 codecs that build them, so decoding a Higgs field loads neither module.
 """
 
@@ -38,10 +38,27 @@ def _fraction(num, den) -> Fraction:
     return Fraction(num, den)
 
 
+def _fields_of(obj, keys, what: str) -> dict:
+    """obj, checked to be an object whose keys all lie in keys."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} payload must be an object, got {type(obj).__name__}")
+    unknown = set(obj).difference(keys)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    return obj
+
+
+def _array_of(obj, n: int, what: str) -> list:
+    """obj, checked to be an array of n items."""
+    if not isinstance(obj, list) or len(obj) != n:
+        raise ValueError(f"{what} must be an array of {n}")
+    return obj
+
+
 def rat_from_json(obj) -> Fraction:
     if isinstance(obj, int) and not isinstance(obj, bool):
         return Fraction(obj)
-    if isinstance(obj, dict) and "num" in obj and "den" in obj:
+    if isinstance(obj, dict) and obj.keys() == {"num", "den"}:
         return _fraction(obj["num"], obj["den"])
     raise ValueError(f"not a rational: {obj!r}")
 
@@ -56,10 +73,12 @@ def bipoly_to_json(p: BiPoly) -> dict:
 
 
 def bipoly_from_json(obj) -> BiPoly:
-    if not isinstance(obj, dict) or "monomials" not in obj:
+    monomials = _fields_of(obj, ("monomials",), "polynomial").get("monomials")
+    if not isinstance(monomials, list):
         raise ValueError("polynomial payload needs a 'monomials' list")
     terms = {}
-    for m in obj["monomials"]:
+    for m in monomials:
+        m = _fields_of(m, ("i", "j", "num", "den"), "monomial")
         i, j = int_from_json(m["i"], "exponent"), int_from_json(m["j"], "exponent")
         c = _fraction(m["num"], m.get("den", 1))
         terms[(i, j)] = terms.get((i, j), Fraction(0)) + c
@@ -71,11 +90,9 @@ def mat_to_json(m: PolyMat2) -> dict:
 
 
 def mat_from_json(obj) -> PolyMat2:
-    if not isinstance(obj, dict) or "m" not in obj:
+    if "m" not in _fields_of(obj, ("m",), "matrix"):
         raise ValueError("matrix payload needs an 'm' 2x2 array")
-    rows = obj["m"]
-    if len(rows) != 2 or any(len(r) != 2 for r in rows):
-        raise ValueError("matrix payload must be 2x2")
+    rows = [_array_of(r, 2, "matrix row") for r in _array_of(obj["m"], 2, "matrix 'm'")]
     return PolyMat2([[bipoly_from_json(x) for x in row] for row in rows])
 
 
@@ -91,11 +108,12 @@ def field_to_json(f: HiggsField) -> dict:
 
 
 def field_from_json(obj) -> HiggsField:
+    obj = _fields_of(obj, ("bundle", "phi1", "phi2"), "field")
     try:
-        b = obj["bundle"]
-        l1 = LineBundle(int_from_json(b["L1"][0], "degree"), int_from_json(b["L1"][1], "degree"))
-        l2 = LineBundle(int_from_json(b["L2"][0], "degree"), int_from_json(b["L2"][1], "degree"))
-    except (KeyError, TypeError, IndexError) as exc:
+        b = _fields_of(obj["bundle"], ("L1", "L2"), "bundle")
+        degrees = [_array_of(b[k], 2, f"bundle {k}") for k in ("L1", "L2")]
+        l1, l2 = (LineBundle(*(int_from_json(d, "degree") for d in ds)) for ds in degrees)
+    except KeyError as exc:
         raise ValueError(f"bad bundle payload: {exc}") from exc
     return HiggsField(
         DecomposableBundle(l1, l2),
@@ -114,13 +132,14 @@ def spectral_to_json(s: SpectralData) -> dict:
 
 def spectral_from_json(obj) -> SpectralData:
     from .spectral import SpectralData
+    obj = _fields_of(obj, ("rho1", "rho12", "rho2"), "spectral")
     try:
         return SpectralData(
             bipoly_from_json(obj["rho1"]),
             bipoly_from_json(obj["rho12"]),
             bipoly_from_json(obj["rho2"]),
         )
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ValueError(f"bad spectral payload: {exc}") from exc
 
 
@@ -147,19 +166,10 @@ def fibre_to_json(fib: Fibre) -> dict:
     }
 
 
-def _fields_of(cls, obj) -> dict:
-    """obj, checked to be an object whose keys all name fields of cls."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{cls.__name__} payload must be an object, got {type(obj).__name__}")
-    unknown = set(obj) - {f.name for f in dataclasses.fields(cls)}
-    if unknown:
-        raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    return obj
-
-
 def _params_from_json(cls, obj):
     # an absent coefficient keeps its dataclass default, zero
-    return cls(**{k: rat_from_json(v) for k, v in _fields_of(cls, obj).items()})
+    keys = [f.name for f in dataclasses.fields(cls)]
+    return cls(**{k: rat_from_json(v) for k, v in _fields_of(obj, keys, cls.__name__).items()})
 
 
 def _params_to_json(p) -> dict:
@@ -194,11 +204,13 @@ def point_to_json(m: ModuliPoint) -> dict:
 
 def point_from_json(obj) -> ModuliPoint:
     from .extension import ExtParams, ModuliPoint, Stratum, TrivialFieldData
+    obj = _fields_of(obj, ("ext", "stratum", "params"), "moduli point")
     try:
-        ext = ExtParams(rat_from_json(obj["ext"]["u"]), rat_from_json(obj["ext"]["v"]))
+        e = _fields_of(obj["ext"], ("u", "v"), "ext")
+        ext = ExtParams(rat_from_json(e["u"]), rat_from_json(e["v"]))
         stratum = Stratum(obj["stratum"])
         raw = obj["params"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ValueError(f"bad moduli point payload: {exc}") from exc
     params: object
     if stratum is Stratum.S1:
@@ -206,9 +218,8 @@ def point_from_json(obj) -> ModuliPoint:
     elif stratum is Stratum.S2:
         params = phi2_params_from_json(raw)
     else:
-        w = _fields_of(TrivialFieldData, raw).get("w", [])
-        if len(w) != 3:
-            raise ValueError("trivial-extension data needs three w coefficients")
+        raw = _fields_of(raw, ("p", "w"), "TrivialFieldData")
+        w = _array_of(raw.get("w", []), 3, "TrivialFieldData w")
         params = TrivialFieldData(
             rat_from_json(raw["p"]), tuple(rat_from_json(x) for x in w)
         )

@@ -32,7 +32,7 @@ from fractions import Fraction
 from ._univariate import shifted_rows
 from .cohomology import LineBundle
 from .errors import InconsistentRho, NotIntegrable, NotUnivariate, SlotViolation
-from .exactalg import BiPoly, EtaValue, det2, exact_sqrt
+from .exactalg import BiPoly, EtaValue, _as_rat, det2, exact_sqrt
 from .higgs import HiggsField, fits_slot, is_integrable, validate_field
 from .linalg import rank
 
@@ -128,7 +128,7 @@ def fibre_over_point(f: HiggsField, z1: Fraction, z2: Fraction) -> Fibre:
     of the corresponding component).
     """
     s = hitchin_map(f)
-    z1, z2 = Fraction(z1), Fraction(z2)
+    z1, z2 = _as_rat(z1), _as_rat(z2)
     r1 = s.rho1.evaluate(z1, z2)
     r2 = s.rho2.evaluate(z1, z2)
     r12 = s.rho12.evaluate(z1, z2)

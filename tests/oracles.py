@@ -280,33 +280,6 @@ def mul_oracle(a: PolyDict, b: PolyDict) -> PolyDict:
     return res
 
 
-def exact_div_oracle(a: PolyDict, d: PolyDict) -> PolyDict | None:
-    """a / d by single-divisor division in graded-lex order (z1 > z2), or
-    None when a nonzero remainder term is not divisible by d's leading term."""
-    if not d:
-        raise ZeroDivisionError("division by the zero polynomial")
-    grlex = lambda t: (t[0] + t[1], t[0])
-    lt_d = max(d, key=grlex)
-    lc_d = d[lt_d]
-    rem = dict(a)
-    quot: PolyDict = {}
-    while rem:
-        lt_r = max(rem, key=grlex)
-        qi, qj = lt_r[0] - lt_d[0], lt_r[1] - lt_d[1]
-        if qi < 0 or qj < 0:
-            return None
-        qc = rem[lt_r] / lc_d
-        quot[(qi, qj)] = qc
-        for (i, j), c in d.items():
-            t = (i + qi, j + qj)
-            s = rem.get(t, Fraction(0)) - qc * c
-            if s:
-                rem[t] = s
-            else:
-                rem.pop(t, None)
-    return quot
-
-
 # ---------------------------------------------------------------------------
 # reference elimination (the dense loop, for differential tests)
 # ---------------------------------------------------------------------------

@@ -466,10 +466,15 @@ def _diag_json(**monomial):
     return obj
 
 
-def _diag_json_degree(value):
+def _diag_json_bundle(**bundle):
+    """The same field with keys of its bundle object replaced or added."""
     obj = _diag_json()
-    obj["bundle"]["L1"][0] = value
+    obj["bundle"].update(bundle)
     return obj
+
+
+_S1_POINT = {"ext": {"u": 1, "v": 1}, "stratum": "S1", "params": {}}
+_ZERO_POLY = {"monomials": []}
 
 
 BATCH_FLAGS = "--batch takes no --alpha/--beta/--gamma"
@@ -509,8 +514,8 @@ def test_zero_denominator_is_input_error(capsys, tmp_path, argv, payload):
         (["hitchin", "--field"], _diag_json(j=True), None),
         (["hitchin", "--field"], _diag_json(num="3"), None),
         (["hitchin", "--field"], _diag_json(den=2.0), None),
-        (["hitchin", "--field"], _diag_json_degree("0"), None),
-        (["hitchin", "--field"], _diag_json_degree(0.0), None),
+        (["hitchin", "--field"], _diag_json_bundle(L1=["0", 0]), None),
+        (["hitchin", "--field"], _diag_json_bundle(L1=[0.0, 0]), None),
         (["moduli", "nonempty", "--batch"], {"tuples": [[1.7, 0, 0]]}, None),
         (["moduli", "nonempty", "--batch"], {"tuples": [[0, True, 0]]}, None),
         (["moduli", "nonempty", "--batch"], {"tuples": [[0, 0, "3"]]}, None),
@@ -554,6 +559,43 @@ def test_zero_denominator_is_input_error(capsys, tmp_path, argv, payload):
             {"tuples": [[0, -1, 0], {"alpha": 1}]},
             "batch entry 1 is not an [alpha,",
         ),
+        (["hitchin", "--field"], _diag_json_bundle(L1=[0, 0, 7]), "bundle L1 must be an array of 2"),
+        (["hitchin", "--field"], _diag_json_bundle(L3=[0, 0]), "unknown bundle keys: ['L3']"),
+        (["hitchin", "--field"], {**_diag_json(), "phi3": {"m": []}}, "unknown field keys: ['phi3']"),
+        (["hitchin", "--field"], {**_diag_json(), "phi1": {"m": 5}}, "matrix 'm' must be an array of 2"),
+        (
+            ["hitchin", "--field"],
+            {**_diag_json(), "phi1": {"m": [[_ZERO_POLY] * 3, [_ZERO_POLY] * 2]}},
+            "matrix row must be an array of 2",
+        ),
+        (
+            ["ext", "classify", "--point"],
+            {**_S1_POINT, "ext": {"u": {"num": 1, "den": 2, "junk": 9}, "v": 1}},
+            "not a rational: {'num': 1, 'den': 2, 'junk': 9}",
+        ),
+        (
+            ["ext", "classify", "--point"],
+            {**_S1_POINT, "ext": {"u": 1, "v": 1, "w": 1}},
+            "unknown ext keys: ['w']",
+        ),
+        (["ext", "classify", "--point"], {**_S1_POINT, "note": 1}, "unknown moduli point keys: ['note']"),
+        (
+            ["ext", "classify", "--point"],
+            {"ext": {"u": 0, "v": 0}, "stratum": "S0", "params": {"p": 1, "w": 5}},
+            "TrivialFieldData w must be an array of 3",
+        ),
+        (
+            ["higgs", "section-q", "--rho"],
+            {"monomials": [{"i": 0, "j": 0, "num": 1, "den": 1, "x": 0}]},
+            "unknown monomial keys: ['x']",
+        ),
+        (["higgs", "section-q", "--rho"], {**_ZERO_POLY, "x": 0}, "unknown polynomial keys: ['x']"),
+        (["higgs", "section-q", "--rho"], {"monomials": 5}, "polynomial payload needs a 'monomials' list"),
+        (
+            ["spectral", "classify", "--rho"],
+            {"rho1": _ZERO_POLY, "rho12": _ZERO_POLY, "rho2": _ZERO_POLY, "rho3": _ZERO_POLY},
+            "unknown spectral keys: ['rho3']",
+        ),
     ],
     ids=[
         "float-exponent", "bool-exponent", "string-numerator", "float-denominator",
@@ -563,6 +605,10 @@ def test_zero_denominator_is_input_error(capsys, tmp_path, argv, payload):
         "phi1-params-list", "unknown-phi1-key", "unknown-s1-key", "unknown-s0-key",
         "negative-exponent", "batch-with-alpha", "batch-with-beta", "batch-with-gamma",
         "batch-entry-int", "batch-entry-string", "batch-entry-object",
+        "degrees-of-three", "unknown-bundle-key", "unknown-field-key", "matrix-int",
+        "matrix-row-of-three", "unknown-rational-key",
+        "unknown-ext-key", "unknown-point-key", "s0-w-int", "unknown-monomial-key",
+        "unknown-polynomial-key", "monomials-int", "unknown-spectral-key",
     ],
 )
 def test_non_integer_json_is_input_error(capsys, tmp_path, argv, payload, detail):

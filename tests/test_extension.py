@@ -380,6 +380,12 @@ def test_end0T_dimension_trivial_extension_rejected():
         end0T_dimension(ExtParams(F(0), F(0)))
 
 
+def test_end0T_dimension_rejects_float_class():
+    # 0.1 is not read as the binary fraction 3602879701896397/2^55
+    with pytest.raises(TypeError):
+        end0T_dimension(ExtParams(0.1, F(1)))
+
+
 # -- dichotomy --------------------------------------------------------------------
 
 

@@ -239,6 +239,12 @@ def test_eigen_quadratic_rejects_nonzero_trace():
         eigen_quadratic([[1, 0], [0, 1]])
 
 
+def test_eigen_quadratic_rejects_floats():
+    # there is no floating-point mode: 0.5 is not read as 1/2
+    with pytest.raises(TypeError):
+        eigen_quadratic([[0.5, 1], [0, -0.5]])
+
+
 def test_common_eigenvector_trivial_families():
     assert common_eigenvector_exists([])
     assert common_eigenvector_exists([[[0, 0], [0, 0]]])
@@ -492,12 +498,15 @@ def test_normal_form_F0_preserves_det():
         assert validate_field(rep)
 
 
-@pytest.mark.parametrize("height", [9, 2**60], ids=["height9", "bits60"])
-def test_normal_form_F0_equals_conjugation_reference(height):
-    # the representative fixed by det Phi_1 equals the conjugate by psi, in
-    # value and in storage, and psi is the reference's
+@pytest.mark.parametrize(
+    "height, draws", [(9, 200), (2**60, 200), (10**4000, 4)], ids=["height9", "bits60", "digits4000"]
+)
+def test_normal_form_F0_equals_conjugation_reference(height, draws):
+    # the closed-form representative equals the conjugate by psi, in value
+    # and in storage, and psi is the reference's; the last case draws
+    # numerators of up to 4,000 digits, near CPython's int<->str cap
     rng = random.Random(height + 1)
-    for _ in range(200):
+    for _ in range(draws):
         c = BiPoly.zero()
         while not c.coeff(1, 0):
             c = random_univariate(rng, 1, 1, height)

@@ -132,6 +132,12 @@ def test_fibre_worked_example():
         assert r[0] == 0 and r[1] == 0 and r[2] != 0
 
 
+def test_fibre_rejects_float_point():
+    # 0.1 is not read as the binary fraction 3602879701896397/2^55
+    with pytest.raises(TypeError):
+        fibre_over_point(DIAG, 0.1, F(0))
+
+
 def test_fibre_nilpotent_single_ramified_point():
     nil = section_Q(BiPoly.zero(), 1)
     fib = fibre_over_point(nil, F(5), F(7))
