@@ -173,11 +173,8 @@ class BiPoly:
         return _normalized(res, d1 * m1)
 
     def __add__(self, other):
-        if type(other) is not BiPoly:
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = BiPoly.const(other)
-        return self._sum(other, 1)
+        other = _operand(other)
+        return NotImplemented if other is None else self._sum(other, 1)
 
     __radd__ = __add__
 
@@ -188,33 +185,24 @@ class BiPoly:
         return out
 
     def __sub__(self, other):
-        if type(other) is not BiPoly:
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = BiPoly.const(other)
-        return self._sum(other, -1)
+        other = _operand(other)
+        return NotImplemented if other is None else self._sum(other, -1)
 
     def __rsub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return BiPoly.const(other)._sum(self, -1)
-        return NotImplemented
+        other = _operand(other)
+        return NotImplemented if other is None else other._sum(self, -1)
 
     def __mul__(self, other):
-        if type(other) is BiPoly:
-            res: dict[Term, int] = {}
-            get = res.get
-            for (i1, j1), c1 in self._terms.items():
-                for (i2, j2), c2 in other._terms.items():
-                    t = (i1 + i2, j1 + j2)
-                    res[t] = get(t, 0) + c1 * c2
-            return _normalized(res, self._den * other._den)
-        if not isinstance(other, (int, Fraction)):
+        other = _operand(other)
+        if other is None:
             return NotImplemented
-        c = _as_rat(other)
-        return _normalized(
-            {t: v * c.numerator for t, v in self._terms.items()} if c else {},
-            self._den * c.denominator,
-        )
+        res: dict[Term, int] = {}
+        get = res.get
+        for (i1, j1), c1 in self._terms.items():
+            for (i2, j2), c2 in other._terms.items():
+                t = (i1 + i2, j1 + j2)
+                res[t] = get(t, 0) + c1 * c2
+        return _normalized(res, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -231,10 +219,9 @@ class BiPoly:
         return result
 
     def __eq__(self, other):
-        if type(other) is not BiPoly:
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = BiPoly.const(other)
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
         return self._den == other._den and self._terms == other._terms
 
     def __hash__(self):
@@ -282,6 +269,14 @@ class BiPoly:
 
     def __repr__(self) -> str:
         return f"BiPoly({self})"
+
+
+def _operand(x) -> BiPoly | None:
+    """x as a BiPoly: itself, or the constant of an int or Fraction; None for
+    any other type."""
+    if type(x) is BiPoly:
+        return x
+    return BiPoly.const(x) if isinstance(x, (int, Fraction)) else None
 
 
 def _normalized(terms: dict[Term, int], den: int) -> BiPoly:
@@ -363,11 +358,10 @@ class RatFn:
 
 
 def _coerce_bipoly(x) -> BiPoly:
-    if type(x) is BiPoly:
-        return x
-    if isinstance(x, (int, Fraction)):
-        return BiPoly.const(x)
-    raise TypeError(f"cannot interpret {type(x).__name__} as a polynomial")
+    p = _operand(x)
+    if p is None:
+        raise TypeError(f"cannot interpret {type(x).__name__} as a polynomial")
+    return p
 
 
 Entry = Union[BiPoly, RatFn]

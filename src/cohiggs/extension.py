@@ -239,11 +239,7 @@ def end0T_dimension(e: ExtParams) -> tuple[int, int, int]:
 def _ansatz_kernel_dim(e: ExtParams, twist: Twist) -> int:
     box = range(_ANSATZ_BOX + 1)
     unknowns = [(comp, i, j) for comp in range(3) for i in box for j in box]
-    column = {u: k for k, u in enumerate(unknowns)}
-    forms = _irregular_rows(e, twist, unknowns)
-    return len(unknowns) - rank(
-        [{column[u]: c for u, c in form.items()} for form in forms.values()]
-    )
+    return len(unknowns) - rank(list(_irregular_rows(e, twist, unknowns).values()))
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,10 @@ rows are of full rank.  Pivoting is by first nonzero entry; exact
 arithmetic makes numerical pivot selection irrelevant.
 
 Rows are held sparsely, as ``{column: entry}`` dicts of their nonzero
-entries, so a row update costs the pivot row's nonzeros rather than the
-full width.  The ansatz systems behind the dimension counts are about 97%
-zeros, and ``extension`` hands such dicts in directly; a dense list row
-is filtered into one.
+entries, where a column is any sortable key (taken in sorted order), so a
+row update costs the pivot row's nonzeros rather than the full width.  The
+ansatz systems are about 97% zeros; ``extension`` hands in its forms keyed
+by ``(comp, i, j)``, and a dense list row is filtered into one by position.
 
 Most ansatz rows hold a single nonzero entry (58 of 102 rows at twist
 (2, 0), 74 of 96 at (0, 2)).  Such a row is a pivot that only clears its
@@ -23,10 +23,10 @@ every row and drops the rows left empty, until no singleton is left.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from typing import Any, Union
 
-# a dense row, or the {column: entry} dict of a row's nonzero entries
-Row = Union[list[Fraction], dict[int, Fraction]]
+# a dense row, or the {column: entry} dict of a row's nonzero entries (sortable keys)
+Row = Union[list[Fraction], dict[Any, Fraction]]
 
 
 def rank(rows: list[Row]) -> int:
@@ -41,10 +41,9 @@ def rank(rows: list[Row]) -> int:
         for row in m:
             for j in cleared.intersection(row):
                 del row[j]
-    # no pivot lies beyond the last column that holds a nonzero entry
-    ncols = max((max(row) + 1 for row in m if row), default=0)
     r = 0
-    for col in range(ncols):
+    # only a column that holds a nonzero entry can hold a pivot
+    for col in sorted({j for row in m for j in row}):
         if r == len(m):
             break
         pivot = next((i for i in range(r, len(m)) if col in m[i]), None)

@@ -596,6 +596,14 @@ def test_zero_denominator_is_input_error(capsys, tmp_path, argv, payload):
             {"rho1": _ZERO_POLY, "rho12": _ZERO_POLY, "rho2": _ZERO_POLY, "rho3": _ZERO_POLY},
             "unknown spectral keys: ['rho3']",
         ),
+        (["moduli", "nonempty", "--batch"], 5, "batch grid must be a list of [alpha,"),
+        (["moduli", "nonempty", "--batch"], {"tuples": 5}, "batch grid must be a list of [alpha,"),
+        (
+            ["spectral", "residual", "--point=1,2,3", "--rho"],
+            {"rho1": _ZERO_POLY, "rho12": _ZERO_POLY, "rho2": _ZERO_POLY},
+            "--point needs z1,z2,eta1,eta2",
+        ),
+        (["hitchin", "--field"], {**_diag_json(), "phi1": {}}, "matrix payload needs an 'm' 2x2"),
     ],
     ids=[
         "float-exponent", "bool-exponent", "string-numerator", "float-denominator",
@@ -609,11 +617,28 @@ def test_zero_denominator_is_input_error(capsys, tmp_path, argv, payload):
         "matrix-row-of-three", "unknown-rational-key",
         "unknown-ext-key", "unknown-point-key", "s0-w-int", "unknown-monomial-key",
         "unknown-polynomial-key", "monomials-int", "unknown-spectral-key",
+        "batch-grid-int", "batch-tuples-int", "point-of-three", "matrix-empty",
     ],
 )
 def test_non_integer_json_is_input_error(capsys, tmp_path, argv, payload, detail):
     got = run_input_error(capsys, tmp_path, argv, payload)
     assert detail is None or detail in got, got
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["moduli", "nonempty"], ["moduli", "nonempty", "--alpha", "1", "--beta", "2"]],
+    ids=["no-class", "no-gamma"],
+)
+def test_moduli_nonempty_needs_batch_or_class(capsys, argv):
+    """Without --batch, all three of --alpha/--beta/--gamma are required.  The
+    rows of test_non_integer_json_is_input_error end in a JSON file, which
+    argparse would take as this command's --batch."""
+    assert main(argv) == 2
+    (line,) = capsys.readouterr().out.splitlines()
+    assert json.loads(line)["error"] == {
+        "kind": "InputError", "detail": "--alpha/--beta/--gamma are required without --batch"
+    }
 
 
 @pytest.mark.parametrize(

@@ -89,6 +89,23 @@ def test_public_constructors_reject_negative_exponents(build):
         build()
 
 
+def test_operands_and_boundary_accessors():
+    # an operand that is neither a BiPoly nor an int or Fraction is refused
+    for op in (lambda: Z1 + "x", lambda: Z1 - "x", lambda: "x" - Z1, lambda: Z1 * "x"):
+        with pytest.raises(TypeError):
+            op()
+    assert (Z1 == "x") is False and Z1 != "x"
+    # a scalar on either side is its constant polynomial
+    assert 2 - Z1 == BiPoly({(0, 0): 2, (1, 0): -1}) == -(Z1 - 2)
+    assert F(2, 3) * Z1 == Z1 * F(2, 3) == BiPoly({(1, 0): F(2, 3)}) and Z1 * 0 == 0
+    for n in (F(1, 2), -1):
+        with pytest.raises(ValueError, match="non-negative"):
+            Z1**n
+    with pytest.raises(ValueError, match="not univariate"):
+        (Z1 * Z2).univariate_coeffs(1)
+    assert BiPoly.zero().bidegree() == (-math.inf, -math.inf)
+
+
 def test_polymat2_accepts_generator_rows():
     rows = [[1, Z1], [Z2, 4]]
     assert PolyMat2((x for x in r) for r in rows) == PolyMat2(rows)

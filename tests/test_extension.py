@@ -12,6 +12,7 @@ from cohiggs.errors import (
     InconsistentPoint,
     LeadingCoefficientZero,
     NotInNormalFormDomain,
+    SlotViolation,
     TrivialExtension,
 )
 from cohiggs.exactalg import BiPoly, PolyMat2, Z1, Z2, det2
@@ -275,6 +276,11 @@ def test_glue_check_rejects_perturbation():
             ]
         )
         assert not glue_check(e, perturbed, TWIST_20)
+
+
+def test_glue_check_requires_trace_free_section():
+    with pytest.raises(ValueError, match="trace-free"):
+        glue_check(ExtParams(F(1), F(1)), PolyMat2.identity(), TWIST_20)
 
 
 def v4_trivialization_regular(e: ExtParams, phi_v1: PolyMat2, twist: Twist) -> bool:
@@ -567,3 +573,5 @@ def test_trivial_extension_normal_form_errors():
         trivial_extension_normal_form(field(TRIVIAL_EXTENSION_BUNDLE, a1=Z1, b2=Z1))
     with pytest.raises(NotInNormalFormDomain):
         trivial_extension_normal_form(field(DB(O(0, 0), O(0, 0))))
+    with pytest.raises(SlotViolation):  # A2 = z2^3 exceeds its slot O(0,2)
+        trivial_extension_normal_form(field(TRIVIAL_EXTENSION_BUNDLE, a2=Z2**3, b2=Z1))

@@ -92,6 +92,12 @@ def test_validate_field_degree_box():
     assert validate_field(field(B_F0, b1=Z1**3))
 
 
+def test_validate_field_rejects_nonzero_trace():
+    # the identity fits every slot of O+O, but it is not trace-free
+    assert validate_field(HiggsField(B_OO, PolyMat2.identity(), PolyMat2.zero())) is False
+    assert validate_field(HiggsField(B_OO, PolyMat2.zero(), PolyMat2.identity())) is False
+
+
 def test_trace_free_part():
     a = Z1 + 1
     pure_trace = PolyMat2([[a, 0], [0, a]])
@@ -327,6 +333,11 @@ def test_stability_unsupported_cases():
     # unequal slopes, integer mu(E), outside the classified pairs
     b = DecomposableBundle(O(2, 0), O(0, 0))
     assert stability_classify(field(b, c1=1)) is StabilityClass.UNSUPPORTED
+
+
+def test_stability_requires_valid_field():
+    with pytest.raises(SlotViolation):
+        stability_classify(field(B_F0, b1=Z1**4))  # slot is O(3,0)
 
 
 def test_stability_requires_integrability():
@@ -628,6 +639,13 @@ def test_section_q_slot_violation():
         section_Q(Z1**5, 1)
     with pytest.raises(SlotViolation):
         section_Q(Z2, 1)
+
+
+def test_section_q_and_pullback_reject_axis_3():
+    with pytest.raises(ValueError, match="axis"):
+        section_Q(BiPoly.const(1), 3)
+    with pytest.raises(ValueError, match="axis"):
+        pullback_from_line(BiPoly.zero(), BiPoly.zero(), BiPoly.const(1), 3)
 
 
 def test_pullback_nilpotent():

@@ -100,13 +100,28 @@ def test_eliminate_takes_sparse_dict_rows():
         assert sparse == before  # the input rows are left alone
 
 
+def test_eliminate_takes_any_sortable_column_keys():
+    """Integer columns renamed to tuple keys, once in their own order and once
+    shuffled, leave the rank as it is."""
+    rng = random.Random(31)
+    shuffled_order = 0
+    for rows in EDGE_CASES + list(random_sparse_matrices(37, 60)):
+        width = len(rows[0]) if rows else 0
+        perm = rng.sample(range(width), width)
+        shuffled_order += perm != sorted(perm)
+        for key in (lambda j: (j // 3, j % 3), lambda j: (perm[j] % 2, perm[j])):
+            assert rank([{key(j): a for j, a in enumerate(r) if a} for r in rows]) == dense_rank(rows)
+    assert shuffled_order > 50
+
+
 def test_eliminate_matches_dense_oracle_on_ansatz_matrices(monkeypatch):
     matrices = []
 
     def capturing_rank(rows):
-        # the ansatz hands in sparse {column: entry} rows; densify them
-        width = 1 + max(j for r in rows for j in r)
-        matrices.append([[r.get(j, F(0)) for j in range(width)] for r in rows])
+        # the ansatz hands in sparse rows keyed by its unknowns; densify them
+        # over the sorted keys that occur
+        keys = sorted({j for r in rows for j in r})
+        matrices.append([[r.get(j, F(0)) for j in keys] for r in rows])
         return rank(rows)
 
     monkeypatch.setattr(extension, "rank", capturing_rank)

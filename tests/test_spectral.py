@@ -78,6 +78,12 @@ def test_hitchin_requires_integrability():
         hitchin_map(field(B_OO, b1=1, c2=1))
 
 
+def test_hitchin_requires_valid_field():
+    # B1 = z1^4 exceeds its slot O(3,0), while the Hitchin image would be zero
+    with pytest.raises(SlotViolation):
+        hitchin_map(field(DecomposableBundle(O(0, 0), O(-1, 0)), b1=Z1**4))
+
+
 def test_hitchin_image_always_consistent():
     rng = random.Random(34)
     for bundle in ALL_BUNDLES:

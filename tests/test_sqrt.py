@@ -138,6 +138,41 @@ def test_fibre_cli_ends_at_the_cost_cap(capsys, tmp_path, rho, digits):
     assert str(exactalg.SQRT_RHO_STEPS) in out["error"]["detail"]
 
 
+def test_fibre_cli_zero_eta_has_radicand_one(capsys, tmp_path):
+    """At rho = 2, eta1^2 = -2 and eta2 = 0: a zero coefficient prints with
+    radicand 1, not with the radicand of eta1."""
+    code, out, _ = _fibre_of_constant_rho(capsys, tmp_path, 2)
+    one, zero = {"num": 1, "den": 1}, {"num": 0, "den": 1}
+    eta2 = {**zero, "radicand": 1}
+    assert code == 0
+    assert out == {
+        "z1": one, "z2": one, "disc1": {"num": -2, "den": 1}, "disc2": zero, "pairing_rhs": zero,
+        "ramified": True,
+        "points": [
+            {"eta1": {**one, "radicand": -2}, "eta2": eta2},
+            {"eta1": {"num": -1, "den": 1, "radicand": -2}, "eta2": eta2},
+        ],
+    }
+
+
+def test_eta_value_accessors():
+    assert str(EtaValue(F(3, 2), 2)) == "3/2*sqrt(2)" and str(EtaValue(F(-1, 3), 1)) == "-1/3"
+    assert EtaValue(F(5), 1).as_fraction() == 5
+    with pytest.raises(ValueError, match="irrational"):
+        EtaValue(F(1), -2).as_fraction()
+    assert EtaValue(F(0), -2) == EtaValue(F(0), 1)
+
+
+def test_newton_root_ends_at_the_cost_cap(monkeypatch):
+    """1013^3 has no prime factor below 1000 and is a cube modulo 7, so the
+    cube test sends it to Newton, which finds the root within the cap and
+    runs out of steps without one."""
+    assert exact_sqrt(F(1013**3)) == EtaValue(F(1013), 1013)
+    monkeypatch.setattr(exactalg, "SQRT_RHO_STEPS", 0)
+    with pytest.raises(SqrtCostCap):
+        exact_sqrt(F(1013**3))
+
+
 def test_last_rho_round_spends_what_is_left(monkeypatch):
     """Steps charged before the split shorten its last round, not drop it.
 
