@@ -98,6 +98,7 @@ def test_operands_and_boundary_accessors():
     # a scalar on either side is its constant polynomial
     assert 2 - Z1 == BiPoly({(0, 0): 2, (1, 0): -1}) == -(Z1 - 2)
     assert F(2, 3) * Z1 == Z1 * F(2, 3) == BiPoly({(1, 0): F(2, 3)}) and Z1 * 0 == 0
+    # the half power first: without the check, ** -1 would never return
     for n in (F(1, 2), -1):
         with pytest.raises(ValueError, match="non-negative"):
             Z1**n
