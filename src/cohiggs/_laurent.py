@@ -2,11 +2,11 @@
 derived by conjugation to check its closed forms against.
 
 A Laurent polynomial is a ``BiPoly`` whose exponents may be negative; the
-``BiPoly`` arithmetic works on it unchanged.  ``monomial`` is the only code
-that creates a negative exponent, through ``exactalg._normalized`` (which
-alone writes ``BiPoly``'s storage): ``BiPoly``'s public constructors and
-the JSON decoder reject one, so these values never reach the library's
-inputs or outputs.
+``BiPoly`` arithmetic and printing work on it unchanged, but ``evaluate``
+raises on it.  ``monomial`` is the only code that creates a negative
+exponent, through ``exactalg._normalized`` (which alone writes ``BiPoly``'s
+storage): ``BiPoly``'s public constructors and the JSON decoder reject one,
+so these values never reach the library's inputs or outputs.
 """
 
 from __future__ import annotations

@@ -6,9 +6,9 @@ iterator of payloads for ``moduli nonempty --batch``, one line each); a row
 without a handler is a group such as ``ext``.  ``main`` alone parses,
 dispatches, prints and maps exceptions to exit codes: 0 on success, 1 on
 domain errors, 2 on malformed input (a malformed command line included),
-errors as one {"error": {"kind", "detail"}} line.  Set COHIGGS_LOG (e.g. to
-DEBUG) for diagnostics on stderr.  A call loads only what its command uses:
-each handler imports its own modules, and logging only under COHIGGS_LOG.
+errors as one {"error": {"kind", "detail"}} line.  Any non-empty COHIGGS_LOG
+turns on "cohiggs DEBUG ..." diagnostic lines on stderr.  A call loads only
+what its command uses: each handler imports its own modules.
 """
 
 from __future__ import annotations
@@ -50,10 +50,9 @@ def _emit(payload) -> None:
     print(json.dumps(payload))
 
 
-def _debug(*args) -> None:
+def _debug(fmt: str, *args) -> None:
     if os.environ.get("COHIGGS_LOG"):
-        import logging
-        logging.getLogger("cohiggs").debug(*args)
+        print("cohiggs DEBUG " + fmt % args, file=sys.stderr)
 
 
 def _ext(u: str, v: str):
@@ -357,14 +356,6 @@ def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("COHIGGS_LOG")
-    if level:
-        import logging
-        logging.basicConfig(
-            level=getattr(logging, level.upper(), logging.DEBUG),
-            stream=sys.stderr,
-            format="%(name)s %(levelname)s %(message)s",
-        )
     limit = _get_int_cap()
     try:
         argv = sys.argv[1:] if argv is None else argv

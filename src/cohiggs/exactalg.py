@@ -5,8 +5,8 @@ Everything downstream is built from four value types:
 * ``Rat`` - arbitrary-precision rationals (``fractions.Fraction``; always
   stored gcd-reduced with a positive denominator, zero is 0/1),
 * :class:`BiPoly` - bivariate polynomials in the affine chart coordinates
-  ``(z1, z2)`` with ``Rat`` coefficients and non-negative exponents, except
-  in ``_laurent.monomial`` values; stored as
+  ``(z1, z2)`` with ``Rat`` coefficients and non-negative exponents (the
+  Laurent values of ``_laurent`` take arithmetic and printing, not evaluation); stored as
   ``int`` numerators over one shared positive ``int`` denominator, so the
   kernels (products, sums, evaluation) run on integers and only the
   accessors build ``Rat`` values,
@@ -69,7 +69,8 @@ class BiPoly:
     Stored as a sparse map ``(i, j) -> numerator`` of nonzero ``int``
     numerators over one positive ``int`` denominator ``_den``, reduced so
     that gcd(``_den``, all numerators) = 1; so equal polynomials have equal
-    storage.  ``z1^i z2^j`` is the monomial with exponents ``(i, j)``.
+    storage.  ``z1^i z2^j`` is the monomial with ``int`` exponents ``(i, j)``,
+    never negative outside ``_laurent``, whose values ``evaluate`` refuses.
     Coefficients leave as ``Fraction``.
     """
 
@@ -80,11 +81,13 @@ class BiPoly:
         den = 1
         if terms:
             for (i, j), c in terms.items():
+                if type(i) is not int or type(j) is not int:
+                    raise TypeError(f"exponents must be integers, got ({i!r}, {j!r})")
                 if i < 0 or j < 0:
                     raise ValueError(f"negative exponent in monomial ({i}, {j})")
                 c = _as_rat(c)
                 if c:
-                    clean[(int(i), int(j))] = c
+                    clean[(i, j)] = c
                     den = math.lcm(den, c.denominator)
         # over the lcm of the denominators the numerators are already coprime to it
         self._terms = {t: c.numerator * (den // c.denominator) for t, c in clean.items()}
@@ -99,10 +102,6 @@ class BiPoly:
     @classmethod
     def const(cls, c: Scalar) -> "BiPoly":
         return cls({(0, 0): c})
-
-    @classmethod
-    def monomial(cls, i: int, j: int, c: Scalar = 1) -> "BiPoly":
-        return cls({(i, j): c})
 
     @classmethod
     def from_univariate(cls, coeffs: Iterable[Scalar], axis: int) -> "BiPoly":
@@ -231,19 +230,16 @@ class BiPoly:
 
     def evaluate(self, z1: Scalar, z2: Scalar) -> Fraction:
         """Value at (z1, z2) = (a/b, c/d), summed in integers: every term is
-        brought over den * a^-lo1 * b^hi1 * c^-lo2 * d^hi2, where lo and hi
-        bound the exponents together with 0 (lo < 0 only for Laurent values)."""
+        brought over den * b^hi1 * d^hi2, where hi1 and hi2 are the largest
+        exponents.  Polynomials only: a Laurent value raises."""
         z1, z2 = _as_rat(z1), _as_rat(z2)
         if not self._terms:
             return Fraction(0)
         a, b, c, d = z1.numerator, z1.denominator, z2.numerator, z2.denominator
-        lo1, hi1 = min(0, *(i for i, _ in self._terms)), max(0, *(i for i, _ in self._terms))
-        lo2, hi2 = min(0, *(j for _, j in self._terms)), max(0, *(j for _, j in self._terms))
-        total = sum(
-            n * a ** (i - lo1) * b ** (hi1 - i) * c ** (j - lo2) * d ** (hi2 - j)
-            for (i, j), n in self._terms.items()
-        )
-        return Fraction(total, self._den * a**-lo1 * b**hi1 * c**-lo2 * d**hi2)
+        hi1, hi2 = self.bidegree()
+        total = sum(n * a**i * b ** (hi1 - i) * c**j * d ** (hi2 - j)
+                    for (i, j), n in self._terms.items())
+        return Fraction(total, self._den * b**hi1 * d**hi2)
 
     # -- display -----------------------------------------------------------
 

@@ -93,8 +93,6 @@ def fits_slot(p: BiPoly, slot: LineBundle) -> bool:
     """True iff every monomial of p lies in the slot's box (zero always fits)."""
     if not p:
         return True
-    if slot.a < 0 or slot.b < 0:
-        return False
     d1, d2 = p.bidegree()
     return d1 <= slot.a and d2 <= slot.b
 
@@ -252,19 +250,14 @@ def stability_classify(f: HiggsField) -> StabilityClass:
                 return StabilityClass.STRICTLY_SEMISTABLE
             return StabilityClass.STABLE
         return StabilityClass.UNSUPPORTED
-    # dominant summand first; swapping conjugates by the permutation matrix,
-    # which exchanges the B and C entries
-    if mu1 > mu2:
-        low1, low2 = f.phi1.entry(1, 0), f.phi2.entry(1, 0)
-    else:
-        l1, l2 = l2, l1
-        low1, low2 = f.phi1.entry(0, 1), f.phi2.entry(0, 1)
-    if not low1 and not low2:
+    # the lower-left entries with the dominant summand first: putting L2
+    # first conjugates by the permutation matrix, which exchanges B and C
+    low = (1, 0) if mu1 > mu2 else (0, 1)
+    if not f.phi1.entry(*low) and not f.phi2.entry(*low):
         return StabilityClass.UNSTABLE
-    if (l1.slope() + l2.slope()) % 2 != 0:
+    if (mu1 + mu2) % 2 != 0:
         return StabilityClass.STABLE
-    pair = frozenset({l1, l2})
-    if pair == _PM10 or pair == _PM01:
+    if frozenset({l1, l2}) in (_PM10, _PM01):
         return StabilityClass.STABLE
     return StabilityClass.UNSUPPORTED
 

@@ -162,6 +162,33 @@ def test_cohiggs_log_writes_diagnostics_to_stderr_only():
     assert "cohiggs DEBUG dispatch cohomology" in proc.stderr.splitlines()
 
 
+@pytest.mark.parametrize("level", ["DEBUG", "1", "WARNING", "", None])
+def test_cohiggs_log_is_on_or_off(level):
+    env = {k: v for k, v in os.environ.items() if k != "COHIGGS_LOG"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cohiggs.__file__))
+    if level is not None:
+        env["COHIGGS_LOG"] = level
+    proc = subprocess.run(
+        [sys.executable, "-m", "cohiggs.cli", "cohomology", "--a", "1", "--b", "-2"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == '{"h0": 0, "h1": 2, "h2": 0}\n'
+    assert proc.stderr == ("cohiggs DEBUG dispatch cohomology\n" if level else "")
+
+
+def test_cohiggs_log_leaves_the_root_logger_alone(capsys, monkeypatch, tmp_path):
+    import logging
+
+    monkeypatch.setenv("COHIGGS_LOG", "WARNING")
+    handlers = list(logging.getLogger().handlers)
+    grid = write_json(tmp_path, "grid.json", [[1, 1, 0], [0, -1, 0]])
+    assert main(["moduli", "nonempty", "--batch", grid]) == 0
+    assert logging.getLogger().handlers == handlers
+    err = capsys.readouterr().err
+    assert err == "cohiggs DEBUG dispatch nonempty\ncohiggs DEBUG batch of 2 tuples\n"
+
+
 def test_moduli_bundle_nonempty(capsys):
     code, (out,) = run(
         capsys, "moduli", "bundle-nonempty",

@@ -79,14 +79,26 @@ def test_bipoly_str():
     "build",
     [
         lambda: BiPoly({(-1, 0): 1}),
-        lambda: BiPoly.monomial(-1, 0),
         lambda: jsonio.bipoly_from_json({"monomials": [{"i": -1, "j": 0, "num": 1}]}),
     ],
-    ids=["constructor", "monomial", "json"],
+    ids=["constructor", "json"],
 )
 def test_public_constructors_reject_negative_exponents(build):
     with pytest.raises(ValueError, match=r"negative exponent in monomial \(-1, 0\)"):
         build()
+
+
+@pytest.mark.parametrize("term", [(1.5, 0), (True, 0), (2.0, 1), (0, F(1))])
+def test_constructor_rejects_exponents_that_are_not_int(term):
+    with pytest.raises(TypeError, match="exponents must be integers"):
+        BiPoly({term: 3})
+
+
+@pytest.mark.parametrize("z", [F(2, 3), F(0)])
+def test_evaluate_refuses_laurent_values(z):
+    for p in (lau.monomial(-1, 0), lau.monomial(0, -2, 5) + Z1 * Z2, lau.monomial(-1, 3, F(1, 2)) + 1):
+        with pytest.raises((TypeError, ZeroDivisionError)):
+            p.evaluate(z, z)
 
 
 def test_operands_and_boundary_accessors():
@@ -363,6 +375,10 @@ def test_boundary_accessors_match_fraction_oracle():
         lead = max(da, key=lambda t: (t[0] + t[1], t[0]), default=None)
         assert a.leading_coefficient() == (da[lead] if lead else 0)
         z1, z2 = F(rng.randint(1, 9), rng.randint(1, 9)), F(rng.randint(-9, -1), rng.randint(1, 9))
+        if min((min(t) for t in da), default=0) < 0:  # a Laurent operand is never evaluated
+            with pytest.raises(TypeError):
+                a.evaluate(z1, z2)
+            continue
         assert a.evaluate(z1, z2) == sum((c * z1**i * z2**j for (i, j), c in da.items()), F(0))
     p = BiPoly.from_univariate([F(1, 2), 0, F(-3, 4)], 2)
     assert p.univariate_coeffs(2) == [F(1, 2), 0, F(-3, 4)]

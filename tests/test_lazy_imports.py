@@ -28,16 +28,18 @@ EXPORTS = {
 }
 
 
-def _loaded_after(code: str) -> dict:
-    """Run code in a fresh interpreter: the cohiggs submodules it loads (after
-    the point where it sets ``before``, if it does) and whether logging is
-    loaded at the end."""
+def _loaded_after(code: str, log: str | None = None) -> dict:
+    """Run code in a fresh interpreter, with COHIGGS_LOG set to log if given:
+    the cohiggs submodules it loads (after the point where it sets
+    ``before``, if it does) and whether logging is loaded at the end."""
     report = ("import json, sys\n"
               "new = sorted(set(sys.modules) - globals().get('before', set()))\n"
               "print(json.dumps({'cohiggs': [m for m in new if m.startswith('cohiggs.')],"
               " 'logging': 'logging' in sys.modules}))")
     env = {k: v for k, v in os.environ.items() if k != "COHIGGS_LOG"}
     env["PYTHONPATH"] = SRC
+    if log is not None:
+        env["COHIGGS_LOG"] = log
     proc = subprocess.run([sys.executable, "-c", f"{code}\n{report}"], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -73,6 +75,14 @@ def test_command_adds_only_its_modules(tmp_path, argv, modules):
     grid.write_text(json.dumps({"tuples": [[1, 1, 0], [0, -1, 0]]}), encoding="utf-8")
     loaded = _loaded_after(_cli_call(argv.format(grid=grid).split()))
     assert loaded == {"cohiggs": modules, "logging": False}
+
+
+def test_cohiggs_log_never_loads_logging(tmp_path):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([[1, 1, 0]]), encoding="utf-8")
+    code = _cli_call(["moduli", "nonempty", "--batch", str(grid)])
+    assert _loaded_after(code, log="DEBUG") == {
+        "cohiggs": ["cohiggs.chern", "cohiggs.cohomology"], "logging": False}
 
 
 def test_higgs_check_never_loads_extension(tmp_path):
