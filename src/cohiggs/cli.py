@@ -351,7 +351,7 @@ def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
         if handler is None:
             groups[words] = p.add_subparsers(dest="command", required=True)
         else:
-            p.set_defaults(handler=handler)
+            p.set_defaults(handler=handler, words=words)
     return parser
 
 
@@ -360,7 +360,7 @@ def main(argv=None) -> int:
     try:
         argv = sys.argv[1:] if argv is None else argv
         args = _build_parser(argv).parse_args(argv)
-        _debug("dispatch %s", args.command)
+        _debug("dispatch %s", args.words)
         result = args.handler(args)
         # CPython (3.10.7 on) refuses to convert an int of more than 4,300
         # digits to or from str.  That caps every input as the handler reads

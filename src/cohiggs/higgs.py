@@ -371,6 +371,13 @@ def normal_form_pm1(f: HiggsField) -> HiggsField:
     return section_Q(det2(f.phi1), 1)
 
 
+def _check_axis(axis: int) -> None:
+    if type(axis) is not int:  # 1.0 == 1 and True == 1 pass the range test
+        raise TypeError(f"axis must be an int, not {type(axis).__name__}")
+    if axis not in (1, 2):
+        raise ValueError("axis must be 1 or 2")
+
+
 def _on_axis(bundle: DecomposableBundle, mat: PolyMat2, axis: int) -> HiggsField:
     """mat as Phi_axis with the other component zero.  The bundle is written
     for axis 1; axis 2 takes its mirror O(b,a)+O(d,c) of O(a,b)+O(c,d)."""
@@ -384,9 +391,8 @@ def section_Q(rho: BiPoly, axis: int) -> HiggsField:
     """The stable field (0 -rho; 1 0) on O(1,0)+O(-1,0) (axis 1) or
     O(0,1)+O(0,-1) (axis 2); det Phi_axis = rho, so this right-inverts the
     corresponding component of the Hitchin map."""
+    _check_axis(axis)
     slot = O(4, 0) if axis == 1 else O(0, 4)
-    if axis not in (1, 2):
-        raise ValueError("axis must be 1 or 2")
     if not fits_slot(rho, slot):
         raise SlotViolation(f"rho does not fit the slot {slot}")
     return _on_axis(_PM1_BUNDLE, PolyMat2([[0, -rho], [1, 0]]), axis)
@@ -409,8 +415,7 @@ def pullback_from_line(a: BiPoly, b: BiPoly, c: BiPoly, axis: int) -> PullbackFi
     component zero.  rho = det Phi = -(a^2 + b c), so the spectral curve
     eta^2 = -rho(p) is eta^2 = a(p)^2 + b(p)c(p).
     """
-    if axis not in (1, 2):
-        raise ValueError("axis must be 1 or 2")
+    _check_axis(axis)
     bounds = ((2, 0), (3, 0), (1, 0)) if axis == 1 else ((0, 2), (0, 3), (0, 1))
     for poly, bound in zip((a, b, c), bounds):
         if not fits_slot(poly, O(*bound)):

@@ -1,32 +1,45 @@
-"""Exact rank over the rationals.
+"""Exact rank over the rationals, eliminated on integer rows.
 
 One forward elimination serves every exact linear-algebra question in the
 package: the dimension counts of the extension ansatz, and the root
 questions of ``higgs`` and ``spectral``, which ask whether Sylvester-type
-rows are of full rank.  Pivoting is by first nonzero entry; exact
-arithmetic makes numerical pivot selection irrelevant.
+rows are of full rank.  Pivoting is by first nonzero entry over the sorted
+columns, where a column is any sortable key.  Rows are held sparsely, as
+``{column: entry}`` dicts of their nonzero entries (``extension`` keys its
+forms by ``(comp, i, j)``; a dense list row is keyed by position).
 
-Rows are held sparsely, as ``{column: entry}`` dicts of their nonzero
-entries, where a column is any sortable key (taken in sorted order), so a
-row update costs the pivot row's nonzeros rather than the full width.  The
-ansatz systems are about 97% zeros; ``extension`` hands in its forms keyed
-by ``(comp, i, j)``, and a dense list row is filtered into one by position.
-
-Most ansatz rows hold a single nonzero entry (58 of 102 rows at twist
-(2, 0), 74 of 96 at (0, 2)).  Such a row is a pivot that only clears its
-column, with no arithmetic, so before eliminating, a singleton pass
-(the first step of structured Gaussian elimination) counts each column
-that holds a singleton row into the rank, deletes those columns from
-every row and drops the rows left empty, until no singleton is left.
+A singleton pass comes first (the first step of structured Gaussian
+elimination): each column that holds a one-entry row counts into the rank
+and is deleted from every row, until no such row is left.  Most ansatz
+rows are singletons (58 of 102 at twist (2, 0), 74 of 96 at (0, 2)), and
+they need no arithmetic.  Only then is each row scaled to a primitive
+integer row: times the lcm of its denominators (an entry is an ``int`` or
+a ``Fraction``), over the gcd of its numerators.  An update sets
+row <- (p/g)*row - (f/g)*pivot_row, where p is the pivot, f the row's
+entry in its column and g = gcd(p, f), and divides the new row by its
+content (Knuth, TAOCP vol. 2, 4.6.1), so no ``Fraction`` is built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Any, Union
 
 # a dense row, or the {column: entry} dict of a row's nonzero entries (sortable keys)
 Row = Union[list[Fraction], dict[Any, Fraction]]
+
+
+def _content_free(row: dict[Any, int]) -> dict[Any, int]:
+    """The integer row over the gcd of its entries."""
+    c = gcd(*row.values())
+    return {j: a // c for j, a in row.items()} if c > 1 else row
+
+
+def _primitive(row: dict) -> dict[Any, int]:
+    """The row times the lcm of its denominators, over the gcd of the numerators."""
+    d = lcm(*(a.denominator for a in row.values()))
+    return _content_free({j: a.numerator * (d // a.denominator) for j, a in row.items()})
 
 
 def rank(rows: list[Row]) -> int:
@@ -41,6 +54,7 @@ def rank(rows: list[Row]) -> int:
         for row in m:
             for j in cleared.intersection(row):
                 del row[j]
+    m = [_primitive(row) for row in m if row]
     r = 0
     # only a column that holds a nonzero entry can hold a pivot
     for col in sorted({j for row in m for j in row}):
@@ -53,14 +67,19 @@ def rank(rows: list[Row]) -> int:
         pv = m[r][col]
         # the pivot column cancels exactly, so it is popped, not updated
         rest = [(j, b) for j, b in m[r].items() if j != col]
-        for row in m[r + 1 :]:
+        for i in range(r + 1, len(m)):
+            row = m[i]
             if col in row:
-                f = row.pop(col) / pv
+                f = row.pop(col)
+                g = gcd(pv, f)
+                s, f = pv // g, f // g
+                row = {j: s * a for j, a in row.items()} if s != 1 else row
                 for j, b in rest:
                     a = row.get(j, 0) - f * b
                     if a:
                         row[j] = a
                     else:
                         del row[j]
+                m[i] = _content_free(row)
         r += 1
     return singletons + r

@@ -186,7 +186,20 @@ def test_cohiggs_log_leaves_the_root_logger_alone(capsys, monkeypatch, tmp_path)
     assert main(["moduli", "nonempty", "--batch", grid]) == 0
     assert logging.getLogger().handlers == handlers
     err = capsys.readouterr().err
-    assert err == "cohiggs DEBUG dispatch nonempty\ncohiggs DEBUG batch of 2 tuples\n"
+    assert err == "cohiggs DEBUG dispatch moduli nonempty\ncohiggs DEBUG batch of 2 tuples\n"
+
+
+def test_cohiggs_log_names_the_whole_command(capsys, monkeypatch, tmp_path):
+    # `spectral classify` and `ext classify` end in the same word
+    monkeypatch.setenv("COHIGGS_LOG", "1")
+    rho = write_json(tmp_path, "rho.json", {"rho1": {"monomials": []}, "rho12": {"monomials": []},
+                                            "rho2": {"monomials": []}})
+    assert main(["spectral", "classify", "--rho", rho]) == 0
+    assert capsys.readouterr().err == "cohiggs DEBUG dispatch spectral classify\n"
+    point = write_json(tmp_path, "pt.json", {"ext": {"u": {"num": 2, "den": 1}, "v": {"num": 4, "den": 1}},
+                                             "stratum": "S1", "params": {"c00": {"num": 1, "den": 1}}})
+    assert main(["ext", "classify", "--point", point]) == 0
+    assert capsys.readouterr().err == "cohiggs DEBUG dispatch ext classify\n"
 
 
 def test_moduli_bundle_nonempty(capsys):

@@ -648,6 +648,15 @@ def test_section_q_and_pullback_reject_axis_3():
         pullback_from_line(BiPoly.zero(), BiPoly.zero(), BiPoly.const(1), 3)
 
 
+@pytest.mark.parametrize("axis", [1.0, True, 2.0])
+def test_section_q_and_pullback_reject_non_int_axis(axis):
+    # each compares equal to 1 or 2, so a range test alone would let it in
+    with pytest.raises(TypeError, match="axis must be an int"):
+        section_Q(BiPoly.const(1), axis)
+    with pytest.raises(TypeError, match="axis must be an int"):
+        pullback_from_line(Z1, Z1, BiPoly.const(1), axis)
+
+
 def test_pullback_nilpotent():
     pb = pullback_from_line(BiPoly.zero(), BiPoly.zero(), Z1, 1)
     assert pb.rho == BiPoly.zero()

@@ -281,3 +281,141 @@ def test_sympy_cross_check():
             continue
         pf, pg = (sum(q(c) * x**k for k, c in enumerate(p)) for p in (f, g))
         assert has_full_rank(f, g) == (sympy.resultant(pf, pg, x) != 0)
+
+
+# -- integer rows --------------------------------------------------------------
+
+
+def as_fractions(rows) -> list[list[F]]:
+    """Dense rows of Fractions, the input ``dense_rank`` divides in."""
+    return [[F(a) for a in r] for r in rows]
+
+
+def sympy_rank(rows) -> int:
+    sympy = pytest.importorskip("sympy")
+    q = lambda c: sympy.Rational(F(c).numerator, F(c).denominator)
+    return sympy.Matrix([[q(c) for c in r] for r in rows]).rank()
+
+
+def int_and_mixed_matrices(seed: int, count: int):
+    """Each seeded matrix (denominators 1 or 2) twice: doubled into ints, and
+    with every integral entry an int and the others left as Fractions."""
+    for rows in EDGE_CASES + list(random_matrices(seed, count)):
+        yield [[int(2 * a) for a in r] for r in rows]
+        yield [[int(a) if a.denominator == 1 else a for a in r] for r in rows]
+
+
+def test_rank_takes_int_and_mixed_rows():
+    mixed = 0
+    for rows in int_and_mixed_matrices(53, 200):
+        before = [list(r) for r in rows]
+        sparse = as_dicts(rows)
+        sparse_before = [dict(r) for r in sparse]
+        assert rank(rows) == rank(sparse) == dense_rank(as_fractions(rows))
+        assert rows == before and sparse == sparse_before
+        assert all(type(a) is type(b) for r, s in zip(rows, before) for a, b in zip(r, s))
+        mixed += len({type(a) for r in rows for a in r if a}) == 2
+    assert mixed > 50
+
+
+def test_rank_int_and_mixed_rows_sympy_cross_check():
+    pytest.importorskip("sympy")
+    for rows in int_and_mixed_matrices(61, 60):
+        assert rank(rows) == sympy_rank(rows)
+
+
+def big_rat(rng: random.Random, digits: int) -> F:
+    """A fraction whose numerator and denominator have about this many digits."""
+    num, den = (rng.randrange(10 ** (digits - 1), 10**digits) for _ in range(2))
+    return F(rng.choice([-1, 1]) * num, den)
+
+
+def big_matrices(seed: int, count: int):
+    """Products of nrows x k and k x ncols factors (so of rank at most k) whose
+    entries have 50-500 digits over as many, giving entries of 100-1,000."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        k, digits = rng.randint(0, min(nrows, ncols)), rng.randint(50, 500)
+        entry = lambda: big_rat(rng, digits) if rng.random() < 0.7 else F(0)
+        left = [[entry() for _ in range(k)] for _ in range(nrows)]
+        right = [[entry() for _ in range(ncols)] for _ in range(k)]
+        yield [[sum((left[i][t] * right[t][j] for t in range(k)), F(0)) for j in range(ncols)]
+               for i in range(nrows)]
+
+
+def test_rank_of_entries_of_100_to_1000_digits():
+    deficient = 0
+    sizes = set()
+    for rows in big_matrices(67, 40):
+        before = [list(r) for r in rows]
+        expected = dense_rank(rows)
+        assert rank(rows) == rank(as_dicts(rows)) == expected
+        assert rows == before
+        deficient += expected < min(len(rows), len(rows[0]))
+        sizes.update(len(str(a.numerator)) // 100 for r in rows for a in r if a)
+    # both ends of the digit range, and rank-deficient matrices among them
+    assert deficient > 10 and {1, 9} <= sizes
+
+
+def test_rank_of_big_entries_sympy_cross_check():
+    pytest.importorskip("sympy")
+    for rows in big_matrices(71, 10):
+        assert rank(rows) == sympy_rank(rows)
+
+
+def quartic_sylvester_rows(roots: list[F], lead: F) -> list[dict[int, F]]:
+    """The rows of f = lead * prod (x - r) and f', as ``is_generic_quartic`` builds them."""
+    f = poly_from_roots(lead, roots)
+    df = [k * c for k, c in enumerate(f)][1:]
+    return shifted_rows(f, len(f) - 2) + shifted_rows(df, len(f) - 1)
+
+
+def planted_quartics(seed: int, count: int):
+    """Sylvester rows of quartics with 200-digit roots and leading coefficient,
+    with the rank 7 - deg gcd(f, f') they must have: 7 for four distinct
+    roots, 6 for one double root, 5 for two double roots or a triple root,
+    4 for a fourfold root."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        r, s, t, u, lead = (big_rat(rng, 200) for _ in range(5))
+        for roots, expected in (([r, s, t, u], 7), ([r, r, s, t], 6), ([r, r, s, s], 5),
+                                ([r, r, r, s], 5), ([r, r, r, r], 4)):
+            yield quartic_sylvester_rows(roots, lead), expected
+
+
+def dense(rows: list[dict[int, F]]) -> list[list[F]]:
+    width = 1 + max((j for r in rows for j in r), default=-1)
+    return [[r.get(j, F(0)) for j in range(width)] for r in rows]
+
+
+def test_quartic_sylvester_rows_with_planted_repeated_roots():
+    for rows, expected in planted_quartics(73, 4):
+        before = [dict(row) for row in rows]
+        assert rank(rows) == expected == dense_rank(dense(rows))
+        assert rows == before
+
+
+def test_planted_quartics_sympy_cross_check():
+    pytest.importorskip("sympy")
+    for rows, expected in planted_quartics(89, 1):
+        assert rank(rows) == expected == sympy_rank(dense(rows))
+
+
+class NoArithmetic(F):
+    def fail(self, other):
+        raise AssertionError("the elimination runs on integer rows")
+
+    __add__ = __radd__ = __sub__ = __rsub__ = fail
+    __mul__ = __rmul__ = __truediv__ = __rtruediv__ = fail
+
+
+def test_elimination_does_no_fraction_arithmetic():
+    """Each row is brought to integers once, from its entries' numerators and
+    denominators; no update adds, multiplies or divides a Fraction."""
+    eliminated = 0
+    for rows in list(random_matrices(79, 100)) + list(big_matrices(83, 10)):
+        guarded = [[NoArithmetic(a) for a in r] for r in rows]
+        assert rank(guarded) == rank(as_dicts(guarded)) == dense_rank(rows)
+        eliminated += singleton_passes(rows) == 0 and dense_rank(rows) > 1
+    assert eliminated > 10
