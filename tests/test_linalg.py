@@ -273,8 +273,8 @@ def test_resultant_degenerate_inputs():
 def test_sympy_cross_check():
     sympy = pytest.importorskip("sympy")
     q = lambda c: sympy.Rational(c.numerator, c.denominator)
-    for rows in random_matrices(13, 150):
-        assert rank(rows) == sympy.Matrix([[q(c) for c in row] for row in rows]).rank()
+    for rows in [*random_matrices(13, 150), *int_and_mixed_matrices(61, 60), *big_matrices(71, 10)]:
+        assert rank(rows) == sympy_rank(rows)
     x = sympy.Symbol("x")
     for f, g in random_polys(17, 150):
         if len(f) < 2 or len(g) < 2:
@@ -284,11 +284,6 @@ def test_sympy_cross_check():
 
 
 # -- integer rows --------------------------------------------------------------
-
-
-def as_fractions(rows) -> list[list[F]]:
-    """Dense rows of Fractions, the input ``dense_rank`` divides in."""
-    return [[F(a) for a in r] for r in rows]
 
 
 def sympy_rank(rows) -> int:
@@ -311,17 +306,12 @@ def test_rank_takes_int_and_mixed_rows():
         before = [list(r) for r in rows]
         sparse = as_dicts(rows)
         sparse_before = [dict(r) for r in sparse]
-        assert rank(rows) == rank(sparse) == dense_rank(as_fractions(rows))
+        # dense_rank divides, so it takes the entries as Fractions
+        assert rank(rows) == rank(sparse) == dense_rank([[F(a) for a in r] for r in rows])
         assert rows == before and sparse == sparse_before
         assert all(type(a) is type(b) for r, s in zip(rows, before) for a, b in zip(r, s))
         mixed += len({type(a) for r in rows for a in r if a}) == 2
     assert mixed > 50
-
-
-def test_rank_int_and_mixed_rows_sympy_cross_check():
-    pytest.importorskip("sympy")
-    for rows in int_and_mixed_matrices(61, 60):
-        assert rank(rows) == sympy_rank(rows)
 
 
 def big_rat(rng: random.Random, digits: int) -> F:
@@ -358,12 +348,6 @@ def test_rank_of_entries_of_100_to_1000_digits():
     assert deficient > 10 and {1, 9} <= sizes
 
 
-def test_rank_of_big_entries_sympy_cross_check():
-    pytest.importorskip("sympy")
-    for rows in big_matrices(71, 10):
-        assert rank(rows) == sympy_rank(rows)
-
-
 def quartic_sylvester_rows(roots: list[F], lead: F) -> list[dict[int, F]]:
     """The rows of f = lead * prod (x - r) and f', as ``is_generic_quartic`` builds them."""
     f = poly_from_roots(lead, roots)
@@ -397,7 +381,6 @@ def test_quartic_sylvester_rows_with_planted_repeated_roots():
 
 
 def test_planted_quartics_sympy_cross_check():
-    pytest.importorskip("sympy")
     for rows, expected in planted_quartics(89, 1):
         assert rank(rows) == expected == sympy_rank(dense(rows))
 
