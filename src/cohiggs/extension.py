@@ -10,14 +10,14 @@ transition matrices over the standard four-chart cover
 on V1 & V2 and V1 & V3.  The trace-free endomorphism bundles twisted by
 O(2,0) and O(0,2) inherit 3x3 transitions on the coefficient vector
 (A, B, C) of (A B; C -A).  They are written here in closed form in u, v
-and the twist, as the Laurent terms of each column, and are no longer
-derived by conjugation at run time; the conjugation ``end_rep3`` in
-``tests/oracles.py`` is their reference.
+and the twist, as the Laurent terms of each column with int factors (V1 -> V2
+scaled by d^2, d = lcm(den u, den v), which keeps every form's zero set).  The
+conjugation ``end_rep3`` in ``tests/oracles.py`` is their reference.
 
 A chart-V1 section is global iff its images in charts V2 and V3 have no
 pole.  ``_irregular_rows`` states that condition once, as sparse linear
 forms in the chart-V1 coefficients: ``glue_check`` evaluates them on one
-section, and the generic-ansatz dimension count takes their rank.
+section brought over one denominator, and the generic ansatz takes their rank.
 
 The global Higgs-field components then come in closed form, as BiPoly
 arithmetic in the cocycle q = u*z1 + v: C1 carries six free coefficients
@@ -29,6 +29,7 @@ closed forms and the ansatz must (and do) agree on the dimension counts
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -109,28 +110,28 @@ class TrivialFieldData:
 
 Coefficient = tuple[int, int, int]  # (comp, i, j): z1^i z2^j in component comp of (A, B, C)
 
-# Column comp of a 3x3 transition on (A, B, C): a (comp_out, di, dj, c) for
-# each term c z1^di z2^dj of its entry in row comp_out, zero terms left out.
-Column = tuple[tuple[int, int, int, Fraction], ...]
-
-_ONE = Fraction(1)
+# Column comp of a 3x3 transition on (A, B, C), times a positive constant: an int
+# (comp_out, di, dj, c) per nonzero term c z1^di z2^dj of its entry in row comp_out.
+Column = tuple[tuple[int, int, int, int], ...]
 
 
 def _v1_to_v2(e: ExtParams, twist: Twist) -> tuple[Column, Column, Column]:
-    """Columns of the V1 -> V2 transition, whose rows give the image's
-    (A, B, C); with q = u z1 + v and b = twist[1] it is
+    """Columns of d^2 times the V1 -> V2 transition, d = lcm(den u, den v), so
+    every factor is an int; with q = u z1 + v and b = twist[1] the transition is
 
         ( z2^-b            0           -q z2^(-1-b) )
         ( 2 q z2^(1-b)     z2^(2-b)    -q^2 z2^-b   )
         ( 0                0           z2^(-2-b)    )
     """
     u, v, b = _as_rat(e.u), _as_rat(e.v), twist[1]
+    d = math.lcm(u.denominator, v.denominator)
+    U, V, dd = u.numerator * (d // u.denominator), v.numerator * (d // v.denominator), d * d
     columns = (
-        ((0, 0, -b, _ONE), (1, 1, 1 - b, 2 * u), (1, 0, 1 - b, 2 * v)),
-        ((1, 0, 2 - b, _ONE),),
-        ((0, 1, -1 - b, -u), (0, 0, -1 - b, -v),
-         (1, 2, -b, -u * u), (1, 1, -b, -2 * u * v), (1, 0, -b, -v * v),
-         (2, 0, -2 - b, _ONE)),
+        ((0, 0, -b, dd), (1, 1, 1 - b, 2 * U * d), (1, 0, 1 - b, 2 * V * d)),
+        ((1, 0, 2 - b, dd),),
+        ((0, 1, -1 - b, -U * d), (0, 0, -1 - b, -V * d),
+         (1, 2, -b, -U * U), (1, 1, -b, -2 * U * V), (1, 0, -b, -V * V),
+         (2, 0, -2 - b, dd)),
     )
     return tuple(tuple(t for t in column if t[3]) for column in columns)
 
@@ -141,7 +142,7 @@ def _v1_to_v3(twist: Twist) -> tuple[Column, Column, Column]:
     It is also the V2 -> V4 transition: the z1 involution inside the
     w2 = 1/z2 charts has the same matrix."""
     a = twist[0]
-    return ((0, -a, 0, _ONE),), ((1, -1 - a, 0, _ONE),), ((2, 1 - a, 0, _ONE),)
+    return ((0, -a, 0, 1),), ((1, -1 - a, 0, 1),), ((2, 1 - a, 0, 1),)
 
 
 def _irregular_rows(e: ExtParams, twist: Twist, support: list[Coefficient]) -> dict:
@@ -152,7 +153,7 @@ def _irregular_rows(e: ExtParams, twist: Twist, support: list[Coefficient]) -> d
     image term with a positive z2 exponent in V2 or a positive z1 exponent
     in V3.  A section on ``support`` is global iff every form vanishes on it.
     """
-    rows: dict[tuple[int, int, int, int], dict[Coefficient, Fraction]] = {}
+    rows: dict[tuple[int, int, int, int], dict[Coefficient, int]] = {}
     for chart, (columns, axis) in enumerate(((_v1_to_v2(e, twist), 1), (_v1_to_v3(twist), 0))):
         for key in support:
             comp, i, j = key
@@ -211,6 +212,8 @@ def glue_check(e: ExtParams, phi_v1: PolyMat2, twist: Twist) -> bool:
         for comp, entry in enumerate((phi_v1.entry(0, 0), phi_v1.entry(0, 1), phi_v1.entry(1, 0)))
         for i, j, c in entry.terms()
     }
+    d = math.lcm(*(c.denominator for c in coeffs.values()))  # int coefficients for int forms
+    coeffs = {k: c.numerator * (d // c.denominator) for k, c in coeffs.items()}
     forms = _irregular_rows(e, twist, list(coeffs))
     return all(not sum(c * coeffs[k] for k, c in form.items()) for form in forms.values())
 

@@ -288,8 +288,9 @@ def mul_oracle(a: PolyDict, b: PolyDict) -> PolyDict:
 def dense_rank(rows: list[list[Fraction]]) -> int:
     """The dense forward elimination that ``linalg.rank`` replaced, kept as
     its differential reference: same first-nonzero pivots, every row update
-    recomputed across the full width."""
-    m = [list(r) for r in rows]
+    recomputed across the full width.  Entries are taken as ``Fraction``s,
+    so ``int`` rows are eliminated exactly, never in floats."""
+    m = [[Fraction(a) for a in r] for r in rows]
     ncols = len(m[0]) if m else 0
     r = 0
     for col in range(ncols):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 import time
 from fractions import Fraction as F
@@ -160,29 +161,37 @@ def _transition_classes():
 
 
 def test_closed_form_transitions_equal_conjugation():
+    """V1 -> V3 is the conjugation itself; V1 -> V2 is d^2 times it, with
+    d = lcm(den u, den v), so that every factor is an int."""
     for twist in (TWIST_20, TWIST_02):
         v3 = _v1_to_v3(twist)
         assert tuple(set(col) for col in v3) == columns_of(rep_v1_to_v3(twist))
+        assert all(type(c) is int and c for col in v3 for *_, c in col)
         for e in _transition_classes():
+            dd = math.lcm(e.u.denominator, e.v.denominator) ** 2
+            reference = columns_of(rep_v1_to_v2(e, twist))
+            scaled = tuple({(*t, c * dd) for *t, c in col} for col in reference)
             v2 = _v1_to_v2(e, twist)
-            assert tuple(set(col) for col in v2) == columns_of(rep_v1_to_v2(e, twist))
-            # no term is repeated within a column, and each is a nonzero Fraction
+            assert tuple(set(col) for col in v2) == scaled
+            # no term is repeated within a column, and each is a nonzero int
             assert all(len(set(col)) == len(col) for col in v2)
-            assert all(type(c) is F and c for col in v2 for *_, c in col)
+            assert all(type(c) is int and c for col in v2 for *_, c in col)
 
 
 def test_transitions_are_immutable():
     e = ExtParams(F(3, 4), F(-5))
     for twist in (TWIST_20, TWIST_02):
         for first in (_v1_to_v2(e, twist), _v1_to_v3(twist)):
-            hash(first)  # tuples of tuples of ints and Fractions all the way down
+            hash(first)  # tuples of tuples of ints all the way down
+            assert all(type(x) is int for col in first for term in col for x in term)
             with pytest.raises(TypeError):
-                first[0][0] = (9, 9, 9, F(9))
+                first[0][0] = (9, 9, 9, 9)
             with pytest.raises(AttributeError):
-                first[0].append((2, 0, 0, F(1)))
+                first[0].append((2, 0, 0, 1))
         assert _v1_to_v2(e, twist) == _v1_to_v2(ExtParams(F(3, 4), F(-5)), twist)
+        # d = 4: the factors 1, 2u = 3/2 and 2v = -10, times d^2 = 16
         assert set(_v1_to_v2(e, twist)[0]) == {
-            (0, 0, -twist[1], F(1)), (1, 1, 1 - twist[1], F(3, 2)), (1, 0, 1 - twist[1], F(-10))
+            (0, 0, -twist[1], 16), (1, 1, 1 - twist[1], 24), (1, 0, 1 - twist[1], -160)
         }
 
 
@@ -321,6 +330,39 @@ def test_glue_check_matches_image_oracle():
             assert got == image_glue_check(e, phi, twist), (e, twist, phi)
             outcomes[got] += 1
     assert min(outcomes.values()) >= 200, outcomes
+
+
+def _entry_denominators(m: PolyMat2) -> list[int]:
+    """The lcm of the coefficient denominators of A, B and C."""
+    entries = (m.entry(0, 0), m.entry(0, 1), m.entry(1, 0))
+    return [math.lcm(*(c.denominator for *_, c in entry.terms())) for entry in entries]
+
+
+def test_glue_check_clears_unrelated_denominators():
+    """u, v and the coefficients of A, B and C over unrelated 100-bit
+    denominators: the forms must still see every coefficient exactly."""
+    rng = random.Random(18)
+    big = lambda: F(rng.choice([-1, 1]) * (rng.getrandbits(100) | 1), rng.getrandbits(100) | 1 << 99)
+    outcomes = {True: 0, False: 0}
+    for k in range(40):
+        e = ExtParams(big(), big())
+        assert e.u.denominator != e.v.denominator
+        if k % 2:
+            twist, build = TWIST_02, build_phi2(e, Phi2Params(*(big() for _ in range(5))))
+        else:
+            twist, build = TWIST_20, build_phi1(e, Phi1Params(*(big() for _ in range(6))))
+        # fresh denominators on free coefficients (the constant of C for
+        # O(2,0); those of A and B for O(0,2), where C is 0), and on a term
+        # that chart V2 forbids (z2^3 in B)
+        a, b, c = (BiPoly.const(big()) for _ in range(3))
+        zero = BiPoly.zero()
+        free = PolyMat2.trace_free(*((zero, zero, c) if twist == TWIST_20 else (a, b, zero)))
+        forbidden = PolyMat2.trace_free(a, BiPoly({(0, 3): big()}), c)
+        for phi, verdict in ((build, True), (mat_add(build, free), True), (mat_add(build, forbidden), False)):
+            assert glue_check(e, phi, twist) is verdict, (e, twist, phi)
+            assert image_glue_check(e, phi, twist) is verdict
+            outcomes[verdict] += len(set(_entry_denominators(phi))) == 3
+    assert outcomes == {True: 80, False: 40}
 
 
 def _coefficient_vector(m: PolyMat2, box: int = 4) -> list[F]:

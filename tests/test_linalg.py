@@ -109,8 +109,9 @@ def test_eliminate_takes_any_sortable_column_keys():
         width = len(rows[0]) if rows else 0
         perm = rng.sample(range(width), width)
         shuffled_order += perm != sorted(perm)
+        expected = dense_rank(rows)
         for key in (lambda j: (j // 3, j % 3), lambda j: (perm[j] % 2, perm[j])):
-            assert rank([{key(j): a for j, a in enumerate(r) if a} for r in rows]) == dense_rank(rows)
+            assert rank([{key(j): a for j, a in enumerate(r) if a} for r in rows]) == expected
     assert shuffled_order > 50
 
 
@@ -133,6 +134,15 @@ def test_eliminate_matches_dense_oracle_on_ansatz_matrices(monkeypatch):
     assert len(matrices) == 2 * len(classes)
     for rows in matrices:
         assert rank(rows) == dense_rank(rows)
+
+
+def test_dense_oracle_is_exact_on_int_rows():
+    # eliminated in floats, n + 1 - n * n / (n + 1) rounds to 0 and the rank to 1
+    n = 10**20
+    rows = [[n + 1, n], [n, n - 1]]
+    assert dense_rank(rows) == rank(rows) == 2
+    doubled = [[n + 1, n], [2 * n + 2, 2 * n]]
+    assert dense_rank(doubled) == rank(doubled) == 1
 
 
 def test_eliminate_edge_cases():
@@ -306,8 +316,7 @@ def test_rank_takes_int_and_mixed_rows():
         before = [list(r) for r in rows]
         sparse = as_dicts(rows)
         sparse_before = [dict(r) for r in sparse]
-        # dense_rank divides, so it takes the entries as Fractions
-        assert rank(rows) == rank(sparse) == dense_rank([[F(a) for a in r] for r in rows])
+        assert rank(rows) == rank(sparse) == dense_rank(rows)
         assert rows == before and sparse == sparse_before
         assert all(type(a) is type(b) for r, s in zip(rows, before) for a, b in zip(r, s))
         mixed += len({type(a) for r in rows for a in r if a}) == 2
