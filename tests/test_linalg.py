@@ -137,7 +137,7 @@ def test_eliminate_matches_dense_oracle_on_ansatz_matrices(monkeypatch):
 
 
 def test_dense_oracle_is_exact_on_int_rows():
-    # eliminated in floats, n + 1 - n * n / (n + 1) rounds to 0 and the rank to 1
+    # in floats the update n - 1 - n * n / (n + 1) = -1/(n + 1) rounds to 0, and the rank to 1
     n = 10**20
     rows = [[n + 1, n], [n, n - 1]]
     assert dense_rank(rows) == rank(rows) == 2
