@@ -4,8 +4,8 @@ Modules by theme:
 
 * :mod:`cohiggs.exactalg` - rationals, bivariate polynomials, 2x2 matrices
   and general conjugation (the arithmetic substrate);
-* :mod:`cohiggs.cohomology` - line bundles O(a,b): cohomology dimensions,
-  monomial section bases, slopes for the polarization C0 + F;
+* :mod:`cohiggs.cohomology` - line bundles O(a,b): cohomology dimensions
+  and slopes for the polarization C0 + F;
 * :mod:`cohiggs.chern` - Chern-class reduction and the moduli existence
   decision procedures;
 * :mod:`cohiggs.higgs` - Higgs fields on split bundles: shapes,
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "exactalg": "BiPoly PolyMat2 Rat RatFn",
-    "cohomology": "LineBundle h_dims monomial_basis slope_rank2",
+    "cohomology": "LineBundle h_dims",
     "chern": "ChernData NumericalInvariants ReducedClass ReducedTag",
     "higgs": "DecomposableBundle HiggsField StabilityClass",
     "spectral": "SpectralData SpectralPoint",

@@ -75,17 +75,9 @@ def intersect(c0_coeff1: int, f_coeff1: int, c0_coeff2: int, f_coeff2: int) -> i
     return c0_coeff1 * f_coeff2 + f_coeff1 * c0_coeff2
 
 
-def twisted_chern(c: ChernData, x: int, y: int) -> ChernData:
-    """Chern data of E tensor O(x,y).
-
-    O(x,y) has class y*C0 + x*F, so c1 shifts by (2y, 2x) and
-    c2 by c1(E).c1(L) + c1(L)^2 = alpha*x + beta*y + 2*x*y.
-    """
-    return ChernData(c.alpha + 2 * y, c.beta + 2 * x, _twisted_gamma(c, x, y))
-
-
 def _twisted_gamma(c: ChernData, x: int, y: int) -> int:
-    """c2 of E tensor O(x,y), as in twisted_chern."""
+    """c2 of E tensor L = O(x,y), whose class is y*C0 + x*F (c1 shifts by
+    (2y, 2x)): gamma + c1(E).c1(L) + c1(L)^2 = gamma + alpha*x + beta*y + 2*x*y."""
     return c.gamma + intersect(c.alpha, c.beta, y, x) + intersect(y, x, y, x)
 
 

@@ -116,9 +116,6 @@ class BiPoly:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def terms(self) -> Iterator[tuple[int, int, Fraction]]:
         """Terms in descending graded-lex order (leading term first)."""
         for (i, j) in sorted(self._terms, key=_grlex_key, reverse=True):
@@ -224,6 +221,9 @@ class BiPoly:
         return self._den == other._den and self._terms == other._terms
 
     def __hash__(self):
+        # a constant equals its Fraction value, so it hashes as that value does
+        if self._terms.keys() <= {(0, 0)}:
+            return hash(self.coeff(0, 0))
         return hash((self._den, frozenset(self._terms.items())))
 
     # -- evaluation --------------------------------------------------------
@@ -291,6 +291,13 @@ def _normalized(terms: dict[Term, int], den: int) -> BiPoly:
     return out
 
 
+def _over_lcm(*polys: BiPoly) -> list[dict[Term, int]]:
+    """Each polynomial's ``{term: int numerator}`` over the lcm of their denominators."""
+    den = math.lcm(*(p._den for p in polys))
+    scaled = ((p._terms, den // p._den) for p in polys)
+    return [{t: c * m for t, c in terms.items()} for terms, m in scaled]
+
+
 Z1 = BiPoly({(1, 0): 1})
 Z2 = BiPoly({(0, 1): 1})
 ONE = BiPoly.const(1)
@@ -317,8 +324,7 @@ class RatFn:
         if not num:
             self.num, self.den = BiPoly.zero(), ONE
             return
-        lcm = math.lcm(num._den, den._den)
-        n, d = ({t: c * (lcm // p._den) for t, c in p._terms.items()} for p in (num, den))
+        n, d = _over_lcm(num, den)
         g = math.gcd(*n.values(), *d.values())
         g = -g if d[max(d, key=_grlex_key)] < 0 else g
         self.num, self.den = (_normalized({t: c // g for t, c in x.items()}, 1) for x in (n, d))

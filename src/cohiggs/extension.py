@@ -42,7 +42,7 @@ from .errors import (
     SlotViolation,
     TrivialExtension,
 )
-from .exactalg import BiPoly, PolyMat2, Z2, _as_rat
+from .exactalg import BiPoly, PolyMat2, Z2, _as_rat, _over_lcm
 from .higgs import DecomposableBundle, HiggsField, commute, validate_field
 from .linalg import rank
 
@@ -207,13 +207,9 @@ def glue_check(e: ExtParams, phi_v1: PolyMat2, twist: Twist) -> bool:
     """
     if not phi_v1.is_trace_free():
         raise ValueError("section must be trace-free")
-    coeffs = {
-        (comp, i, j): c
-        for comp, entry in enumerate((phi_v1.entry(0, 0), phi_v1.entry(0, 1), phi_v1.entry(1, 0)))
-        for i, j, c in entry.terms()
-    }
-    d = math.lcm(*(c.denominator for c in coeffs.values()))  # int coefficients for int forms
-    coeffs = {k: c.numerator * (d // c.denominator) for k, c in coeffs.items()}
+    # int coefficients for int forms
+    entries = _over_lcm(phi_v1.entry(0, 0), phi_v1.entry(0, 1), phi_v1.entry(1, 0))
+    coeffs = {(comp, i, j): c for comp, entry in enumerate(entries) for (i, j), c in entry.items()}
     forms = _irregular_rows(e, twist, list(coeffs))
     return all(not sum(c * coeffs[k] for k, c in form.items()) for form in forms.values())
 

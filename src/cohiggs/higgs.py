@@ -112,9 +112,6 @@ class HiggsField:
             self.phi2.entry(0, 0), self.phi2.entry(0, 1), self.phi2.entry(1, 0),
         )
 
-    def is_zero(self) -> bool:
-        return self.phi1.is_zero() and self.phi2.is_zero()
-
 
 def field(bundle: DecomposableBundle, a1=0, b1=0, c1=0, a2=0, b2=0, c2=0) -> HiggsField:
     """Convenience constructor from the six entries (BiPoly, int or Fraction)."""

@@ -196,8 +196,8 @@ def fibre_decomposability(s: SpectralData) -> FibreClass:
     """
     if not rho_consistent(s):
         raise InconsistentRho("rho12^2 != 4 rho1 rho2")
-    if s.rho12.is_zero() and s.rho2.is_zero() and is_generic_quartic(s.rho1):
+    if not s.rho12 and not s.rho2 and is_generic_quartic(s.rho1):
         return FibreClass.PRODUCT_CASE_AXIS1
-    if s.rho12.is_zero() and s.rho1.is_zero() and is_generic_quartic(s.rho2):
+    if not s.rho12 and not s.rho1 and is_generic_quartic(s.rho2):
         return FibreClass.PRODUCT_CASE_AXIS2
     return FibreClass.NON_GENERIC_OTHER

@@ -241,7 +241,7 @@ def product_case_verify(a: int, b: int, m: int, f: HiggsField) -> bool:
     if not f.phi2.is_zero():
         return False
     s = hitchin_map(f)
-    return s.rho12.is_zero() and s.rho2.is_zero()
+    return not s.rho12 and not s.rho2
 
 
 # ---------------------------------------------------------------------------

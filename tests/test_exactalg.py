@@ -404,3 +404,12 @@ def test_equal_values_have_equal_storage():
     for got, want in routes:
         assert got == want and hash(got) == hash(want)
         assert _canonical(got) and got._den == want._den and got._terms == want._terms
+
+
+def test_constants_hash_as_the_scalars_they_equal():
+    # a constant polynomial equals its int or Fraction, so it must hash as it does
+    for c in (0, 1, -7, F(1, 2), F(-(10**40), 3)):
+        assert BiPoly.const(c) == c and hash(BiPoly.const(c)) == hash(c)
+    assert len({BiPoly(), 0}) == 1 and len({BiPoly.const(F(1, 2)), F(1, 2)}) == 1
+    assert {F(1, 2): "half"}[BiPoly.const(F(1, 2))] == "half" and Z1 + 1 - Z1 in {1}
+    assert len({Z1, Z1 * 1, 2 * Z1 - Z1, Z2, Z1 + 1}) == 3

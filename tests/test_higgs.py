@@ -365,8 +365,8 @@ def test_graded_object_diagonal_unchanged():
 
 
 def test_graded_object_zero_field():
-    f = field(B_OO)
-    assert graded_object(f).is_zero()
+    g = graded_object(field(B_OO))
+    assert g.phi1.is_zero() and g.phi2.is_zero()
 
 
 def test_graded_object_requires_strictly_semistable():

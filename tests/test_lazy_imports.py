@@ -21,7 +21,7 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 # today's re-exports of the package, by the module that defines each
 EXPORTS = {
     "exactalg": ["BiPoly", "PolyMat2", "Rat", "RatFn"],
-    "cohomology": ["LineBundle", "h_dims", "monomial_basis", "slope_rank2"],
+    "cohomology": ["LineBundle", "h_dims"],
     "chern": ["ChernData", "NumericalInvariants", "ReducedClass", "ReducedTag"],
     "higgs": ["DecomposableBundle", "HiggsField", "StabilityClass"],
     "spectral": ["SpectralData", "SpectralPoint"],

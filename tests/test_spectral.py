@@ -54,7 +54,7 @@ def test_hitchin_phi2_zero():
     f = field(B_OO, a1=Z1, b1=Z1 * Z1 - 1, c1=2)
     s = hitchin_map(f)
     assert s.rho1 == det2(f.phi1)
-    assert s.rho12.is_zero() and s.rho2.is_zero()
+    assert not s.rho12 and not s.rho2
 
 
 def test_hitchin_section_q_is_right_inverse():
@@ -63,7 +63,7 @@ def test_hitchin_section_q_is_right_inverse():
         rho = random_univariate(rng, 4, 1, 7)
         s = hitchin_map(section_Q(rho, 1))
         assert s.rho1 == rho
-        assert s.rho12.is_zero() and s.rho2.is_zero()
+        assert not s.rho12 and not s.rho2
 
 
 def test_hitchin_diagonal_example():
