@@ -158,7 +158,7 @@ def _higgs_graded(args) -> dict:
     from . import higgs, jsonio
     f = jsonio.field_from_json(_load_json(args.field))
     g = higgs.graded_object(f)
-    a1, a2 = higgs.s_equiv_rep(g)  # the graded object is its own graded object
+    a1, a2 = higgs.s_equiv_rep(f)  # reads the graded object just built
     return {
         "field": jsonio.field_to_json(g),
         "s_equiv_rep": {"A1": jsonio.bipoly_to_json(a1), "A2": jsonio.bipoly_to_json(a2)},

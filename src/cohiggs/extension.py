@@ -298,6 +298,7 @@ def stratum_classify(m: ModuliPoint) -> ModuliPoint:
     make the first nonzero coordinate 1; stratum S0 is exactly the split
     locus and carries trivial-extension field data instead.
     """
+    u, v = _as_rat(m.ext.u), _as_rat(m.ext.v)
     if m.stratum is Stratum.S0:
         if not (m.ext.is_trivial() and isinstance(m.params, TrivialFieldData)):
             raise InconsistentPoint("S0 needs a trivial extension with split field data")
@@ -309,16 +310,16 @@ def stratum_classify(m: ModuliPoint) -> ModuliPoint:
         raise InconsistentPoint(
             f"{m.stratum.value} carries {expected.__name__}, got {type(m.params).__name__}"
         )
-    scale = m.ext.u if m.ext.u else m.ext.v
-    ext = ExtParams(m.ext.u / scale, m.ext.v / scale)
-    return ModuliPoint(ext, m.stratum, m.params)
+    scale = u if u else v
+    return ModuliPoint(ExtParams(u / scale, v / scale), m.stratum, m.params)
 
 
 def weak_iso(e1: ExtParams, e2: ExtParams) -> bool:
     """Equality of extension classes up to scalar: [u1:v1] = [u2:v2]."""
+    u1, v1, u2, v2 = map(_as_rat, (e1.u, e1.v, e2.u, e2.v))
     if e1.is_trivial() or e2.is_trivial():
         raise TrivialExtension("weak isomorphism compares non-trivial classes")
-    return e1.u * e2.v == e2.u * e1.v
+    return u1 * v2 == u2 * v1
 
 
 def trivial_extension_normal_form(f: HiggsField) -> HiggsField:

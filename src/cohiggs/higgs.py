@@ -26,6 +26,11 @@ root of the eigenvector quadratics) is decided by one :func:`linalg.rank`.
 Nothing here conjugates.  The graded object of a strictly semistable field
 on O+O is the diagonal of its eigenvalues along a rational common
 eigenvector, and the normal forms are fixed by det Phi in closed form.
+
+A field is immutable, so what the entry points ask of it is derived once per
+field and kept on it (see :class:`HiggsField`): the slot verdict, the
+integrability verdict, the stability class, the Hitchin triple and the graded
+object.  Every entry point still runs its own checks on each call.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from ._univariate import shifted_rows
@@ -99,7 +105,15 @@ def fits_slot(p: BiPoly, slot: LineBundle) -> bool:
 
 @dataclass(frozen=True)
 class HiggsField:
-    """Underlying split bundle plus the two matrix components on chart V1."""
+    """Underlying split bundle plus the two matrix components on chart V1.
+
+    The private ``cached_property`` facts are computed on first use and kept
+    in the instance ``__dict__``, not as dataclass fields, so ``==``, ``hash``
+    and ``repr`` see the three fields alone.  A field never changes, and a
+    computation that raises keeps nothing.  From CPython 3.12 on
+    ``cached_property`` takes no lock: two threads may compute a fact twice,
+    with equal results.
+    """
 
     bundle: DecomposableBundle
     phi1: PolyMat2
@@ -112,6 +126,54 @@ class HiggsField:
             self.phi2.entry(0, 0), self.phi2.entry(0, 1), self.phi2.entry(1, 0),
         )
 
+    @cached_property
+    def _valid(self) -> bool:
+        return (self.phi1.is_trace_free() and self.phi2.is_trace_free()
+                and all(map(fits_slot, self.entries(), higgs_shape(self.bundle))))
+
+    @cached_property
+    def _integrable(self) -> bool:
+        return commute(self.phi1, self.phi2)
+
+    @cached_property
+    def _hitchin(self) -> tuple[BiPoly, BiPoly, BiPoly]:
+        a1, b1, _, a2, _, c2 = self.entries()
+        return det2(self.phi1), (a1 * a2 + b1 * c2) * (-2), det2(self.phi2)
+
+    @cached_property
+    def _stability(self) -> StabilityClass:
+        """What :func:`stability_classify` returns once its checks pass."""
+        l1, l2 = self.bundle.L1, self.bundle.L2
+        mu1, mu2 = l1.slope(), l2.slope()
+        if mu1 == mu2:
+            if l1 == l2 == O(0, 0):
+                if common_eigenvector_exists(_coefficient_matrices(self)):
+                    return StabilityClass.STRICTLY_SEMISTABLE
+                return StabilityClass.STABLE
+            return StabilityClass.UNSUPPORTED
+        # the lower-left entries with the dominant summand first: putting L2
+        # first conjugates by the permutation matrix, which exchanges B and C
+        low = (1, 0) if mu1 > mu2 else (0, 1)
+        if not self.phi1.entry(*low) and not self.phi2.entry(*low):
+            return StabilityClass.UNSTABLE
+        if (mu1 + mu2) % 2 != 0 or frozenset({l1, l2}) in (_PM10, _PM01):
+            return StabilityClass.STABLE
+        return StabilityClass.UNSUPPORTED
+
+    @cached_property
+    def _graded(self) -> HiggsField:
+        """What :func:`graded_object` returns once its checks pass.  The zero
+        field has no quadratics, and [1:0] gives it back."""
+        v = _rational_common_eigenvector(_eigen_quadratics(_coefficient_matrices(self)))
+        if v is None:
+            raise IrrationalEigenvector("common eigenvector exists only over a quadratic extension")
+        x0, y0 = v
+        if y0:
+            a1, a2 = (m.entry(1, 0) * x0 - m.entry(0, 0) for m in (self.phi1, self.phi2))
+        else:
+            a1, a2 = self.phi1.entry(0, 0), self.phi2.entry(0, 0)
+        return field(self.bundle, a1=a1, a2=a2)
+
 
 def field(bundle: DecomposableBundle, a1=0, b1=0, c1=0, a2=0, b2=0, c2=0) -> HiggsField:
     """Convenience constructor from the six entries (BiPoly, int or Fraction)."""
@@ -120,9 +182,7 @@ def field(bundle: DecomposableBundle, a1=0, b1=0, c1=0, a2=0, b2=0, c2=0) -> Hig
 
 def validate_field(f: HiggsField) -> bool:
     """Trace-freeness of both components plus the slot boxes of all six entries."""
-    if not (f.phi1.is_trace_free() and f.phi2.is_trace_free()):
-        return False
-    return all(map(fits_slot, f.entries(), higgs_shape(f.bundle)))
+    return f._valid
 
 
 def commute(x: PolyMat2, y: PolyMat2) -> bool:
@@ -138,7 +198,7 @@ def commute(x: PolyMat2, y: PolyMat2) -> bool:
 
 def is_integrable(f: HiggsField) -> bool:
     """[Phi_1, Phi_2] = 0."""
-    return commute(f.phi1, f.phi2)
+    return f._integrable
 
 
 # ---------------------------------------------------------------------------
@@ -239,24 +299,7 @@ def stability_classify(f: HiggsField) -> StabilityClass:
         raise SlotViolation("field violates its shape slots or trace-freeness")
     if not is_integrable(f):
         raise NotIntegrable("field is not integrable")
-    l1, l2 = f.bundle.L1, f.bundle.L2
-    mu1, mu2 = l1.slope(), l2.slope()
-    if mu1 == mu2:
-        if l1 == l2 == O(0, 0):
-            if common_eigenvector_exists(_coefficient_matrices(f)):
-                return StabilityClass.STRICTLY_SEMISTABLE
-            return StabilityClass.STABLE
-        return StabilityClass.UNSUPPORTED
-    # the lower-left entries with the dominant summand first: putting L2
-    # first conjugates by the permutation matrix, which exchanges B and C
-    low = (1, 0) if mu1 > mu2 else (0, 1)
-    if not f.phi1.entry(*low) and not f.phi2.entry(*low):
-        return StabilityClass.UNSTABLE
-    if (mu1 + mu2) % 2 != 0:
-        return StabilityClass.STABLE
-    if frozenset({l1, l2}) in (_PM10, _PM01):
-        return StabilityClass.STABLE
-    return StabilityClass.UNSUPPORTED
+    return f._stability
 
 
 def graded_object(f: HiggsField) -> HiggsField:
@@ -272,20 +315,7 @@ def graded_object(f: HiggsField) -> HiggsField:
     """
     if stability_classify(f) is not StabilityClass.STRICTLY_SEMISTABLE:
         raise NotStrictlySemistable("graded object needs a strictly semistable field")
-    quads = _eigen_quadratics(_coefficient_matrices(f))
-    if not quads:
-        return f  # zero field: already diagonal
-    v = _rational_common_eigenvector(quads)
-    if v is None:
-        raise IrrationalEigenvector(
-            "common eigenvector exists only over a quadratic extension"
-        )
-    x0, y0 = v
-    if y0:
-        a1, a2 = (m.entry(1, 0) * x0 - m.entry(0, 0) for m in (f.phi1, f.phi2))
-    else:
-        a1, a2 = f.phi1.entry(0, 0), f.phi2.entry(0, 0)
-    return field(f.bundle, a1=a1, a2=a2)
+    return f._graded
 
 
 def s_equiv_rep(f: HiggsField) -> tuple[BiPoly, BiPoly]:

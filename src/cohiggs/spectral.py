@@ -32,7 +32,7 @@ from fractions import Fraction
 from ._univariate import shifted_rows
 from .cohomology import LineBundle
 from .errors import InconsistentRho, NotIntegrable, NotUnivariate, SlotViolation
-from .exactalg import BiPoly, EtaValue, _as_rat, det2, exact_sqrt
+from .exactalg import BiPoly, EtaValue, _as_rat, exact_sqrt
 from .higgs import HiggsField, fits_slot, is_integrable, validate_field
 from .linalg import rank
 
@@ -71,11 +71,7 @@ def hitchin_map(f: HiggsField) -> SpectralData:
         raise SlotViolation("field violates its shape slots")
     if not is_integrable(f):
         raise NotIntegrable("Hitchin map needs an integrable field")
-    a1, b1, _, a2, _, c2 = f.entries()
-    rho1 = det2(f.phi1)
-    rho2 = det2(f.phi2)
-    rho12 = (a1 * a2 + b1 * c2) * (-2)
-    return SpectralData(rho1, rho12, rho2)
+    return SpectralData(*f._hitchin)  # computed once per field
 
 
 def rho_consistent(s: SpectralData) -> bool:
@@ -88,9 +84,10 @@ def spectral_residual(s: SpectralData, p: SpectralPoint) -> tuple[Fraction, Frac
 
     The point lies on the spectral surface iff all three vanish.
     """
-    r1 = p.eta1 * p.eta1 + s.rho1.evaluate(p.z1, p.z2)
-    r2 = p.eta2 * p.eta2 + s.rho2.evaluate(p.z1, p.z2)
-    r3 = 2 * p.eta1 * p.eta2 + s.rho12.evaluate(p.z1, p.z2)
+    z1, z2, eta1, eta2 = map(_as_rat, (p.z1, p.z2, p.eta1, p.eta2))
+    r1 = eta1 * eta1 + s.rho1.evaluate(z1, z2)
+    r2 = eta2 * eta2 + s.rho2.evaluate(z1, z2)
+    r3 = 2 * eta1 * eta2 + s.rho12.evaluate(z1, z2)
     return r1, r2, r3
 
 

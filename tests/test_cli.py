@@ -372,24 +372,22 @@ def test_closed_form_commands_print_pinned_stdout(capsys, tmp_path, name):
 
 
 def test_higgs_graded_classifies_the_input_once(capsys, tmp_path, monkeypatch):
-    # the representative comes from the graded object, so the input field
-    # is validated and classified once
+    # the representative is read from the input field's graded object, so the
+    # input field is checked for integrability and classified once, and the
+    # graded object is not classified at all
     from cohiggs import higgs
 
-    classified = []
-    classify = higgs.stability_classify
-
-    def counting(f):
-        classified.append(f)
-        return classify(f)
-
-    monkeypatch.setattr(higgs, "stability_classify", counting)
+    calls = {"commute": 0, "common_eigenvector_exists": 0}
+    for name in calls:
+        def counting(*args, _real=getattr(higgs, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(higgs, name, counting)
     _, build, expected = _PINNED["graded"]
-    f = build()
-    path = write_json(tmp_path, "graded.json", jsonio.field_to_json(f))
+    path = write_json(tmp_path, "graded.json", jsonio.field_to_json(build()))
     assert main(["higgs", "graded", "--field", path]) == 0
     assert capsys.readouterr().out == expected
-    assert sum(g == f for g in classified) == 1
+    assert calls == {"commute": 1, "common_eigenvector_exists": 1}
 
 
 def test_higgs_section_q_and_pullback(capsys, tmp_path):

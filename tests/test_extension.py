@@ -434,6 +434,31 @@ def test_end0T_dimension_rejects_float_class():
         end0T_dimension(ExtParams(0.1, F(1)))
 
 
+def test_stratum_classify_normalizes_int_classes_to_fractions():
+    # int / int would divide in floats: (2, 3) must become (1, 3/2) exactly
+    point = stratum_classify(ModuliPoint(ExtParams(2, 3), Stratum.S1, Phi1Params()))
+    assert (point.ext.u, point.ext.v) == (1, F(3, 2))
+    assert type(point.ext.u) is F and type(point.ext.v) is F
+    assert weak_iso(ExtParams(2, 3), ExtParams(F(4), 6)) is True
+
+
+@pytest.mark.parametrize("e, stratum, params", [
+    (ExtParams(0.0, 0.0), Stratum.S0, TrivialFieldData(F(0), (F(0),) * 3)),
+    (ExtParams(0.5, 1.5), Stratum.S1, Phi1Params()),
+    (ExtParams(F(1), 1.5), Stratum.S2, Phi2Params()),
+], ids=["S0", "S1", "S2"])
+def test_stratum_classify_rejects_float_class(e, stratum, params):
+    with pytest.raises(TypeError):
+        stratum_classify(ModuliPoint(e, stratum, params))
+
+
+def test_weak_iso_rejects_float_class():
+    for e1, e2 in ((ExtParams(0.5, 1.5), ExtParams(F(1), F(3))),
+                   (ExtParams(F(1), F(3)), ExtParams(F(1), 3.0))):
+        with pytest.raises(TypeError):
+            weak_iso(e1, e2)
+
+
 # -- dichotomy --------------------------------------------------------------------
 
 

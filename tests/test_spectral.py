@@ -138,6 +138,15 @@ def test_fibre_worked_example():
         assert r[0] == 0 and r[1] == 0 and r[2] != 0
 
 
+def test_spectral_residual_is_exact_and_rejects_floats():
+    s = SpectralData(BiPoly.zero(), BiPoly.zero(), BiPoly.zero())
+    r = spectral_residual(s, SpectralPoint(0, 0, 1, 2))
+    assert r == (1, 4, 4) and all(type(x) is F for x in r)
+    for point in (SpectralPoint(0, 0, 1.0, 0.0), SpectralPoint(F(0), 0.5, F(1), F(0))):
+        with pytest.raises(TypeError):
+            spectral_residual(s, point)
+
+
 def test_fibre_rejects_float_point():
     # 0.1 is not read as the binary fraction 3602879701896397/2^55
     with pytest.raises(TypeError):
