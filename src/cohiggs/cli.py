@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Every subcommand is one row of ``COMMANDS``: its words (``"ext dims"``), its
-help, its argparse options and a handler that returns its JSON payload (an
-iterator of payloads for ``moduli nonempty --batch``, one line each); a row
-without a handler is a group such as ``ext``.  ``main`` alone parses,
+help, its argparse options and a handler that returns its JSON payload (for
+``moduli nonempty``, an iterator of lines it writes itself, one per tuple);
+a row without a handler is a group such as ``ext``.  ``main`` alone parses,
 dispatches, prints and maps exceptions to exit codes: 0 on success, 1 on
 domain errors, 2 on malformed input (a malformed command line included),
 errors as one {"error": {"kind", "detail"}} line.  Any non-empty COHIGGS_LOG
@@ -47,7 +47,7 @@ _set_int_cap = getattr(sys, "set_int_max_str_digits", lambda limit: None)
 
 
 def _emit(payload) -> None:
-    print(json.dumps(payload))
+    print(payload if isinstance(payload, str) else json.dumps(payload))
 
 
 def _debug(fmt: str, *args) -> None:
@@ -68,28 +68,27 @@ def _cohomology(args) -> dict:
     return dict(zip(("h0", "h1", "h2"), cohomology.h_dims(args.a, args.b)))
 
 
-def _reduced(red) -> dict:
-    return {
-        "tag": red.tag.value,
-        "twist": [red.twist.a, red.twist.b],
-        "gamma_prime": red.gamma_prime,
-    }
+_JSON_BOOL = ("false", "true")
 
 
-def _nonempty(chern, alpha: int, beta: int, gamma: int) -> dict:
+def _verdict(chern, alpha: int, beta: int, gamma: int, batch: bool) -> str:
+    """This command's one writer: json.dumps of {"nonempty", "reduced",
+    "theorem48_case2_discrepancy"}, plus "alpha", "beta", "gamma" on a batch
+    line, from one fixed-shape template that a test pins to json.dumps."""
     c = chern.ChernData(alpha, beta, gamma)
     red = chern.reduce_class(c)
-    return {
-        "nonempty": red.nonempty(),
-        "reduced": _reduced(red),
-        "theorem48_case2_discrepancy": red.printed_bound_disagrees(c),
-    }
+    inputs = f', "alpha": {alpha}, "beta": {beta}, "gamma": {gamma}' if batch else ""
+    return (f'{{"nonempty": {_JSON_BOOL[red.nonempty()]}, "reduced": {{"tag": '
+            f'"{red.tag.value}", "twist": [{red.twist.a}, {red.twist.b}], "gamma_prime": '
+            f'{red.gamma_prime}}}, "theorem48_case2_discrepancy": '
+            f'{_JSON_BOOL[red.printed_bound_disagrees(c)]}{inputs}}}')
 
 
 def _moduli_nonempty(args):
     from . import chern
+    tuples = [(args.alpha, args.beta, args.gamma)]
     if args.batch:
-        if (args.alpha, args.beta, args.gamma) != (None, None, None):
+        if tuples != [(None, None, None)]:
             raise ValueError("--batch takes no --alpha/--beta/--gamma")
         grid = _load_json(args.batch)
         if isinstance(grid, dict):
@@ -105,11 +104,10 @@ def _moduli_nonempty(args):
                 raise ValueError(f"batch entry {i} is not an [alpha, beta, gamma] array")
         tuples = [[int_from_json(x, "batch entry") for x in entry] for entry in grid]
         _debug("batch of %d tuples", len(tuples))
-        return ({**_nonempty(chern, a, b, g), "alpha": a, "beta": b, "gamma": g}
-                for a, b, g in tuples)
-    if None in (args.alpha, args.beta, args.gamma):
+    elif None in tuples[0]:
         raise ValueError("--alpha/--beta/--gamma are required without --batch")
-    return _nonempty(chern, args.alpha, args.beta, args.gamma)
+    # lazy: main lifts the int <-> str cap before the first line is written
+    return (_verdict(chern, a, b, g, bool(args.batch)) for a, b, g in tuples)
 
 
 def _moduli_bundle(args) -> dict:
@@ -127,7 +125,9 @@ def _no_higgs_region(args) -> dict:
 
 def _reduce(args) -> dict:
     from . import chern
-    return _reduced(chern.reduce_class(chern.ChernData(args.alpha, args.beta, args.gamma)))
+    red = chern.reduce_class(chern.ChernData(args.alpha, args.beta, args.gamma))
+    return {"tag": red.tag.value, "twist": [red.twist.a, red.twist.b],
+            "gamma_prime": red.gamma_prime}
 
 
 def _higgs_check(args) -> dict:
@@ -368,7 +368,7 @@ def main(argv=None) -> int:
         # (rho1 = -n^2 has twice as many as n), so the cap is lifted, once,
         # while the answers are written.
         _set_int_cap(0)
-        for payload in [result] if isinstance(result, dict) else result:
+        for payload in [result] if isinstance(result, (dict, str)) else result:
             _emit(payload)
         sys.stdout.flush()  # so that a closed pipe raises here, not at exit
         return 0

@@ -29,8 +29,9 @@ eigenvector, and the normal forms are fixed by det Phi in closed form.
 
 A field is immutable, so what the entry points ask of it is derived once per
 field and kept on it (see :class:`HiggsField`): the slot verdict, the
-integrability verdict, the stability class, the Hitchin triple and the graded
-object.  Every entry point still runs its own checks on each call.
+integrability verdict, the Hitchin triple, the stability class, the graded
+object and, on O+O, the eigenvector quadratics that the last two both read.
+Every entry point still runs its own checks on each call.
 """
 
 from __future__ import annotations
@@ -141,13 +142,18 @@ class HiggsField:
         return det2(self.phi1), (a1 * a2 + b1 * c2) * (-2), det2(self.phi2)
 
     @cached_property
+    def _quadratics(self) -> list[tuple[Fraction, Fraction, Fraction]]:
+        """The nonzero eigenvector quadratics of the coefficient matrices (O+O)."""
+        return _eigen_quadratics(_coefficient_matrices(self))
+
+    @cached_property
     def _stability(self) -> StabilityClass:
         """What :func:`stability_classify` returns once its checks pass."""
         l1, l2 = self.bundle.L1, self.bundle.L2
         mu1, mu2 = l1.slope(), l2.slope()
         if mu1 == mu2:
             if l1 == l2 == O(0, 0):
-                if common_eigenvector_exists(_coefficient_matrices(self)):
+                if _share_a_root(self._quadratics):
                     return StabilityClass.STRICTLY_SEMISTABLE
                 return StabilityClass.STABLE
             return StabilityClass.UNSUPPORTED
@@ -164,7 +170,7 @@ class HiggsField:
     def _graded(self) -> HiggsField:
         """What :func:`graded_object` returns once its checks pass.  The zero
         field has no quadratics, and [1:0] gives it back."""
-        v = _rational_common_eigenvector(_eigen_quadratics(_coefficient_matrices(self)))
+        v = _rational_common_eigenvector(self._quadratics)
         if v is None:
             raise IrrationalEigenvector("common eigenvector exists only over a quadratic extension")
         x0, y0 = v
@@ -233,7 +239,11 @@ def common_eigenvector_exists(mats) -> bool:
     divides every row, and two quadratics without one already span all
     cubics (their Sylvester matrix is nonsingular).
     """
-    rows = [r for q in _eigen_quadratics(mats) for r in shifted_rows(q[::-1], 2)]
+    return _share_a_root(_eigen_quadratics(mats))
+
+
+def _share_a_root(quads) -> bool:
+    rows = [r for q in quads for r in shifted_rows(q[::-1], 2)]
     return rank(rows) <= 3  # the rows y*q, x*q, with the power of x as the column
 
 

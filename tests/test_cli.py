@@ -133,6 +133,80 @@ def test_batch_lines_equal_single_tuple_answers(capsys, tmp_path):
     assert code == 2 and [line["error"]["kind"] for line in lines] == ["InputError"]
 
 
+# every reduced tag, both values of each flag, zero and negative entries,
+# and 4,000-digit alpha and beta whose gamma' has about 8,000 digits
+_PIN_GRID = [
+    [0, 0, 0], [0, 0, -1], [-2, 4, -3], [0, -1, 0], [2, 3, -5], [-1, 0, 0], [-3, -2, 1],
+    [1, 1, 0], [1, 1, -1], [-3, -5, 7], [-1, 3, -2], [1, 1, 1],
+    [7 * 10**3999 + 1, -(5 * 10**3999 + 3), 11], [-(4 * 10**3999), 2 * 10**3999, 0],
+]
+
+
+def _dumps_verdict(alpha, beta, gamma, batch):
+    """json.dumps of the dict this command answers with, built from reduce_class."""
+    from cohiggs import chern
+
+    c = chern.ChernData(alpha, beta, gamma)
+    red = chern.reduce_class(c)
+    payload = {
+        "nonempty": red.nonempty(),
+        "reduced": {"tag": red.tag.value, "twist": [red.twist.a, red.twist.b],
+                    "gamma_prime": red.gamma_prime},
+        "theorem48_case2_discrepancy": red.printed_bound_disagrees(c),
+    }
+    if batch:
+        payload.update(alpha=alpha, beta=beta, gamma=gamma)
+    with _int_cap(0):
+        return json.dumps(payload)
+
+
+def _nonempty_stdout(capsys, path):
+    """stdout of the batch over _PIN_GRID (written to path), then of each
+    single-tuple answer."""
+    with _int_cap(4300):
+        assert main(["moduli", "nonempty", "--batch", path]) == 0
+        outs = [capsys.readouterr().out]
+        for a, b, g in _PIN_GRID:
+            assert main(["moduli", "nonempty", f"--alpha={a}", f"--beta={b}", f"--gamma={g}"]) == 0
+            outs.append(capsys.readouterr().out)
+    return outs
+
+
+def test_nonempty_template_equals_json_dumps(capsys, tmp_path):
+    """The one line template of `moduli nonempty` prints, byte for byte, what
+    json.dumps prints for the same dict, on the single answer and on each batch
+    line; the batch test above compares the two templates with each other only."""
+    from cohiggs import chern
+
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int <-> str cap")
+    reds = [chern.reduce_class(chern.ChernData(*t)) for t in _PIN_GRID]
+    assert {r.tag for r in reds} == set(chern.ReducedTag)
+    assert {r.nonempty() for r in reds} == {True, False}
+    flags = {r.printed_bound_disagrees(chern.ChernData(*t)) for r, t in zip(reds, _PIN_GRID)}
+    assert flags == {True, False}
+    assert abs(reds[-2].gamma_prime) > 10**7990
+    path = write_json(tmp_path, "grid.json", {"tuples": _PIN_GRID})
+    batch, *singles = _nonempty_stdout(capsys, path)
+    assert batch == "".join(_dumps_verdict(*t, batch=True) + "\n" for t in _PIN_GRID)
+    assert singles == [_dumps_verdict(*t, batch=False) + "\n" for t in _PIN_GRID]
+
+
+def test_nonempty_lines_need_no_json_encoder(capsys, tmp_path, monkeypatch):
+    """No `moduli nonempty` line goes through json.dumps: with it raising, the
+    command still exits 0 and prints the same lines."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int <-> str cap")
+    path = write_json(tmp_path, "grid.json", {"tuples": _PIN_GRID})
+    expected = _nonempty_stdout(capsys, path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps on the moduli nonempty path")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    assert _nonempty_stdout(capsys, path) == expected
+
+
 def test_closed_pipe_ends_quietly_as_exit_2(tmp_path):
     """A reader that stops after the first line (`... | head -1`) gives exit
     2 and nothing on stderr, not a traceback."""
@@ -373,11 +447,12 @@ def test_closed_form_commands_print_pinned_stdout(capsys, tmp_path, name):
 
 def test_higgs_graded_classifies_the_input_once(capsys, tmp_path, monkeypatch):
     # the representative is read from the input field's graded object, so the
-    # input field is checked for integrability and classified once, and the
-    # graded object is not classified at all
+    # input field is checked for integrability and classified once (one root
+    # test of its eigenvector quadratics), and the graded object is not
+    # classified at all
     from cohiggs import higgs
 
-    calls = {"commute": 0, "common_eigenvector_exists": 0}
+    calls = {"commute": 0, "_share_a_root": 0}
     for name in calls:
         def counting(*args, _real=getattr(higgs, name), _name=name):
             calls[_name] += 1
@@ -387,7 +462,7 @@ def test_higgs_graded_classifies_the_input_once(capsys, tmp_path, monkeypatch):
     path = write_json(tmp_path, "graded.json", jsonio.field_to_json(build()))
     assert main(["higgs", "graded", "--field", path]) == 0
     assert capsys.readouterr().out == expected
-    assert calls == {"commute": 1, "common_eigenvector_exists": 1}
+    assert calls == {"commute": 1, "_share_a_root": 1}
 
 
 def test_higgs_section_q_and_pullback(capsys, tmp_path):

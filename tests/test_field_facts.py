@@ -77,8 +77,9 @@ ANSWERS = (
 
 def test_each_fact_is_computed_once(monkeypatch):
     # the one helper behind each fact: the slot boxes, integrability, the
-    # Hitchin triple (two determinants), the class on O+O, the graded object
-    helpers = ("higgs_shape", "commute", "det2", "common_eigenvector_exists",
+    # Hitchin triple (two determinants), the eigenvector quadratics that the
+    # class on O+O and the graded object both read, the class, the graded object
+    helpers = ("higgs_shape", "commute", "det2", "_coefficient_matrices", "_share_a_root",
                "_rational_common_eigenvector")
     calls = dict.fromkeys(helpers + ("BiPoly.__mul__",), 0)
 
@@ -96,8 +97,8 @@ def test_each_fact_is_computed_once(monkeypatch):
     once = dict(calls)
     assert first[2] is higgs.StabilityClass.STRICTLY_SEMISTABLE
     assert {k: once[k] for k in helpers} == {
-        "higgs_shape": 1, "commute": 1, "det2": 2, "common_eigenvector_exists": 1,
-        "_rational_common_eigenvector": 1}
+        "higgs_shape": 1, "commute": 1, "det2": 2, "_coefficient_matrices": 1,
+        "_share_a_root": 1, "_rational_common_eigenvector": 1}
     assert once["BiPoly.__mul__"] > 0
     assert chain(f) == first
     assert calls == once  # the second pass reads every fact back
@@ -119,7 +120,8 @@ def test_a_failing_check_raises_the_same_error_on_every_call(bad):
 def test_derived_facts_leave_value_semantics_alone():
     f = fresh(SEMISTABLE)
     chain(f)
-    assert {"_valid", "_integrable", "_stability", "_hitchin", "_graded"} <= vars(f).keys()
+    assert {"_valid", "_integrable", "_stability", "_hitchin", "_quadratics",
+            "_graded"} <= vars(f).keys()
     g = fresh(SEMISTABLE)
     assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
     names = [x.name for x in dataclasses.fields(f)]
