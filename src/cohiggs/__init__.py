@@ -29,8 +29,8 @@ _EXPORTS = {
     "exactalg": "BiPoly PolyMat2 Rat RatFn",
     "cohomology": "LineBundle h_dims",
     "chern": "ChernData NumericalInvariants ReducedClass ReducedTag",
-    "higgs": "DecomposableBundle HiggsField StabilityClass",
-    "spectral": "SpectralData SpectralPoint",
+    "higgs": "DecomposableBundle HiggsField SpectralData StabilityClass",
+    "spectral": "SpectralPoint",
 }
 __all__ = [name for names in _EXPORTS.values() for name in names.split()]
 

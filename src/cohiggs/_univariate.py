@@ -1,4 +1,4 @@
-"""Sylvester-type rows of univariate polynomials ([c0, c1, ...] by degree).
+"""Sylvester-type rows of univariate polynomials ({degree: coefficient}).
 
 The package asks only root questions of them (a repeated root, a common
 root), each answered by :func:`cohiggs.linalg.rank` of shifted rows.
@@ -9,8 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def shifted_rows(coeffs: list[Fraction], n: int) -> list[dict[int, Fraction]]:
-    """The n rows x^k * f (k < n) of f = coeffs, as {degree: coefficient}
-    dicts of their nonzero entries."""
-    row = {i: c for i, c in enumerate(coeffs) if c}
-    return [{i + k: c for i, c in row.items()} for k in range(n)]
+def shifted_rows(row: dict[int, Fraction | int], n: int) -> list[dict[int, Fraction | int]]:
+    """The n rows x^k * f (k < n) of f = row, in the same {degree:
+    coefficient} format, with the zero coefficients dropped."""
+    return [{i + k: c for i, c in row.items() if c} for k in range(n)]

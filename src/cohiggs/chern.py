@@ -62,12 +62,10 @@ class ReducedClass:
         """The co-Higgs moduli threshold: gamma' >= 1 for MinusC0MinusF, >= 0 otherwise."""
         return self.gamma_prime >= (1 if self.tag is ReducedTag.MINUS_C0_MINUS_F else 0)
 
-    def printed_bound_disagrees(self, c: ChernData) -> bool:
-        """For the class c that reduces to self: True iff c is odd-odd and the
-        printed bound 2*gamma >= alpha*beta - 2 and the threshold disagree."""
-        if self.tag is not ReducedTag.MINUS_C0_MINUS_F:
-            return False
-        return (2 * c.gamma >= c.alpha * c.beta - 2) != self.nonempty()
+    def printed_bound_disagrees(self) -> bool:
+        """True iff the class is odd-odd and the printed bound
+        2*gamma >= alpha*beta - 2 and the threshold disagree: gamma' = 0."""
+        return self.tag is ReducedTag.MINUS_C0_MINUS_F and self.gamma_prime == 0
 
 
 def intersect(c0_coeff1: int, f_coeff1: int, c0_coeff2: int, f_coeff2: int) -> int:
@@ -139,7 +137,7 @@ def theorem48_case2_discrepancy(c: ChernData) -> bool:
     For odd alpha, beta the printed bound 2*gamma >= alpha*beta - 2 admits
     exactly one extra line of tuples, those with gamma' = 0.
     """
-    return reduce_class(c).printed_bound_disagrees(c)
+    return reduce_class(c).printed_bound_disagrees()
 
 
 def no_nontrivial_higgs_region(inv: NumericalInvariants, c2: int) -> bool:

@@ -75,13 +75,12 @@ def _verdict(chern, alpha: int, beta: int, gamma: int, batch: bool) -> str:
     """This command's one writer: json.dumps of {"nonempty", "reduced",
     "theorem48_case2_discrepancy"}, plus "alpha", "beta", "gamma" on a batch
     line, from one fixed-shape template that a test pins to json.dumps."""
-    c = chern.ChernData(alpha, beta, gamma)
-    red = chern.reduce_class(c)
+    red = chern.reduce_class(chern.ChernData(alpha, beta, gamma))
     inputs = f', "alpha": {alpha}, "beta": {beta}, "gamma": {gamma}' if batch else ""
     return (f'{{"nonempty": {_JSON_BOOL[red.nonempty()]}, "reduced": {{"tag": '
             f'"{red.tag.value}", "twist": [{red.twist.a}, {red.twist.b}], "gamma_prime": '
             f'{red.gamma_prime}}}, "theorem48_case2_discrepancy": '
-            f'{_JSON_BOOL[red.printed_bound_disagrees(c)]}{inputs}}}')
+            f'{_JSON_BOOL[red.printed_bound_disagrees()]}{inputs}}}')
 
 
 def _moduli_nonempty(args):
@@ -368,7 +367,7 @@ def main(argv=None) -> int:
         # (rho1 = -n^2 has twice as many as n), so the cap is lifted, once,
         # while the answers are written.
         _set_int_cap(0)
-        for payload in [result] if isinstance(result, (dict, str)) else result:
+        for payload in [result] if isinstance(result, dict) else result:
             _emit(payload)
         sys.stdout.flush()  # so that a closed pipe raises here, not at exit
         return 0

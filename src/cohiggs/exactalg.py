@@ -138,23 +138,6 @@ class BiPoly:
             return Fraction(0)
         return Fraction(self._terms[max(self._terms, key=_grlex_key)], self._den)
 
-    def is_univariate(self, axis: int) -> bool:
-        other = 1 if axis == 1 else 0
-        return all(t[other] == 0 for t in self._terms)
-
-    def univariate_coeffs(self, axis: int) -> list[Fraction]:
-        """Dense coefficient list [c0, c1, ...] in ``z_axis``; requires univariate."""
-        if not self.is_univariate(axis):
-            raise ValueError("polynomial is not univariate in the requested axis")
-        if not self._terms:
-            return []
-        pick = 0 if axis == 1 else 1
-        d = max(t[pick] for t in self._terms)
-        out = [Fraction(0)] * (d + 1)
-        for t, c in self._terms.items():
-            out[t[pick]] = Fraction(c, self._den)
-        return out
-
     # -- arithmetic --------------------------------------------------------
 
     def _sum(self, other: "BiPoly", sign: int) -> "BiPoly":

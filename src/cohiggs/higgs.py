@@ -29,7 +29,7 @@ eigenvector, and the normal forms are fixed by det Phi in closed form.
 
 A field is immutable, so what the entry points ask of it is derived once per
 field and kept on it (see :class:`HiggsField`): the slot verdict, the
-integrability verdict, the Hitchin triple, the stability class, the graded
+integrability verdict, the spectral datum, the stability class, the graded
 object and, on O+O, the eigenvector quadratics that the last two both read.
 Every entry point still runs its own checks on each call.
 """
@@ -105,6 +105,24 @@ def fits_slot(p: BiPoly, slot: LineBundle) -> bool:
 
 
 @dataclass(frozen=True)
+class SpectralData:
+    """Triple of sections of O(4,0), O(2,2), O(0,4)."""
+
+    rho1: BiPoly
+    rho12: BiPoly
+    rho2: BiPoly
+
+    def __post_init__(self):
+        for poly, slot in (
+            (self.rho1, O(4, 0)),
+            (self.rho12, O(2, 2)),
+            (self.rho2, O(0, 4)),
+        ):
+            if not fits_slot(poly, slot):
+                raise SlotViolation(f"component does not fit the slot {slot}")
+
+
+@dataclass(frozen=True)
 class HiggsField:
     """Underlying split bundle plus the two matrix components on chart V1.
 
@@ -137,9 +155,9 @@ class HiggsField:
         return commute(self.phi1, self.phi2)
 
     @cached_property
-    def _hitchin(self) -> tuple[BiPoly, BiPoly, BiPoly]:
+    def _hitchin(self) -> SpectralData:
         a1, b1, _, a2, _, c2 = self.entries()
-        return det2(self.phi1), (a1 * a2 + b1 * c2) * (-2), det2(self.phi2)
+        return SpectralData(det2(self.phi1), (a1 * a2 + b1 * c2) * (-2), det2(self.phi2))
 
     @cached_property
     def _quadratics(self) -> list[tuple[Fraction, Fraction, Fraction]]:
@@ -243,7 +261,7 @@ def common_eigenvector_exists(mats) -> bool:
 
 
 def _share_a_root(quads) -> bool:
-    rows = [r for q in quads for r in shifted_rows(q[::-1], 2)]
+    rows = [r for q20, q11, q02 in quads for r in shifted_rows({2: q20, 1: q11, 0: q02}, 2)]
     return rank(rows) <= 3  # the rows y*q, x*q, with the power of x as the column
 
 

@@ -6,8 +6,9 @@ order, which makes output byte-deterministic.  Decoders accept only JSON
 integers where an integer is expected (no floats, strings or booleans), a
 nonzero denominator, objects with no key they do not read and arrays of
 the expected length; they raise ValueError on anything else, which the CLI
-maps to exit code 2.  The extension and spectral types are imported by the
-codecs that build them, so decoding a Higgs field loads neither module.
+maps to exit code 2.  The extension types are imported by the codecs that
+build them, and spectral data is a ``higgs`` type, so decoding a Higgs field
+or spectral data loads neither ``extension`` nor ``spectral``.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ from typing import TYPE_CHECKING
 from .cohomology import LineBundle
 from .errors import int_from_json
 from .exactalg import BiPoly, PolyMat2
-from .higgs import DecomposableBundle, HiggsField
+from .higgs import DecomposableBundle, HiggsField, SpectralData
 
 if TYPE_CHECKING:
     from .extension import ModuliPoint, Phi1Params, Phi2Params
-    from .spectral import EtaValue, Fibre, SpectralData
+    from .spectral import EtaValue, Fibre
 
 
 def rat_to_json(q: Fraction) -> dict:
@@ -131,7 +132,6 @@ def spectral_to_json(s: SpectralData) -> dict:
 
 
 def spectral_from_json(obj) -> SpectralData:
-    from .spectral import SpectralData
     obj = _fields_of(obj, ("rho1", "rho12", "rho2"), "spectral")
     try:
         return SpectralData(

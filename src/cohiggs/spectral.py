@@ -30,29 +30,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._univariate import shifted_rows
-from .cohomology import LineBundle
 from .errors import InconsistentRho, NotIntegrable, NotUnivariate, SlotViolation
-from .exactalg import BiPoly, EtaValue, _as_rat, exact_sqrt
-from .higgs import HiggsField, fits_slot, is_integrable, validate_field
+from .exactalg import BiPoly, EtaValue, _as_rat, _over_lcm, exact_sqrt
+from .higgs import HiggsField, SpectralData, is_integrable, validate_field
 from .linalg import rank
-
-
-@dataclass(frozen=True)
-class SpectralData:
-    """Triple of sections of O(4,0), O(2,2), O(0,4)."""
-
-    rho1: BiPoly
-    rho12: BiPoly
-    rho2: BiPoly
-
-    def __post_init__(self):
-        for poly, slot in (
-            (self.rho1, LineBundle(4, 0)),
-            (self.rho12, LineBundle(2, 2)),
-            (self.rho2, LineBundle(0, 4)),
-        ):
-            if not fits_slot(poly, slot):
-                raise SlotViolation(f"component does not fit the slot {slot}")
 
 
 @dataclass(frozen=True)
@@ -71,7 +52,7 @@ def hitchin_map(f: HiggsField) -> SpectralData:
         raise SlotViolation("field violates its shape slots")
     if not is_integrable(f):
         raise NotIntegrable("Hitchin map needs an integrable field")
-    return SpectralData(*f._hitchin)  # computed once per field
+    return f._hitchin  # built and slot-checked once per field
 
 
 def rho_consistent(s: SpectralData) -> bool:
@@ -161,19 +142,21 @@ def is_generic_quartic(rho: BiPoly) -> bool:
     multiplicity at infinity, so a generic rho has degree d >= 3; its finite
     roots are simple iff f and f' share no root, i.e. their Sylvester
     matrix (d - 1 shifts of f over d shifts of f') has full rank 2d - 1.
+    f holds rho's integer numerators, rho times its positive denominator,
+    which leaves every rank as it is.
     """
-    if rho.is_univariate(1):
-        f = rho.univariate_coeffs(1)
-    elif rho.is_univariate(2):
-        f = rho.univariate_coeffs(2)
-    else:
+    (num,) = _over_lcm(rho)
+    # the variable whose partner's exponent is always 0, z1 first
+    k = next((k for k in (0, 1) if not any(t[1 - k] for t in num)), None)
+    if k is None:
         raise NotUnivariate("genericity test needs a univariate quartic")
-    d = len(f) - 1
+    f = {t[k]: c for t, c in num.items()}
+    d = max(f, default=-1)
     if d > 4:
         raise SlotViolation("degree exceeds the quartic slot")
     if d < 3:
         return False  # zero, or a multiple root at infinity
-    df = [k * c for k, c in enumerate(f)][1:]
+    df = {i - 1: i * c for i, c in f.items() if i}
     return rank(shifted_rows(f, d - 1) + shifted_rows(df, d)) == 2 * d - 1
 
 

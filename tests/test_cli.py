@@ -146,13 +146,12 @@ def _dumps_verdict(alpha, beta, gamma, batch):
     """json.dumps of the dict this command answers with, built from reduce_class."""
     from cohiggs import chern
 
-    c = chern.ChernData(alpha, beta, gamma)
-    red = chern.reduce_class(c)
+    red = chern.reduce_class(chern.ChernData(alpha, beta, gamma))
     payload = {
         "nonempty": red.nonempty(),
         "reduced": {"tag": red.tag.value, "twist": [red.twist.a, red.twist.b],
                     "gamma_prime": red.gamma_prime},
-        "theorem48_case2_discrepancy": red.printed_bound_disagrees(c),
+        "theorem48_case2_discrepancy": red.printed_bound_disagrees(),
     }
     if batch:
         payload.update(alpha=alpha, beta=beta, gamma=gamma)
@@ -183,7 +182,7 @@ def test_nonempty_template_equals_json_dumps(capsys, tmp_path):
     reds = [chern.reduce_class(chern.ChernData(*t)) for t in _PIN_GRID]
     assert {r.tag for r in reds} == set(chern.ReducedTag)
     assert {r.nonempty() for r in reds} == {True, False}
-    flags = {r.printed_bound_disagrees(chern.ChernData(*t)) for r, t in zip(reds, _PIN_GRID)}
+    flags = {r.printed_bound_disagrees() for r in reds}
     assert flags == {True, False}
     assert abs(reds[-2].gamma_prime) > 10**7990
     path = write_json(tmp_path, "grid.json", {"tuples": _PIN_GRID})
@@ -205,6 +204,19 @@ def test_nonempty_lines_need_no_json_encoder(capsys, tmp_path, monkeypatch):
 
     monkeypatch.setattr(json, "dumps", refuse)
     assert _nonempty_stdout(capsys, path) == expected
+
+
+def test_batch_decides_each_verdict_once(capsys, tmp_path, monkeypatch):
+    """The discrepancy flag reads gamma' instead of deciding the verdict again."""
+    from cohiggs import chern
+
+    calls = []
+    real = chern.ReducedClass.nonempty
+    monkeypatch.setattr(chern.ReducedClass, "nonempty", lambda red: calls.append(red) or real(red))
+    grid = [[a, b, g] for a in range(-3, 4) for b in range(-3, 4) for g in range(-3, 4)]
+    path = write_json(tmp_path, "grid.json", {"tuples": grid})
+    assert main(["moduli", "nonempty", "--batch", path]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == len(calls) == len(grid)
 
 
 def test_closed_pipe_ends_quietly_as_exit_2(tmp_path):

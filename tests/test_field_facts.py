@@ -20,7 +20,7 @@ import pytest
 from cohiggs import extension as ext
 from cohiggs import higgs, spectral
 from cohiggs.cohomology import LineBundle as O
-from cohiggs.errors import CoHiggsError
+from cohiggs.errors import CoHiggsError, NotIntegrable, SlotViolation
 from cohiggs.exactalg import BiPoly, Z1, Z2
 from cohiggs.higgs import DecomposableBundle, HiggsField, field
 from oracles import random_field, random_integrable_field, random_strictly_semistable_field
@@ -115,6 +115,43 @@ def test_a_failing_check_raises_the_same_error_on_every_call(bad):
         assert outcome(call, bad) == first == outcome(call, fresh(bad))
     assert not (higgs.validate_field(bad) and higgs.is_integrable(bad))
     assert "_stability" not in vars(bad) and "_hitchin" not in vars(bad)
+
+
+def _count_spectral_data(monkeypatch) -> list:
+    """The SpectralData instances built from now on."""
+    built = []
+    real = higgs.SpectralData.__post_init__
+
+    def counting(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(higgs.SpectralData, "__post_init__", counting)
+    return built
+
+
+def test_the_spectral_datum_is_built_once_per_field(monkeypatch):
+    built = _count_spectral_data(monkeypatch)
+    f = fresh(SEMISTABLE)
+    s = spectral.hitchin_map(f)
+    assert spectral.hitchin_map(f) is s
+    fibre = spectral.fibre_over_point(f, F(1), F(2))
+    assert len(built) == 1 and built[0] is s
+    g = fresh(SEMISTABLE)
+    assert spectral.hitchin_map(g) == s and spectral.fibre_over_point(g, F(1), F(2)) == fibre
+
+
+@pytest.mark.parametrize("bad, error", [
+    (field(B_F0, b1=Z1**4), (SlotViolation, "field violates its shape slots")),
+    (field(B_OO, b1=BiPoly.const(1), c2=BiPoly.const(1)),
+     (NotIntegrable, "Hitchin map needs an integrable field")),
+], ids=["slot_violation", "not_integrable"])
+def test_the_hitchin_path_raises_the_same_error_on_every_call(bad, error, monkeypatch):
+    built = _count_spectral_data(monkeypatch)
+    for _ in range(3):
+        assert outcome(spectral.hitchin_map, bad) == error
+        assert outcome(lambda f: spectral.fibre_over_point(f, F(1), F(2)), bad) == error
+    assert built == [] and "_hitchin" not in vars(bad)
 
 
 def test_derived_facts_leave_value_semantics_alone():

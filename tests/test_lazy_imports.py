@@ -23,8 +23,8 @@ EXPORTS = {
     "exactalg": ["BiPoly", "PolyMat2", "Rat", "RatFn"],
     "cohomology": ["LineBundle", "h_dims"],
     "chern": ["ChernData", "NumericalInvariants", "ReducedClass", "ReducedTag"],
-    "higgs": ["DecomposableBundle", "HiggsField", "StabilityClass"],
-    "spectral": ["SpectralData", "SpectralPoint"],
+    "higgs": ["DecomposableBundle", "HiggsField", "SpectralData", "StabilityClass"],
+    "spectral": ["SpectralPoint"],
 }
 
 

@@ -54,7 +54,8 @@ def random_polys(seed: int, count: int):
 
 def sylvester_rows(f: list[F], g: list[F]) -> list[dict[int, F]]:
     """deg g shifts of f over deg f shifts of g: of full rank iff Res(f, g) != 0."""
-    return shifted_rows(f, len(g) - 1) + shifted_rows(g, len(f) - 1)
+    rf, rg = dict(enumerate(f)), dict(enumerate(g))
+    return shifted_rows(rf, len(g) - 1) + shifted_rows(rg, len(f) - 1)
 
 
 def has_full_rank(f: list[F], g: list[F]) -> bool:
@@ -274,8 +275,8 @@ def test_resultant_root_product_formula():
 
 
 def test_resultant_degenerate_inputs():
-    assert shifted_rows([F(0), F(2), F(0), F(5)], 2) == [{1: 2, 3: 5}, {2: 2, 4: 5}]
-    assert shifted_rows([], 3) == [{}, {}, {}] and rank(shifted_rows([], 3)) == 0
+    assert shifted_rows({0: F(0), 1: F(2), 2: F(0), 3: F(5)}, 2) == [{1: 2, 3: 5}, {2: 2, 4: 5}]
+    assert shifted_rows({}, 3) == [{}, {}, {}] and rank(shifted_rows({}, 3)) == 0
     assert has_full_rank([F(2)], [F(0), F(0), F(1)])  # constant f: Res = f0^deg g
     assert has_full_rank([F(3)], [F(5)])  # two constants: the empty matrix, Res = 1
 
@@ -359,8 +360,8 @@ def test_rank_of_entries_of_100_to_1000_digits():
 
 def quartic_sylvester_rows(roots: list[F], lead: F) -> list[dict[int, F]]:
     """The rows of f = lead * prod (x - r) and f', as ``is_generic_quartic`` builds them."""
-    f = poly_from_roots(lead, roots)
-    df = [k * c for k, c in enumerate(f)][1:]
+    f = dict(enumerate(poly_from_roots(lead, roots)))
+    df = {k - 1: k * c for k, c in f.items() if k}
     return shifted_rows(f, len(f) - 2) + shifted_rows(df, len(f) - 1)
 
 

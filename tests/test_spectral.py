@@ -247,6 +247,23 @@ def test_is_generic_quartic_errors():
         is_generic_quartic(Z1**5)
 
 
+def test_is_generic_quartic_ignores_a_rational_scale():
+    """The rows are rho's integer numerators, so a scale by a 4,000-digit
+    fraction (either sign) changes no answer, on either axis, for four
+    distinct roots, a double root, a generic and a non-generic cubic, a
+    quadratic, a constant and zero."""
+    k = F(7 * 10**3999 + 1, 3 * 10**3999 - 7)
+    cases = [(Z1 - 1) * (Z1 - 2) * (Z1 + 3) * (2 * Z1 - 5), (Z1 - 1) ** 2 * (Z1 + 2) * Z1,
+             Z1 * (Z1 - 1) * (Z1 + 1), Z1**3, Z1 * Z1 - 1, BiPoly.const(F(-2, 3)), BiPoly.zero()]
+    swap = lambda p: BiPoly({(j, i): c for i, j, c in p.terms()})
+    answers = []
+    for rho in cases:
+        for p in (rho, swap(rho)):
+            answers.append(is_generic_quartic(p))
+            assert is_generic_quartic(k * p) == is_generic_quartic(-k * p) == answers[-1], p
+    assert answers == [True] * 2 + [False] * 2 + [True] * 2 + [False] * 8
+
+
 def test_fibre_decomposability_examples():
     q1 = Z1 * (Z1 - 1) * (Z1 - 2) * (Z1 - 3)
     assert (
