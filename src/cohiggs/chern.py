@@ -16,13 +16,14 @@ exactly on the boundary tuples with gamma' = 0.
 
 One reduction answers all three questions about a class: ``reduce_class``
 returns a ``ReducedClass`` whose ``nonempty`` states the threshold and whose
-``printed_bound_disagrees`` gives the flag, so ``moduli nonempty --batch``
-reduces each tuple once.
+``printed_bound_disagrees`` gives the flag.  c1 is reduced once (a memo of
+fixed size), and gamma' is the c2 shift of c1's twist plus gamma.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 from .cohomology import LineBundle
@@ -73,17 +74,25 @@ def intersect(c0_coeff1: int, f_coeff1: int, c0_coeff2: int, f_coeff2: int) -> i
     return c0_coeff1 * f_coeff2 + f_coeff1 * c0_coeff2
 
 
-def _twisted_gamma(c: ChernData, x: int, y: int) -> int:
-    """c2 of E tensor L = O(x,y), whose class is y*C0 + x*F (c1 shifts by
-    (2y, 2x)): gamma + c1(E).c1(L) + c1(L)^2 = gamma + alpha*x + beta*y + 2*x*y."""
-    return c.gamma + intersect(c.alpha, c.beta, y, x) + intersect(y, x, y, x)
-
-
 # the reduced class by the parities (alpha % 2, beta % 2)
 _TAGS = (
     (ReducedTag.ZERO, ReducedTag.MINUS_F),
     (ReducedTag.MINUS_C0, ReducedTag.MINUS_C0_MINUS_F),
 )
+
+
+@functools.lru_cache(maxsize=1024)  # a fixed size bounds the memo's memory
+def _reduce_c1(alpha: int, beta: int) -> tuple[ReducedTag, LineBundle, int]:
+    """(tag, L = O(x, y) of class y*C0 + x*F, c2 shift c1.c1(L) + c1(L)^2) for
+    c1 = alpha*C0 + beta*F; L takes c1 to -(alpha % 2, beta % 2)."""
+    a, b = alpha % 2, beta % 2
+    x, y = -(b + beta) // 2, -(a + alpha) // 2
+    return _TAGS[a][b], LineBundle(x, y), intersect(alpha, beta, y, x) + intersect(y, x, y, x)
+
+
+def _reduced(alpha: int, beta: int, gamma: int) -> ReducedClass:
+    tag, twist, shift = _reduce_c1(alpha, beta)
+    return ReducedClass(tag, twist, gamma + shift)
 
 
 def reduce_class(c: ChernData) -> ReducedClass:
@@ -92,13 +101,9 @@ def reduce_class(c: ChernData) -> ReducedClass:
     Returns the tag, the twisting line bundle L = O(x, y), and the twisted
     second Chern class gamma', which is always an integer:
     gamma - alpha*beta/2 for the tags Zero/MinusF/MinusC0 and
-    gamma + (1 - alpha*beta)/2 for MinusC0MinusF.  The twist takes
-    (alpha, beta) to -(alpha % 2, beta % 2): y = -(alpha % 2 + alpha)/2 and
-    x = -(beta % 2 + beta)/2.
+    gamma + (1 - alpha*beta)/2 for MinusC0MinusF.
     """
-    a, b = c.alpha % 2, c.beta % 2
-    x, y = -(b + c.beta) // 2, -(a + c.alpha) // 2
-    return ReducedClass(_TAGS[a][b], LineBundle(x, y), _twisted_gamma(c, x, y))
+    return _reduced(c.alpha, c.beta, c.gamma)
 
 
 def ext_length(c: ChernData, inv: NumericalInvariants) -> int:

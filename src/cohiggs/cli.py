@@ -2,13 +2,13 @@
 
 Every subcommand is one row of ``COMMANDS``: its words (``"ext dims"``), its
 help, its argparse options and a handler that returns its JSON payload (for
-``moduli nonempty``, an iterator of lines it writes itself, one per tuple);
-a row without a handler is a group such as ``ext``.  ``main`` alone parses,
-dispatches, prints and maps exceptions to exit codes: 0 on success, 1 on
-domain errors, 2 on malformed input (a malformed command line included),
-errors as one {"error": {"kind", "detail"}} line.  Any non-empty COHIGGS_LOG
-turns on "cohiggs DEBUG ..." diagnostic lines on stderr.  A call loads only
-what its command uses: each handler imports its own modules.
+``moduli nonempty``, an iterator of its lines, one per tuple, written in
+chunks); a row without a handler is a group such as ``ext``.  ``main`` alone
+parses, dispatches, prints and maps exceptions to exit codes: 0 on success,
+1 on domain errors, 2 on malformed input (a malformed command line
+included), errors as one {"error": {"kind", "detail"}} line.  Any non-empty
+COHIGGS_LOG turns on "cohiggs DEBUG ..." diagnostic lines on stderr.  A call
+loads only what its command uses: each handler imports its own modules.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import chain, islice
 from typing import Callable, NamedTuple, Sequence
 
 from . import __version__
@@ -46,8 +47,8 @@ _get_int_cap = getattr(sys, "get_int_max_str_digits", lambda: 0)
 _set_int_cap = getattr(sys, "set_int_max_str_digits", lambda limit: None)
 
 
-def _emit(payload) -> None:
-    print(payload if isinstance(payload, str) else json.dumps(payload))
+def _emit(payload: dict) -> None:
+    print(json.dumps(payload))
 
 
 def _debug(fmt: str, *args) -> None:
@@ -69,13 +70,14 @@ def _cohomology(args) -> dict:
 
 
 _JSON_BOOL = ("false", "true")
+_LINES_PER_WRITE = 4096  # main writes the lines of moduli nonempty in chunks
 
 
 def _verdict(chern, alpha: int, beta: int, gamma: int, batch: bool) -> str:
     """This command's one writer: json.dumps of {"nonempty", "reduced",
     "theorem48_case2_discrepancy"}, plus "alpha", "beta", "gamma" on a batch
     line, from one fixed-shape template that a test pins to json.dumps."""
-    red = chern.reduce_class(chern.ChernData(alpha, beta, gamma))
+    red = chern._reduced(alpha, beta, gamma)
     inputs = f', "alpha": {alpha}, "beta": {beta}, "gamma": {gamma}' if batch else ""
     return (f'{{"nonempty": {_JSON_BOOL[red.nonempty()]}, "reduced": {{"tag": '
             f'"{red.tag.value}", "twist": [{red.twist.a}, {red.twist.b}], "gamma_prime": '
@@ -85,9 +87,9 @@ def _verdict(chern, alpha: int, beta: int, gamma: int, batch: bool) -> str:
 
 def _moduli_nonempty(args):
     from . import chern
-    tuples = [(args.alpha, args.beta, args.gamma)]
+    grid = [(args.alpha, args.beta, args.gamma)]
     if args.batch:
-        if tuples != [(None, None, None)]:
+        if grid != [(None, None, None)]:
             raise ValueError("--batch takes no --alpha/--beta/--gamma")
         grid = _load_json(args.batch)
         if isinstance(grid, dict):
@@ -101,12 +103,13 @@ def _moduli_nonempty(args):
         for i, entry in enumerate(grid):
             if not isinstance(entry, list) or len(entry) != 3:
                 raise ValueError(f"batch entry {i} is not an [alpha, beta, gamma] array")
-        tuples = [[int_from_json(x, "batch entry") for x in entry] for entry in grid]
-        _debug("batch of %d tuples", len(tuples))
-    elif None in tuples[0]:
+        for x in chain.from_iterable(grid):  # then every integer, in place
+            int_from_json(x, "batch entry")
+        _debug("batch of %d tuples", len(grid))
+    elif None in grid[0]:
         raise ValueError("--alpha/--beta/--gamma are required without --batch")
     # lazy: main lifts the int <-> str cap before the first line is written
-    return (_verdict(chern, a, b, g, bool(args.batch)) for a, b, g in tuples)
+    return (_verdict(chern, a, b, g, bool(args.batch)) for a, b, g in grid)
 
 
 def _moduli_bundle(args) -> dict:
@@ -367,8 +370,11 @@ def main(argv=None) -> int:
         # (rho1 = -n^2 has twice as many as n), so the cap is lifted, once,
         # while the answers are written.
         _set_int_cap(0)
-        for payload in [result] if isinstance(result, dict) else result:
-            _emit(payload)
+        if isinstance(result, dict):
+            _emit(result)
+        else:  # a write per chunk: a print per line is a syscall each when unbuffered
+            while chunk := list(islice(result, _LINES_PER_WRITE)):
+                sys.stdout.write("\n".join(chunk) + "\n")
         sys.stdout.flush()  # so that a closed pipe raises here, not at exit
         return 0
     except CoHiggsError as exc:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Any, Union
 
-# a dense row, or the {column: entry} dict of a row's nonzero entries (sortable keys)
+# a dense row, or the {column: entry} dict of a row's entries (sortable keys)
 Row = Union[list[Fraction], dict[Any, Fraction]]
 
 
@@ -44,8 +44,8 @@ def _primitive(row: dict) -> dict[Any, int]:
 
 def rank(rows: list[Row]) -> int:
     """Rank of the matrix with these rows; the rows passed in are not modified."""
-    m = [dict(row) if type(row) is dict else {j: a for j, a in enumerate(row) if a}
-         for row in rows]
+    m = [dict(row) if type(row) is dict and all(row.values()) else {j: a for j, a in
+         (row.items() if type(row) is dict else enumerate(row)) if a} for row in rows]
     singletons = 0
     while cleared := {j for row in m if len(row) == 1 for j in row}:
         singletons += len(cleared)

@@ -281,6 +281,22 @@ def mul_oracle(a: PolyDict, b: PolyDict) -> PolyDict:
 
 
 # ---------------------------------------------------------------------------
+# the reduced class by closed forms
+# ---------------------------------------------------------------------------
+
+
+def reduced_class(alpha: int, beta: int, gamma: int) -> tuple[str, tuple[int, int], int]:
+    """(tag value, twist (x, y), gamma') from the closed forms, not the
+    parity rule: O(x, y) is the twist with alpha + 2y and beta + 2x in
+    {0, -1}, so y = floor(-alpha/2) and x = floor(-beta/2); gamma' is
+    gamma - alpha*beta/2, or gamma + (1 - alpha*beta)/2 when both are odd."""
+    tag = {(0, 0): "Zero", (0, 1): "MinusF", (1, 0): "MinusC0", (1, 1): "MinusC0MinusF"}
+    odd = (alpha % 2, beta % 2)
+    shift = (1 - alpha * beta) // 2 if odd == (1, 1) else -(alpha * beta // 2)
+    return tag[odd], ((-beta) // 2, (-alpha) // 2), gamma + shift
+
+
+# ---------------------------------------------------------------------------
 # reference elimination (the dense loop, for differential tests)
 # ---------------------------------------------------------------------------
 

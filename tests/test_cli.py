@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,6 +17,7 @@ from cohiggs.cli import main
 from cohiggs.cohomology import LineBundle as O
 from cohiggs.exactalg import BiPoly, Z1, Z2
 from cohiggs.higgs import DecomposableBundle, field
+from oracles import reduced_class
 
 
 def run(capsys, *argv):
@@ -217,6 +220,60 @@ def test_batch_decides_each_verdict_once(capsys, tmp_path, monkeypatch):
     path = write_json(tmp_path, "grid.json", {"tuples": grid})
     assert main(["moduli", "nonempty", "--batch", path]) == 0
     assert len(capsys.readouterr().out.splitlines()) == len(calls) == len(grid)
+
+
+def test_batch_reduces_each_first_chern_class_once(capsys, tmp_path, monkeypatch):
+    """With gamma innermost, c1 = (alpha, beta) is reduced once per distinct
+    value and every other tuple is a memo hit; no ChernData is built on the
+    batch path, and the memo has a fixed size."""
+    from cohiggs import chern
+
+    built = []
+    real_init = chern.ChernData.__init__
+    monkeypatch.setattr(chern.ChernData, "__init__",
+                        lambda c, *args: built.append(args) or real_init(c, *args))
+    grid = [[a, b, g] for a in range(-3, 4) for b in range(-3, 4) for g in range(-2, 3)]
+    path = write_json(tmp_path, "grid.json", {"tuples": grid})
+    chern._reduce_c1.cache_clear()
+    assert main(["moduli", "nonempty", "--batch", path]) == 0
+    info = chern._reduce_c1.cache_info()
+    assert built == []
+    assert (info.misses, info.hits) == (49, len(grid) - 49)
+    assert isinstance(info.maxsize, int) and info.maxsize >= info.currsize
+    assert capsys.readouterr().out == "".join(
+        _dumps_verdict(*t, batch=True) + "\n" for t in grid)
+    # an emptied memo reduces every class again, as the closed forms say
+    chern._reduce_c1.cache_clear()
+    big = int("7" * 4000)
+    for a, b, g in grid + [[big, -big - 1, 5], [-big, big + 2, -big * big]]:
+        red = chern.reduce_class(chern.ChernData(a, b, g))
+        got = (red.tag.value, (red.twist.a, red.twist.b), red.gamma_prime)
+        assert got == reduced_class(a, b, g)
+
+
+class _CountingStdout(io.StringIO):
+    """A stdout that counts its write calls."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_batch_lines_are_written_in_chunks(tmp_path, monkeypatch):
+    """A batch of more than one chunk prints exactly its json.dumps lines,
+    in at most one write per chunk of lines."""
+    from cohiggs import cli
+
+    grid = [[a, b, g] for a in range(-12, 13) for b in range(-12, 13) for g in range(-8, 8)]
+    assert len(grid) == 10_000 > cli._LINES_PER_WRITE
+    path = write_json(tmp_path, "grid.json", {"tuples": grid})
+    out = _CountingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["moduli", "nonempty", "--batch", path]) == 0
+    assert 0 < out.writes <= math.ceil(len(grid) / cli._LINES_PER_WRITE)
+    assert out.getvalue() == "".join(_dumps_verdict(*t, batch=True) + "\n" for t in grid)
 
 
 def test_closed_pipe_ends_quietly_as_exit_2(tmp_path):
@@ -729,6 +786,22 @@ def test_zero_denominator_is_input_error(capsys, tmp_path, argv, payload):
             "--point needs z1,z2,eta1,eta2",
         ),
         (["hitchin", "--field"], {**_diag_json(), "phi1": {}}, "matrix payload needs an 'm' 2x2"),
+        # every entry's shape is checked before any integer, and the integers in order
+        (
+            ["moduli", "nonempty", "--batch"],
+            {"tuples": [[1.5, 0, 0], [0, 0, 0], [1, 1, 1], [2, 3]]},
+            "batch entry 3 is not an [alpha, beta, gamma] array",
+        ),
+        (
+            ["moduli", "nonempty", "--batch"],
+            {"tuples": [[0, -1, 0], [1, 1, 0], [2, True, 5]]},
+            "batch entry must be an integer, got True",
+        ),
+        (
+            ["moduli", "nonempty", "--batch"],
+            {"tuples": [[0, -1, 0], [1, 2.0, 0], [2, True, 5]]},
+            "batch entry must be an integer, got 2.0",
+        ),
     ],
     ids=[
         "float-exponent", "bool-exponent", "string-numerator", "float-denominator",
@@ -743,6 +816,7 @@ def test_zero_denominator_is_input_error(capsys, tmp_path, argv, payload):
         "unknown-ext-key", "unknown-point-key", "s0-w-int", "unknown-monomial-key",
         "unknown-polynomial-key", "monomials-int", "unknown-spectral-key",
         "batch-grid-int", "batch-tuples-int", "point-of-three", "matrix-empty",
+        "batch-shape-before-integers", "batch-lone-bool", "batch-first-non-integer",
     ],
 )
 def test_non_integer_json_is_input_error(capsys, tmp_path, argv, payload, detail):

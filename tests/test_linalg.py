@@ -154,6 +154,21 @@ def test_eliminate_edge_cases():
     assert rank([[F(1), F(2), F(3)], [F(2), F(4), F(6)]]) == 1
 
 
+@pytest.mark.parametrize("rows", [
+    [[0, 2], [0, 4]],
+    [[0, 0, 0], [F(0), 3, 0]],
+    [[0, 0], [0, 0]],  # rows made only of zeros
+    [[F(0), F(1, 2), 0], [5, 0, 0], [0, 0, 0], [F(5, 3), F(1, 3), 0]],
+    [[0, 7, 0, -2], [0, 0, 0, 0], [0, -14, 0, 4]],
+])
+def test_rank_drops_explicit_zeros_of_dict_rows(rows):
+    """A dict row may hold explicit zeros: they are never taken as pivots, so
+    the rank is that of the dense form (a zero pivot once divided by zero)."""
+    with_zeros = [dict(enumerate(r)) for r in rows]
+    assert rank(with_zeros) == rank(rows) == dense_rank(rows)
+    assert with_zeros == [dict(enumerate(r)) for r in rows]  # the input is not modified
+
+
 # -- the singleton pass ---------------------------------------------------------
 
 
