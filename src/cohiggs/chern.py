@@ -14,10 +14,10 @@ necessity theorem for -C0-F (which forces c2 >= 1):  the composition yields
 exposes the disagreement as a diagnostic flag; the two verdicts differ
 exactly on the boundary tuples with gamma' = 0.
 
-One reduction answers all three questions about a class: ``reduce_class``
-returns a ``ReducedClass`` whose ``nonempty`` states the threshold and whose
-``printed_bound_disagrees`` gives the flag.  c1 is reduced once (a memo of
-fixed size), and gamma' is the c2 shift of c1's twist plus gamma.
+One reduction of c1 answers all three questions about a class: ``_reduce_c1``
+gives the tag, the twist, the c2 shift and the tag's threshold once per c1 (a
+memo of fixed size), gamma' is the shift plus gamma, and ``_verdict`` reads
+both answers off gamma'; ``ReducedClass`` and the CLI's batch both call it.
 """
 
 from __future__ import annotations
@@ -52,6 +52,17 @@ class ReducedTag(enum.Enum):
     MINUS_C0 = "MinusC0"
     MINUS_C0_MINUS_F = "MinusC0MinusF"
 
+    @property
+    def threshold(self) -> int:
+        """The least gamma' of a nonempty co-Higgs moduli: 1 for MinusC0MinusF, else 0."""
+        return 1 if self is ReducedTag.MINUS_C0_MINUS_F else 0
+
+
+def _verdict(gamma_prime: int, threshold: int) -> tuple[bool, bool]:
+    """(nonempty, printed_bound_disagrees) at gamma': the printed bound reads gamma' >= 0,
+    so it disagrees with the threshold for MinusC0MinusF at gamma' = 0."""
+    return gamma_prime >= threshold, 0 <= gamma_prime < threshold
+
 
 @dataclass(frozen=True)
 class ReducedClass:
@@ -60,13 +71,12 @@ class ReducedClass:
     gamma_prime: int
 
     def nonempty(self) -> bool:
-        """The co-Higgs moduli threshold: gamma' >= 1 for MinusC0MinusF, >= 0 otherwise."""
-        return self.gamma_prime >= (1 if self.tag is ReducedTag.MINUS_C0_MINUS_F else 0)
+        """The co-Higgs moduli threshold: gamma' >= the tag's threshold."""
+        return _verdict(self.gamma_prime, self.tag.threshold)[0]
 
     def printed_bound_disagrees(self) -> bool:
-        """True iff the class is odd-odd and the printed bound
-        2*gamma >= alpha*beta - 2 and the threshold disagree: gamma' = 0."""
-        return self.tag is ReducedTag.MINUS_C0_MINUS_F and self.gamma_prime == 0
+        """True iff the printed bound 2*gamma >= alpha*beta - 2 and the threshold disagree."""
+        return _verdict(self.gamma_prime, self.tag.threshold)[1]
 
 
 def intersect(c0_coeff1: int, f_coeff1: int, c0_coeff2: int, f_coeff2: int) -> int:
@@ -82,17 +92,12 @@ _TAGS = (
 
 
 @functools.lru_cache(maxsize=1024)  # a fixed size bounds the memo's memory
-def _reduce_c1(alpha: int, beta: int) -> tuple[ReducedTag, LineBundle, int]:
-    """(tag, L = O(x, y) of class y*C0 + x*F, c2 shift c1.c1(L) + c1(L)^2) for
-    c1 = alpha*C0 + beta*F; L takes c1 to -(alpha % 2, beta % 2)."""
+def _reduce_c1(alpha: int, beta: int) -> tuple[ReducedTag, LineBundle, int, int]:
+    """(tag, L = O(x, y) of class y*C0 + x*F, c2 shift (c1 + c1(L)).c1(L), threshold)
+    for c1 = alpha*C0 + beta*F; L takes c1 to -(alpha % 2, beta % 2)."""
     a, b = alpha % 2, beta % 2
-    x, y = -(b + beta) // 2, -(a + alpha) // 2
-    return _TAGS[a][b], LineBundle(x, y), intersect(alpha, beta, y, x) + intersect(y, x, y, x)
-
-
-def _reduced(alpha: int, beta: int, gamma: int) -> ReducedClass:
-    tag, twist, shift = _reduce_c1(alpha, beta)
-    return ReducedClass(tag, twist, gamma + shift)
+    x, y, tag = -(b + beta) // 2, -(a + alpha) // 2, _TAGS[a][b]
+    return tag, LineBundle(x, y), intersect(alpha + y, beta + x, y, x), tag.threshold
 
 
 def reduce_class(c: ChernData) -> ReducedClass:
@@ -103,7 +108,8 @@ def reduce_class(c: ChernData) -> ReducedClass:
     gamma - alpha*beta/2 for the tags Zero/MinusF/MinusC0 and
     gamma + (1 - alpha*beta)/2 for MinusC0MinusF.
     """
-    return _reduced(c.alpha, c.beta, c.gamma)
+    tag, twist, shift, _ = _reduce_c1(c.alpha, c.beta)
+    return ReducedClass(tag, twist, c.gamma + shift)
 
 
 def ext_length(c: ChernData, inv: NumericalInvariants) -> int:
@@ -127,21 +133,15 @@ def bundle_moduli_nonempty(c: ChernData, inv: NumericalInvariants) -> bool:
 
 
 def cohiggs_moduli_nonempty(c: ChernData) -> bool:
-    """Non-emptiness of the rank-2 semistable co-Higgs moduli for (c1, c2).
-
-    Reduces the class and thresholds gamma': >= 0 for Zero/MinusF/MinusC0,
-    >= 1 for MinusC0MinusF.  When non-empty the moduli always contains a
-    pair with nonzero Higgs field.
-    """
+    """Non-emptiness of the rank-2 semistable co-Higgs moduli for (c1, c2): gamma' at
+    least its tag's threshold.  When non-empty the moduli always contains a pair
+    with nonzero Higgs field."""
     return reduce_class(c).nonempty()
 
 
 def theorem48_case2_discrepancy(c: ChernData) -> bool:
-    """True iff the printed odd-odd closed form and the reduction route disagree.
-
-    For odd alpha, beta the printed bound 2*gamma >= alpha*beta - 2 admits
-    exactly one extra line of tuples, those with gamma' = 0.
-    """
+    """True iff the printed odd-odd closed form 2*gamma >= alpha*beta - 2 and the
+    reduction route disagree: one extra line of odd-odd tuples, gamma' = 0."""
     return reduce_class(c).printed_bound_disagrees()
 
 

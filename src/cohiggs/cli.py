@@ -18,7 +18,8 @@ import json
 import os
 import sys
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, groupby, islice
+from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
 from . import __version__
@@ -73,22 +74,25 @@ _JSON_BOOL = ("false", "true")
 _LINES_PER_WRITE = 4096  # main writes the lines of moduli nonempty in chunks
 
 
-def _verdict(chern, alpha: int, beta: int, gamma: int, batch: bool) -> str:
-    """This command's one writer: json.dumps of {"nonempty", "reduced",
-    "theorem48_case2_discrepancy"}, plus "alpha", "beta", "gamma" on a batch
-    line, from one fixed-shape template that a test pins to json.dumps."""
-    red = chern._reduced(alpha, beta, gamma)
-    inputs = f', "alpha": {alpha}, "beta": {beta}, "gamma": {gamma}' if batch else ""
-    return (f'{{"nonempty": {_JSON_BOOL[red.nonempty()]}, "reduced": {{"tag": '
-            f'"{red.tag.value}", "twist": [{red.twist.a}, {red.twist.b}], "gamma_prime": '
-            f'{red.gamma_prime}}}, "theorem48_case2_discrepancy": '
-            f'{_JSON_BOOL[red.printed_bound_disagrees()]}{inputs}}}')
+def _verdict_lines(chern, grid, batch: bool):
+    """This command's one writer: each line is json.dumps of the answer (plus "alpha",
+    "beta", "gamma" in a batch), from one template that a test pins to json.dumps.  A run
+    of tuples with equal c1 is reduced and formatted once; a tuple adds gamma' and flags."""
+    for (alpha, beta), run in groupby(grid, key=itemgetter(0, 1)):
+        tag, twist, shift, threshold = chern._reduce_c1(alpha, beta)
+        head = f', "reduced": {{"tag": "{tag.value}", "twist": [{twist.a}, {twist.b}]'
+        tail = f', "alpha": {alpha}, "beta": {beta}, "gamma": ' if batch else ""
+        for _, _, gamma in run:
+            nonempty, disagrees = chern._verdict(gamma + shift, threshold)
+            yield (f'{{"nonempty": {_JSON_BOOL[nonempty]}{head}, "gamma_prime": {gamma + shift}}}, '
+                   f'"theorem48_case2_discrepancy": {_JSON_BOOL[disagrees]}'
+                   f'{tail}{gamma if batch else ""}}}')
 
 
 def _moduli_nonempty(args):
     from . import chern
     grid = [(args.alpha, args.beta, args.gamma)]
-    if args.batch:
+    if args.batch is not None:
         if grid != [(None, None, None)]:
             raise ValueError("--batch takes no --alpha/--beta/--gamma")
         grid = _load_json(args.batch)
@@ -99,17 +103,20 @@ def _moduli_nonempty(args):
             grid = grid.get("tuples")
         if not isinstance(grid, list):
             raise ValueError("batch grid must be a list of [alpha, beta, gamma] tuples")
-        # check every tuple before the first line is printed
-        for i, entry in enumerate(grid):
-            if not isinstance(entry, list) or len(entry) != 3:
-                raise ValueError(f"batch entry {i} is not an [alpha, beta, gamma] array")
-        for x in chain.from_iterable(grid):  # then every integer, in place
-            int_from_json(x, "batch entry")
+        # every tuple is checked before the first line is printed, in C if the grid
+        # is well formed (type(x) is int refuses bool), else entry by entry
+        if not (set(map(type, grid)) <= {list} and set(map(len, grid)) <= {3}
+                and set(map(type, chain.from_iterable(grid))) <= {int}):
+            for i, entry in enumerate(grid):
+                if not isinstance(entry, list) or len(entry) != 3:
+                    raise ValueError(f"batch entry {i} is not an [alpha, beta, gamma] array")
+            for x in chain.from_iterable(grid):
+                int_from_json(x, "batch entry")
         _debug("batch of %d tuples", len(grid))
     elif None in grid[0]:
         raise ValueError("--alpha/--beta/--gamma are required without --batch")
     # lazy: main lifts the int <-> str cap before the first line is written
-    return (_verdict(chern, a, b, g, bool(args.batch)) for a, b, g in grid)
+    return _verdict_lines(chern, grid, args.batch is not None)
 
 
 def _moduli_bundle(args) -> dict:

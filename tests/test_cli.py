@@ -210,45 +210,89 @@ def test_nonempty_lines_need_no_json_encoder(capsys, tmp_path, monkeypatch):
 
 
 def test_batch_decides_each_verdict_once(capsys, tmp_path, monkeypatch):
-    """The discrepancy flag reads gamma' instead of deciding the verdict again."""
+    """The batch builds no ReducedClass: each tuple asks chern._verdict once
+    for both flags, and every line is still the json.dumps line built from
+    reduce_class."""
     from cohiggs import chern
 
-    calls = []
-    real = chern.ReducedClass.nonempty
-    monkeypatch.setattr(chern.ReducedClass, "nonempty", lambda red: calls.append(red) or real(red))
+    built, decided = [], []
+    real_init, real_verdict = chern.ReducedClass.__init__, chern._verdict
+    monkeypatch.setattr(chern.ReducedClass, "__init__",
+                        lambda red, *args: built.append(args) or real_init(red, *args))
+    monkeypatch.setattr(chern, "_verdict", lambda *args: decided.append(args) or real_verdict(*args))
     grid = [[a, b, g] for a in range(-3, 4) for b in range(-3, 4) for g in range(-3, 4)]
     path = write_json(tmp_path, "grid.json", {"tuples": grid})
     assert main(["moduli", "nonempty", "--batch", path]) == 0
-    assert len(capsys.readouterr().out.splitlines()) == len(calls) == len(grid)
+    out = capsys.readouterr().out
+    assert built == [] and len(decided) == len(grid)
+    assert out == "".join(_dumps_verdict(*t, batch=True) + "\n" for t in grid)
 
 
 def test_batch_reduces_each_first_chern_class_once(capsys, tmp_path, monkeypatch):
-    """With gamma innermost, c1 = (alpha, beta) is reduced once per distinct
-    value and every other tuple is a memo hit; no ChernData is built on the
+    """c1 = (alpha, beta) is reduced once per run of tuples with equal c1: with
+    gamma innermost, once per distinct value, each a memo miss.  A c1 that
+    comes back in a later run is a memo hit.  No ChernData is built on the
     batch path, and the memo has a fixed size."""
     from cohiggs import chern
 
-    built = []
-    real_init = chern.ChernData.__init__
+    built, reduced = [], []
+    real_init, real_reduce = chern.ChernData.__init__, chern._reduce_c1
     monkeypatch.setattr(chern.ChernData, "__init__",
                         lambda c, *args: built.append(args) or real_init(c, *args))
+    monkeypatch.setattr(chern, "_reduce_c1", lambda *c1: reduced.append(c1) or real_reduce(*c1))
     grid = [[a, b, g] for a in range(-3, 4) for b in range(-3, 4) for g in range(-2, 3)]
-    path = write_json(tmp_path, "grid.json", {"tuples": grid})
-    chern._reduce_c1.cache_clear()
-    assert main(["moduli", "nonempty", "--batch", path]) == 0
-    info = chern._reduce_c1.cache_info()
-    assert built == []
-    assert (info.misses, info.hits) == (49, len(grid) - 49)
-    assert isinstance(info.maxsize, int) and info.maxsize >= info.currsize
-    assert capsys.readouterr().out == "".join(
-        _dumps_verdict(*t, batch=True) + "\n" for t in grid)
+    runs = [(a, b) for a in range(-3, 4) for b in range(-3, 4)]
+    for tuples, hits in ((grid, 0), (grid + grid, 49)):
+        path = write_json(tmp_path, "grid.json", {"tuples": tuples})
+        built.clear()
+        reduced.clear()
+        real_reduce.cache_clear()
+        assert main(["moduli", "nonempty", "--batch", path]) == 0
+        info = real_reduce.cache_info()
+        assert built == []
+        assert reduced == runs * (len(tuples) // len(grid))
+        assert (info.misses, info.hits) == (49, hits)
+        assert isinstance(info.maxsize, int) and info.maxsize >= info.currsize
+        assert capsys.readouterr().out == "".join(
+            _dumps_verdict(*t, batch=True) + "\n" for t in tuples)
     # an emptied memo reduces every class again, as the closed forms say
+    monkeypatch.undo()
     chern._reduce_c1.cache_clear()
     big = int("7" * 4000)
     for a, b, g in grid + [[big, -big - 1, 5], [-big, big + 2, -big * big]]:
         red = chern.reduce_class(chern.ChernData(a, b, g))
         got = (red.tag.value, (red.twist.a, red.twist.b), red.gamma_prime)
         assert got == reduced_class(a, b, g)
+
+
+def test_batch_lines_do_not_depend_on_the_order(capsys, tmp_path):
+    """Gamma outermost, every run of equal c1 has one tuple, and with more
+    distinct c1 than the memo holds it evicts; a seeded shuffle the same.
+    Either way each line is the json.dumps line of its tuple, and the lines
+    are the gamma-innermost grid's lines, permuted as the tuples are."""
+    import random
+
+    from cohiggs import chern
+
+    c1s = [(a, b) for a in range(-17, 17) for b in range(-17, 17)]
+    assert len(c1s) > chern._reduce_c1.cache_info().maxsize
+    inner = [[a, b, g] for a, b in c1s for g in range(-3, 3)]
+    outer = [[a, b, g] for g in range(-3, 3) for a, b in c1s]
+    shuffled = list(inner)
+    random.Random(5).shuffle(shuffled)
+
+    def lines(grid):
+        path = write_json(tmp_path, "grid.json", {"tuples": grid})
+        chern._reduce_c1.cache_clear()
+        assert main(["moduli", "nonempty", "--batch", path]) == 0
+        return capsys.readouterr().out.splitlines()
+
+    by_tuple = dict(zip(map(tuple, inner), lines(inner)))
+    assert list(by_tuple.values()) == [_dumps_verdict(*t, batch=True) for t in inner]
+    for grid in (outer, shuffled):
+        assert lines(grid) == [by_tuple[tuple(t)] for t in grid]
+    info = chern._reduce_c1.cache_info()
+    assert info.currsize == info.maxsize < info.misses
 
 
 class _CountingStdout(io.StringIO):
@@ -838,6 +882,58 @@ def test_moduli_nonempty_needs_batch_or_class(capsys, argv):
     assert json.loads(line)["error"] == {
         "kind": "InputError", "detail": "--alpha/--beta/--gamma are required without --batch"
     }
+
+
+@pytest.mark.parametrize(
+    "argv, detail",
+    [
+        (["moduli", "nonempty", "--batch", "", "--alpha", "1", "--beta", "1", "--gamma", "1"],
+         BATCH_FLAGS),
+        (["moduli", "nonempty", "--batch", ""], "No such file or directory: ''"),
+    ],
+    ids=["with-class", "alone"],
+)
+def test_empty_batch_path_is_still_batch(capsys, argv, detail):
+    """--batch "" is a --batch: with --alpha/--beta/--gamma it is refused, and
+    alone it names a file that cannot be read."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    (line,) = captured.out.splitlines()
+    error = json.loads(line)["error"]
+    assert error["kind"] == "InputError" and detail in error["detail"], error
+    assert captured.err == ""
+
+
+def _ints_with(n, i, bad):
+    """A batch grid of n integers, [alpha, beta, gamma] by three, whose i-th is bad."""
+    flat = list(range(n))
+    flat[i] = bad
+    return [flat[k:k + 3] for k in range(0, n, 3)]
+
+
+@pytest.mark.parametrize(
+    "tuples, detail",
+    [
+        ([[1.5, 0, 0], [0, 0, 0], [1, 1, 1], [2, 3]], "batch entry 3 is not an [alpha, beta, gamma] array"),
+        ([[0, -1, 0], [1, 1, 0], [2, True, 5]], "batch entry must be an integer, got True"),
+        (_ints_with(9_999, 7_777, True), "batch entry must be an integer, got True"),
+        (_ints_with(9_999, 9_998, False), "batch entry must be an integer, got False"),
+        (_ints_with(9_999, 5_000, 2.0), "batch entry must be an integer, got 2.0"),
+        (_ints_with(9_999, 3, [1, 2]), "batch entry must be an integer, got [1, 2]"),
+        (_ints_with(9_999, 4, None), "batch entry must be an integer, got None"),
+        (_ints_with(9_999, 6, "012") + [[1, 2]], "batch entry 3333 is not an [alpha, beta, gamma]"),
+        ([[0, 0, 0]] * 5_000 + ["012"], "batch entry 5000 is not an [alpha, beta, gamma] array"),
+        ([[0, 0, 0]] * 5_000 + [[0, 0, 0, 0], [True, 0, 0]], "batch entry 5000 is not an [alpha,"),
+    ],
+    ids=["float-then-pair", "lone-bool", "bool-among-ints", "last-false", "float-among-ints",
+         "list-among-ints", "null-among-ints", "shape-after-string", "string-entry", "four-entry"],
+)
+def test_batch_checks_report_the_first_error(capsys, tmp_path, tuples, detail):
+    """The check of a well-formed grid runs in C, and a grid that fails it goes
+    through the entry-by-entry checks: the error is the first one in their
+    order (every entry's shape, then every integer), with the same detail."""
+    got = run_input_error(capsys, tmp_path, ["moduli", "nonempty", "--batch"], {"tuples": tuples})
+    assert detail in got, got
 
 
 @pytest.mark.parametrize(
