@@ -32,6 +32,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
 
 from .cohomology import LineBundle
@@ -57,13 +58,29 @@ TWIST_02: Twist = (0, 2)
 
 @dataclass(frozen=True)
 class ExtParams:
-    """Extension class (u*z1 + v)/z2; (0,0) is the split bundle."""
+    """Extension class (u*z1 + v)/z2; (0,0) is the split bundle.
+
+    The private ``cached_property`` values are derived on first use and kept
+    in the instance ``__dict__``, not as dataclass fields, so ``==``, ``hash``
+    and ``repr`` see u and v alone; a computation that raises keeps nothing.
+    """
 
     u: Fraction
     v: Fraction
 
     def is_trivial(self) -> bool:
         return not (self.u or self.v)
+
+    @cached_property
+    def _cocycle(self) -> tuple[BiPoly, BiPoly, BiPoly]:
+        """q = u*z1 + v, q^2 and q*z2."""
+        q = BiPoly({(1, 0): self.u, (0, 0): self.v})
+        return q, q * q, q * Z2
+
+    @cached_property
+    def _v2_columns(self) -> dict[int, tuple[Column, Column, Column]]:
+        """What :func:`_v1_to_v2` returned, by twist exponent b."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -123,7 +140,10 @@ def _v1_to_v2(e: ExtParams, twist: Twist) -> tuple[Column, Column, Column]:
         ( 2 q z2^(1-b)     z2^(2-b)    -q^2 z2^-b   )
         ( 0                0           z2^(-2-b)    )
     """
-    u, v, b = _as_rat(e.u), _as_rat(e.v), twist[1]
+    b, memo = twist[1], e._v2_columns
+    if b in memo:
+        return memo[b]
+    u, v = _as_rat(e.u), _as_rat(e.v)
     d = math.lcm(u.denominator, v.denominator)
     U, V, dd = u.numerator * (d // u.denominator), v.numerator * (d // v.denominator), d * d
     columns = (
@@ -133,7 +153,8 @@ def _v1_to_v2(e: ExtParams, twist: Twist) -> tuple[Column, Column, Column]:
          (1, 2, -b, -U * U), (1, 1, -b, -2 * U * V), (1, 0, -b, -V * V),
          (2, 0, -2 - b, dd)),
     )
-    return tuple(tuple(t for t in column if t[3]) for column in columns)
+    memo[b] = tuple(tuple(t for t in column if t[3]) for column in columns)
+    return memo[b]
 
 
 def _v1_to_v3(twist: Twist) -> tuple[Column, Column, Column]:
@@ -169,6 +190,8 @@ def _irregular_rows(e: ExtParams, twist: Twist, support: list[Coefficient]) -> d
 # closed-form sections
 # ---------------------------------------------------------------------------
 
+_HALF = Fraction(1, 2)
+
 
 def build_phi1(e: ExtParams, p: Phi1Params) -> PolyMat2:
     """O(2,0)-component on chart V1 from the six free C1 coefficients.
@@ -179,21 +202,20 @@ def build_phi1(e: ExtParams, p: Phi1Params) -> PolyMat2:
 
         A1 = q ((c01 + c11 z1)/2 + r z2),    B1 = -q^2 r.
     """
-    q = BiPoly({(1, 0): e.u, (0, 0): e.v})
+    q, q2, _ = e._cocycle
     r = BiPoly({(1, 0): p.c12, (0, 0): p.c02})
-    a1 = q * (BiPoly({(1, 0): p.c11, (0, 0): p.c01}) * Fraction(1, 2) + r * Z2)
+    a1 = q * (BiPoly({(1, 0): p.c11, (0, 0): p.c01}) * _HALF + r * Z2)
     c1 = BiPoly(
         {(0, 0): p.c00, (0, 1): p.c01, (0, 2): p.c02, (1, 0): p.c10, (1, 1): p.c11, (1, 2): p.c12}
     )
-    return PolyMat2.trace_free(a1, -(q * q * r), c1)
+    return PolyMat2.trace_free(a1, -(q2 * r), c1)
 
 
 def build_phi2(e: ExtParams, p: Phi2Params) -> PolyMat2:
     """O(0,2)-component on chart V1: upper triangular with
     A2 = a00 + a01 z2 + a02 z2^2 and B2 = b00 + b10 z1 - 2 a02 q z2, q = u z1 + v."""
-    q = BiPoly({(1, 0): e.u, (0, 0): e.v})
     a2 = BiPoly({(0, 0): p.a00, (0, 1): p.a01, (0, 2): p.a02})
-    b2 = BiPoly({(0, 0): p.b00, (1, 0): p.b10}) - q * Z2 * (2 * p.a02)
+    b2 = BiPoly({(0, 0): p.b00, (1, 0): p.b10}) - e._cocycle[2] * (2 * p.a02)
     return PolyMat2.trace_free(a2, b2, BiPoly.zero())
 
 
@@ -219,6 +241,8 @@ def glue_check(e: ExtParams, phi_v1: PolyMat2, twist: Twist) -> bool:
 # ---------------------------------------------------------------------------
 
 _ANSATZ_BOX = 4  # generous; global sections are supported in degrees <= (3, 2)
+_ANSATZ_UNKNOWNS = [(comp, i, j) for comp in range(3) for i in range(_ANSATZ_BOX + 1)
+                    for j in range(_ANSATZ_BOX + 1)]
 
 
 def end0T_dimension(e: ExtParams) -> tuple[int, int, int]:
@@ -236,9 +260,8 @@ def end0T_dimension(e: ExtParams) -> tuple[int, int, int]:
 
 
 def _ansatz_kernel_dim(e: ExtParams, twist: Twist) -> int:
-    box = range(_ANSATZ_BOX + 1)
-    unknowns = [(comp, i, j) for comp in range(3) for i in box for j in box]
-    return len(unknowns) - rank(list(_irregular_rows(e, twist, unknowns).values()))
+    rows = _irregular_rows(e, twist, _ANSATZ_UNKNOWNS)
+    return len(_ANSATZ_UNKNOWNS) - rank(list(rows.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,19 @@ def _dumps_verdict(alpha, beta, gamma, batch):
         return json.dumps(payload)
 
 
+def _assert_lines(out: str, want: list[str]) -> None:
+    """out is the lines of want, each ended by a newline.  A wrong line fails
+    at once, naming its index and both lines, where pytest's diff of two
+    long strings can run for minutes."""
+    got = out.split("\n")
+    if got.pop():
+        raise AssertionError("the output does not end with a newline")
+    assert len(got) == len(want), f"{len(got)} lines, want {len(want)}"
+    for k, (line, expected) in enumerate(zip(got, want)):
+        if line != expected:
+            raise AssertionError(f"line {k}: got {line!r}, want {expected!r}")
+
+
 def _nonempty_stdout(capsys, path):
     """stdout of the batch over _PIN_GRID (written to path), then of each
     single-tuple answer."""
@@ -190,7 +203,7 @@ def test_nonempty_template_equals_json_dumps(capsys, tmp_path):
     assert abs(reds[-2].gamma_prime) > 10**7990
     path = write_json(tmp_path, "grid.json", {"tuples": _PIN_GRID})
     batch, *singles = _nonempty_stdout(capsys, path)
-    assert batch == "".join(_dumps_verdict(*t, batch=True) + "\n" for t in _PIN_GRID)
+    _assert_lines(batch, [_dumps_verdict(*t, batch=True) for t in _PIN_GRID])
     assert singles == [_dumps_verdict(*t, batch=False) + "\n" for t in _PIN_GRID]
 
 
@@ -225,7 +238,7 @@ def test_batch_decides_each_verdict_once(capsys, tmp_path, monkeypatch):
     assert main(["moduli", "nonempty", "--batch", path]) == 0
     out = capsys.readouterr().out
     assert built == [] and len(decided) == len(grid)
-    assert out == "".join(_dumps_verdict(*t, batch=True) + "\n" for t in grid)
+    _assert_lines(out, [_dumps_verdict(*t, batch=True) for t in grid])
 
 
 def test_batch_reduces_each_first_chern_class_once(capsys, tmp_path, monkeypatch):
@@ -253,8 +266,7 @@ def test_batch_reduces_each_first_chern_class_once(capsys, tmp_path, monkeypatch
         assert reduced == runs * (len(tuples) // len(grid))
         assert (info.misses, info.hits) == (49, hits)
         assert isinstance(info.maxsize, int) and info.maxsize >= info.currsize
-        assert capsys.readouterr().out == "".join(
-            _dumps_verdict(*t, batch=True) + "\n" for t in tuples)
+        _assert_lines(capsys.readouterr().out, [_dumps_verdict(*t, batch=True) for t in tuples])
     # an emptied memo reduces every class again, as the closed forms say
     monkeypatch.undo()
     chern._reduce_c1.cache_clear()
@@ -317,7 +329,7 @@ def test_batch_lines_are_written_in_chunks(tmp_path, monkeypatch):
     monkeypatch.setattr(sys, "stdout", out)
     assert main(["moduli", "nonempty", "--batch", path]) == 0
     assert 0 < out.writes <= math.ceil(len(grid) / cli._LINES_PER_WRITE)
-    assert out.getvalue() == "".join(_dumps_verdict(*t, batch=True) + "\n" for t in grid)
+    _assert_lines(out.getvalue(), [_dumps_verdict(*t, batch=True) for t in grid])
 
 
 def test_closed_pipe_ends_quietly_as_exit_2(tmp_path):

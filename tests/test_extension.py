@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
 import math
+import pickle
 import random
 import time
 from fractions import Fraction as F
@@ -8,6 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 from cohiggs import _laurent as lau
+from cohiggs import extension as ext
 from cohiggs.cohomology import LineBundle as O
 from cohiggs.errors import (
     InconsistentPoint,
@@ -29,6 +33,7 @@ from cohiggs.extension import (
     Stratum,
     TrivialFieldData,
     Twist,
+    _ANSATZ_BOX,
     _v1_to_v2,
     _v1_to_v3,
     build_phi1,
@@ -642,3 +647,151 @@ def test_trivial_extension_normal_form_errors():
         trivial_extension_normal_form(field(DB(O(0, 0), O(0, 0))))
     with pytest.raises(SlotViolation):  # A2 = z2^3 exceeds its slot O(0,2)
         trivial_extension_normal_form(field(TRIVIAL_EXTENSION_BUNDLE, a2=Z2**3, b2=Z1))
+
+
+# -- the class memo ------------------------------------------------------------------
+# An extension class derives its cocycle q = u z1 + v, q^2, q z2 and its V1 -> V2
+# columns once, on first use.  Every answer on a class that has answered before
+# equals the answer on a fresh equal class, the class keeps its value semantics,
+# and a float class raises TypeError on every call.
+
+
+def _fresh(e: ExtParams) -> ExtParams:
+    """An equal class with nothing derived yet."""
+    return ExtParams(e.u, e.v)
+
+
+def _outcome(call, *args):
+    """call(*args), or the type and detail of the domain error it raises."""
+    try:
+        return call(*args)
+    except TrivialExtension as err:
+        return type(err), str(err)
+
+
+_UNIT_P1 = [Phi1Params(**{k: F(1)}) for k in ("c00", "c01", "c02", "c10", "c11", "c12")]
+_UNIT_P2 = [Phi2Params(**{k: F(1)}) for k in ("a00", "a01", "a02", "b00", "b10")]
+
+
+def _memo_chain(e: ExtParams) -> tuple:
+    """What one benchmark operation asks of a class: the ansatz, each unit
+    section with its glue check, and the three dichotomies."""
+    built = []
+    for p in _UNIT_P1:
+        m = build_phi1(e, p)
+        built.append((m, glue_check(e, m, TWIST_20)))
+    for p in _UNIT_P2:
+        m = build_phi2(e, p)
+        built.append((m, glue_check(e, m, TWIST_02)))
+    p1, p2 = Phi1Params(c01=F(2), c12=F(-1, 3)), Phi2Params(a02=F(5), b10=F(1, 7))
+    pairs = ((p1, p2), (p1, Phi2Params()), (Phi1Params(), p2))
+    return end0T_dimension(e), built, [dichotomy_check(e, *ps) for ps in pairs]
+
+
+def test_each_class_derives_its_data_once(monkeypatch):
+    calls = {"_as_rat": 0, "BiPoly.__mul__": 0}
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    # _v1_to_v2 reads u and v through _as_rat only when it builds columns
+    monkeypatch.setattr(ext, "_as_rat", counting("_as_rat", ext._as_rat))
+    monkeypatch.setattr(BiPoly, "__mul__", counting("BiPoly.__mul__", BiPoly.__mul__))
+    e = ExtParams(F(3, 4), F(-5, 6))
+    first = _memo_chain(e)
+    once = dict(calls)
+    # the columns are built once per twist exponent
+    assert once["_as_rat"] == 4 and set(vars(e)["_v2_columns"]) == {TWIST_20[1], TWIST_02[1]}
+    assert _memo_chain(e) == first
+    # the second pass builds no column, and neither q^2 nor q z2
+    assert calls["_as_rat"] == 4
+    assert calls["BiPoly.__mul__"] - once["BiPoly.__mul__"] == once["BiPoly.__mul__"] - 2
+    assert _v1_to_v2(e, TWIST_20) is _v1_to_v2(e, TWIST_20)
+
+
+def test_derived_class_data_leave_value_semantics_alone():
+    e = ExtParams(F(3, 4), F(-5, 6))
+    _memo_chain(e)
+    assert {"_cocycle", "_v2_columns"} <= vars(e).keys()
+    g = _fresh(e)
+    assert e == g and hash(e) == hash(g) and repr(e) == repr(g)
+    names = [x.name for x in dataclasses.fields(e)]
+    assert names == [x.name for x in dataclasses.fields(ExtParams)] == ["u", "v"]
+    for twin in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+        assert twin == g and hash(twin) == hash(g) and repr(twin) == repr(g)
+        assert [x.name for x in dataclasses.fields(twin)] == names
+        assert _memo_chain(twin) == _memo_chain(g)
+
+
+def _memo_answers(e: ExtParams, sections: list[tuple[PolyMat2, Twist]]) -> list:
+    p1s = [Phi1Params(), Phi1Params(*[1] * 6), Phi1Params(F(2, 3), 0, F(-7), 1, 0, F(5, 11))]
+    p2s = [Phi2Params(), Phi2Params(*[1] * 5), Phi2Params(F(-1, 4), 3, 0, F(9, 2), 1)]
+    out = [_outcome(end0T_dimension, e), _v1_to_v2(e, TWIST_20), _v1_to_v2(e, TWIST_02)]
+    out += [build_phi1(e, p) for p in p1s] + [build_phi2(e, p) for p in p2s]
+    out += [glue_check(e, phi, twist) for phi, twist in sections]
+    out += [_outcome(dichotomy_check, e, p1, p2) for p1 in p1s for p2 in p2s]
+    return out
+
+
+def test_every_answer_equals_that_of_a_fresh_class():
+    rng = random.Random(44)
+    ints = [ExtParams(3, -2), ExtParams(0, 5), ExtParams(-4, 0), ExtParams(0, 0)]
+    for e in _transition_classes() + ints:
+        sections = [(build_phi1(e, _random_p1(rng)), TWIST_20),
+                    (build_phi2(e, _random_p2(rng)), TWIST_02)]
+        sections += [(_random_trace_free(rng, rng.randint(0, 6)), t) for t in (TWIST_20, TWIST_02)]
+        first = _memo_answers(e, sections)  # fills in the class's data
+        assert _memo_answers(e, sections) == first
+        assert _memo_answers(_fresh(e), sections) == first
+
+
+def _leaves_the_box(m: PolyMat2) -> bool:
+    entries = (m.entry(0, 0), m.entry(0, 1), m.entry(1, 0))
+    return any(max(i, j) > _ANSATZ_BOX for entry in entries for i, j, _ in entry.terms())
+
+
+def test_glue_check_beyond_the_ansatz_box_after_the_ansatz():
+    """The ansatz has filled in the class's columns on its 5 x 5 box of
+    unknowns; glue_check on a section with terms outside that box still
+    agrees with the image oracle."""
+    rng = random.Random(45)
+    outcomes = {True: 0, False: 0}
+    for k, e in enumerate(_transition_classes() + [_random_ext(rng) for _ in range(9)]):
+        assert end0T_dimension(e) == (6, 5, 11)
+        twist = (TWIST_20, TWIST_02)[k % 2]
+        build = build_phi1(e, _random_p1(rng)) if k % 2 == 0 else build_phi2(e, _random_p2(rng))
+        # one term of bidegree (5, 0), (0, 5) or (6, 6) in one of A, B, C
+        far = [BiPoly.zero()] * 3
+        far[k % 3] = BiPoly({rng.choice([(5, 0), (0, 5), (6, 6)]): random_rat(rng, 9) or 1})
+        far = PolyMat2.trace_free(*far)
+        for phi in (mat_add(build, far), mat_add(_random_trace_free(rng, rng.randint(0, 6)), far)):
+            assert _leaves_the_box(phi)
+            got = glue_check(e, phi, twist)
+            assert got == image_glue_check(e, phi, twist), (e, twist, phi)
+            outcomes[got] += 1
+        # and the global section itself still glues
+        assert glue_check(e, build, twist) and image_glue_check(e, build, twist)
+        outcomes[True] += 1
+    assert outcomes[True] == 40 and outcomes[False] >= 40, outcomes
+
+
+@pytest.mark.parametrize("e", [ExtParams(0.5, F(1)), ExtParams(F(1), 1.5), ExtParams(0, 2.0)],
+                         ids=["float_u", "float_v", "zero_and_float"])
+def test_a_float_class_raises_type_error_on_every_call(e):
+    section = build_phi1(E37, Phi1Params(c00=F(1)))
+    calls = [
+        lambda: end0T_dimension(e),
+        lambda: _v1_to_v2(e, TWIST_20),
+        lambda: build_phi1(e, Phi1Params(c01=F(1))),
+        lambda: build_phi2(e, Phi2Params(a02=F(1))),
+        lambda: glue_check(e, section, TWIST_20),
+        lambda: dichotomy_check(e, Phi1Params(c01=F(1)), Phi2Params()),
+    ]
+    for _ in range(3):
+        for call in calls:
+            with pytest.raises(TypeError):
+                call()
+    assert "_cocycle" not in vars(e) and not vars(e).get("_v2_columns")
