@@ -15,9 +15,9 @@ scaled by d^2, d = lcm(den u, den v), which keeps every form's zero set).  The
 conjugation ``end_rep3`` in ``tests/oracles.py`` is their reference.
 
 A chart-V1 section is global iff its images in charts V2 and V3 have no
-pole.  ``_irregular_rows`` states that condition once, as sparse linear
-forms in the chart-V1 coefficients: ``glue_check`` evaluates them on one
-section brought over one denominator, and the generic ansatz takes their rank.
+pole.  ``_irregular_rows`` states that once, as sparse linear forms in the
+chart-V1 coefficients: ``glue_check`` evaluates them on one section over one
+denominator; the ansatz ranks them, with one singleton pass per twist and shape.
 
 The global Higgs-field components then come in closed form, as BiPoly
 arithmetic in the cocycle q = u*z1 + v: C1 carries six free coefficients
@@ -32,7 +32,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Union
 
 from .cohomology import LineBundle
@@ -45,7 +45,7 @@ from .errors import (
 )
 from .exactalg import BiPoly, PolyMat2, Z2, _as_rat, _over_lcm
 from .higgs import DecomposableBundle, HiggsField, commute, validate_field
-from .linalg import rank
+from .linalg import _clear_singletons, rank
 
 O = LineBundle
 
@@ -166,16 +166,16 @@ def _v1_to_v3(twist: Twist) -> tuple[Column, Column, Column]:
     return ((0, -a, 0, 1),), ((1, -1 - a, 0, 1),), ((2, 1 - a, 0, 1),)
 
 
-def _irregular_rows(e: ExtParams, twist: Twist, support: list[Coefficient]) -> dict:
+def _irregular_rows(v2: tuple[Column, ...], twist: Twist, support: list[Coefficient]) -> dict:
     """The image terms that charts V2 and V3 forbid, as linear forms in chart-V1 coefficients.
 
     Maps ``(chart, comp_out, i, j)`` (chart 0 is V2 with coordinates z1, 1/z2;
     1 is V3 with 1/z1, z2) to ``{coefficient in support: factor}``, for each
-    image term with a positive z2 exponent in V2 or a positive z1 exponent
-    in V3.  A section on ``support`` is global iff every form vanishes on it.
+    image term with a positive z2 exponent in V2 (columns ``v2``) or a positive
+    z1 exponent in V3.  A section on ``support`` is global iff all forms vanish.
     """
     rows: dict[tuple[int, int, int, int], dict[Coefficient, int]] = {}
-    for chart, (columns, axis) in enumerate(((_v1_to_v2(e, twist), 1), (_v1_to_v3(twist), 0))):
+    for chart, (columns, axis) in enumerate(((v2, 1), (_v1_to_v3(twist), 0))):
         for key in support:
             comp, i, j = key
             # a column's terms in one row have distinct exponents, so each cell is set once
@@ -232,7 +232,7 @@ def glue_check(e: ExtParams, phi_v1: PolyMat2, twist: Twist) -> bool:
     # int coefficients for int forms
     entries = _over_lcm(phi_v1.entry(0, 0), phi_v1.entry(0, 1), phi_v1.entry(1, 0))
     coeffs = {(comp, i, j): c for comp, entry in enumerate(entries) for (i, j), c in entry.items()}
-    forms = _irregular_rows(e, twist, list(coeffs))
+    forms = _irregular_rows(_v1_to_v2(e, twist), twist, list(coeffs))
     return all(not sum(c * coeffs[k] for k, c in form.items()) for form in forms.values())
 
 
@@ -254,14 +254,24 @@ def end0T_dimension(e: ExtParams) -> tuple[int, int, int]:
     """
     if e.is_trivial():
         raise TrivialExtension("dimension count applies to non-trivial extensions")
-    dim20 = _ansatz_kernel_dim(e, TWIST_20)
-    dim02 = _ansatz_kernel_dim(e, TWIST_02)
+    dim20, dim02 = (_ansatz_kernel_dim(e, twist) for twist in (TWIST_20, TWIST_02))
     return dim20, dim02, dim20 + dim02
 
 
+@cache
+def _ansatz_template(twist: Twist, shape: tuple[Column, ...]) -> tuple[int, list[dict]]:
+    """The singleton pass over the ansatz forms of each class whose V1 -> V2
+    columns have this shape, its factors replaced by their index n in the
+    column (V3's forms are one-entry rows).  Shared, so never edited in place."""
+    return _clear_singletons(list(_irregular_rows(shape, twist, _ANSATZ_UNKNOWNS).values()))
+
+
 def _ansatz_kernel_dim(e: ExtParams, twist: Twist) -> int:
-    rows = _irregular_rows(e, twist, _ANSATZ_UNKNOWNS)
-    return len(_ANSATZ_UNKNOWNS) - rank(list(rows.values()))
+    v2 = _v1_to_v2(e, twist)
+    shape = tuple(tuple((*t[:3], n) for n, t in enumerate(column)) for column in v2)
+    count, residue = _ansatz_template(twist, shape)
+    rows = [{k: v2[k[0]][n][3] for k, n in row.items()} for row in residue]
+    return len(_ANSATZ_UNKNOWNS) - count - rank(rows)
 
 
 # ---------------------------------------------------------------------------

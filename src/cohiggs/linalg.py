@@ -10,11 +10,11 @@ forms by ``(comp, i, j)``; a dense list row is keyed by position).
 
 A singleton pass comes first (the first step of structured Gaussian
 elimination): each column that holds a one-entry row counts into the rank
-and is deleted from every row, until no such row is left.  Most ansatz
-rows are singletons (58 of 102 at twist (2, 0), 74 of 96 at (0, 2)), and
-they need no arithmetic.  Only then is each row scaled to a primitive
-integer row: times the lcm of its denominators (an entry is an ``int`` or
-a ``Fraction``), over the gcd of its numerators.  An update sets
+and is deleted from every row, until no such row is left.  It reads only
+which entries are present, so the extension ansatz runs it once per twist
+and shape and ranks only what it leaves of each class.  Then each row is
+scaled to a primitive integer row: times the lcm of its denominators (an
+entry is an ``int`` or ``Fraction``), over its numerators' gcd.  An update sets
 row <- (p/g)*row - (f/g)*pivot_row, where p is the pivot, f the row's
 entry in its column and g = gcd(p, f), and divides the new row by its
 content (Knuth, TAOCP vol. 2, 4.6.1), so no ``Fraction`` is built.
@@ -42,19 +42,24 @@ def _primitive(row: dict) -> dict[Any, int]:
     return _content_free({j: a.numerator * (d // a.denominator) for j, a in row.items()})
 
 
+def _clear_singletons(rows: list[dict]) -> tuple[int, list[dict]]:
+    """How many columns the singleton pass clears, and the nonempty rows it
+    leaves: it reads only which entries are present, and edits no row."""
+    count, rows = 0, [row for row in rows if row]
+    while cleared := {j for row in rows if len(row) == 1 for j in row}:
+        count += len(cleared)
+        # a row inside the cleared columns goes, and one that meets them is rebuilt
+        rows = [{j: a for j, a in row.items() if j not in cleared} if not cleared.isdisjoint(row)
+                else row for row in rows if not row.keys() <= cleared]
+    return count, rows
+
+
 def rank(rows: list[Row]) -> int:
     """Rank of the matrix with these rows; the rows passed in are not modified."""
-    m = [dict(row) if type(row) is dict and all(row.values()) else {j: a for j, a in
+    m = [row if type(row) is dict and all(row.values()) else {j: a for j, a in
          (row.items() if type(row) is dict else enumerate(row)) if a} for row in rows]
-    singletons = 0
-    while cleared := {j for row in m if len(row) == 1 for j in row}:
-        singletons += len(cleared)
-        # the rows inside the cleared columns would be left empty
-        m = [row for row in m if not row.keys() <= cleared]
-        for row in m:
-            for j in cleared.intersection(row):
-                del row[j]
-    m = [_primitive(row) for row in m if row]
+    singletons, m = _clear_singletons(m)
+    m = [_primitive(row) for row in m]
     r = 0
     # only a column that holds a nonzero entry can hold a pivot
     for col in sorted({j for row in m for j in row}):

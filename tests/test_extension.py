@@ -51,6 +51,7 @@ from oracles import (
     build_phi1_termwise,
     build_phi2_termwise,
     columns_of,
+    dense_rank,
     dichotomy_by_commutator,
     end_rep3,
     ext_cocycle,
@@ -795,3 +796,50 @@ def test_a_float_class_raises_type_error_on_every_call(e):
             with pytest.raises(TypeError):
                 call()
     assert "_cocycle" not in vars(e) and not vars(e).get("_v2_columns")
+
+
+# -- the ansatz's singleton pass, once per twist and shape ----------------------
+
+
+def _digits_class(rng: random.Random, digits: int, shape: str) -> ExtParams:
+    """A class with u = 0, v = 0 or both nonzero, of ``digits``-digit fractions."""
+    def rat():
+        n = rng.randrange(10 ** (digits - 1), 10**digits)
+        return F(rng.choice([-1, 1]) * n, rng.randrange(10 ** (digits - 1), 10**digits))
+
+    return ExtParams(F(0) if shape == "u=0" else rat(), F(0) if shape == "v=0" else rat())
+
+
+def _shape_key(e: ExtParams, twist: Twist) -> tuple:
+    return twist, tuple(tuple((*t[:3], n) for n, t in enumerate(col)) for col in _v1_to_v2(e, twist))
+
+
+@pytest.mark.parametrize("digits", [4, 100, 4000])
+@pytest.mark.parametrize("shape", ["u=0", "v=0", "both"])
+def test_ansatz_residue_rank_equals_full_matrix_rank(shape, digits):
+    """The kernel dimension from the shape's template equals 75 minus the
+    rank of the class's whole matrix of forms, built from its own columns."""
+    rng = random.Random(f"{shape}-{digits}")
+    full_rank = rank if digits == 4000 else dense_rank
+    for e in [_digits_class(rng, digits, shape) for _ in range(3 if digits < 4000 else 1)]:
+        for twist, dim in ((TWIST_20, 6), (TWIST_02, 5)):
+            forms = ext._irregular_rows(_v1_to_v2(e, twist), twist, ext._ANSATZ_UNKNOWNS)
+            dense = [[form.get(k, 0) for k in ext._ANSATZ_UNKNOWNS] for form in forms.values()]
+            got = ext._ansatz_kernel_dim(e, twist)
+            assert got == len(ext._ANSATZ_UNKNOWNS) - full_rank(dense) == dim, (e, twist)
+
+
+def test_ansatz_templates_are_few_and_never_edited():
+    rng = random.Random(46)
+    for e in (E01, E10, E37):
+        end0T_dimension(e)
+    keys = [_shape_key(e, twist) for e in (E01, E10, E37) for twist in (TWIST_20, TWIST_02)]
+    before = {key: ext._ansatz_template(*key) for key in keys}
+    snapshot = copy.deepcopy(before)
+    for k in range(300):
+        e = _digits_class(rng, rng.choice([4, 30]), ("u=0", "v=0", "both")[k % 3])
+        assert end0T_dimension(e) == (6, 5, 11)
+    assert ext._ansatz_template.cache_info().currsize <= 6
+    for key in keys:
+        assert ext._ansatz_template(*key) is before[key]
+        assert before[key] == snapshot[key]

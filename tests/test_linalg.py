@@ -12,7 +12,7 @@ import pytest
 from cohiggs import extension
 from cohiggs._univariate import shifted_rows
 from cohiggs.extension import ExtParams, end0T_dimension
-from cohiggs.linalg import rank
+from cohiggs.linalg import _clear_singletons, rank
 from oracles import (
     cofactor_det,
     dense_rank,
@@ -260,6 +260,20 @@ def test_singleton_pass_matches_oracles_and_leaves_rows_alone():
         shared += len(singles) > len(set(singles))
     # the seeded matrices must exercise cascades and shared singleton columns
     assert cascades > 30 and shared > 30
+
+
+def test_clear_singletons_reads_only_the_pattern():
+    """The pass gives the same count and residue keys when every entry is
+    the placeholder True, and the rank is the count plus the residue's."""
+    for rows in singleton_heavy_matrices(53, 300, 12):
+        sparse = as_dicts(rows)
+        before = [dict(r) for r in sparse]
+        count, residue = _clear_singletons(sparse)
+        pattern_count, pattern_residue = _clear_singletons([dict.fromkeys(r, True) for r in sparse])
+        assert sparse == before
+        assert (count, [r.keys() for r in residue]) == (pattern_count, [r.keys() for r in pattern_residue])
+        assert all(len(r) > 1 for r in residue)
+        assert rank(sparse) == count + rank(residue) == dense_rank(rows)
 
 
 def test_singleton_pass_sympy_cross_check():
