@@ -91,7 +91,7 @@ _TAGS = (
 )
 
 
-@functools.lru_cache(maxsize=1024)  # a fixed size bounds the memo's memory
+@functools.lru_cache(maxsize=4096)  # a fixed size bounds the memo's memory
 def _reduce_c1(alpha: int, beta: int) -> tuple[ReducedTag, LineBundle, int, int]:
     """(tag, L = O(x, y) of class y*C0 + x*F, c2 shift (c1 + c1(L)).c1(L), threshold)
     for c1 = alpha*C0 + beta*F; L takes c1 to -(alpha % 2, beta % 2)."""

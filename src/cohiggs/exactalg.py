@@ -25,7 +25,9 @@ All arithmetic is polynomial: determinants, and the one 2x2 product
 A ``RatFn`` is only normalized (on integer numerators), compared by
 cross-multiplication, printed, or scaled by 1/den when den is a constant.
 All values are immutable after construction and all operations are pure
-functions, so everything here is safe to share between threads.
+functions, so everything here is safe to share between threads, and so is
+the one zero ``_ZERO`` that a zero factor returns at once; a zero summand
+returns the other side, and a scalar is its constant built directly.
 
 Canonical monomial order is graded lexicographic with ``z1 > z2``; it fixes
 printing and JSON serialization.
@@ -97,19 +99,16 @@ class BiPoly:
 
     @classmethod
     def zero(cls) -> "BiPoly":
-        return cls()
+        return _ZERO
 
     @classmethod
     def const(cls, c: Scalar) -> "BiPoly":
-        return cls({(0, 0): c})
+        return _operand(c if isinstance(c, (int, Fraction)) else _as_rat(c))
 
     @classmethod
     def from_univariate(cls, coeffs: Iterable[Scalar], axis: int) -> "BiPoly":
         """Polynomial ``sum coeffs[k] * z_axis^k``."""
-        terms: dict[Term, Scalar] = {}
-        for k, c in enumerate(coeffs):
-            terms[(k, 0) if axis == 1 else (0, k)] = c
-        return cls(terms)
+        return cls({((k, 0) if axis == 1 else (0, k)): c for k, c in enumerate(coeffs)})
 
     # -- structure ---------------------------------------------------------
 
@@ -142,6 +141,10 @@ class BiPoly:
 
     def _sum(self, other: "BiPoly", sign: int) -> "BiPoly":
         """self + sign * other over the lcm of the two denominators."""
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other if sign == 1 else -other
         d1, d2 = self._den, other._den
         g = math.gcd(d1, d2)
         m1, m2 = d2 // g, sign * (d1 // g)
@@ -175,6 +178,8 @@ class BiPoly:
         other = _operand(other)
         if other is None:
             return NotImplemented
+        if not self._terms or not other._terms:
+            return _ZERO
         res: dict[Term, int] = {}
         get = res.get
         for (i1, j1), c1 in self._terms.items():
@@ -243,24 +248,25 @@ class BiPoly:
                 parts.append(f"-{mono}")
             else:
                 parts.append(f"{c}*{mono}")
-        text = " + ".join(parts).replace("+ -", "- ")
-        return text
+        return " + ".join(parts).replace("+ -", "- ")
 
     def __repr__(self) -> str:
         return f"BiPoly({self})"
 
 
 def _operand(x) -> BiPoly | None:
-    """x as a BiPoly: itself, or the constant of an int or Fraction; None for
-    any other type."""
+    """x as a BiPoly: itself, or the constant of an int or Fraction built from
+    its numerator and denominator (``_ZERO`` for zero); None for any other type."""
     if type(x) is BiPoly:
         return x
-    return BiPoly.const(x) if isinstance(x, (int, Fraction)) else None
+    if not isinstance(x, (int, Fraction)):
+        return None
+    return _normalized({(0, 0): x.numerator}, x.denominator) if x else _ZERO
 
 
 def _normalized(terms: dict[Term, int], den: int) -> BiPoly:
-    """The BiPoly with these integer numerators over den > 0: zero
-    numerators dropped, and the common gcd with den divided out."""
+    """The BiPoly of these integer numerators over den > 0, zeros dropped and the
+    gcd with den divided out; no storage is written later, so ``_ZERO`` is shared."""
     if not all(terms.values()):
         terms = {t: c for t, c in terms.items() if c}
     if den != 1:
@@ -281,6 +287,7 @@ def _over_lcm(*polys: BiPoly) -> list[dict[Term, int]]:
     return [{t: c * m for t, c in terms.items()} for terms, m in scaled]
 
 
+_ZERO = _normalized({}, 1)
 Z1 = BiPoly({(1, 0): 1})
 Z2 = BiPoly({(0, 1): 1})
 ONE = BiPoly.const(1)
@@ -371,7 +378,7 @@ class PolyMat2:
 
     @classmethod
     def zero(cls) -> "PolyMat2":
-        return cls([[0, 0], [0, 0]])
+        return _ZERO_MAT
 
     @classmethod
     def identity(cls) -> "PolyMat2":
@@ -380,8 +387,10 @@ class PolyMat2:
     @classmethod
     def trace_free(cls, a: Entry, b: Entry, c: Entry) -> "PolyMat2":
         """Matrix (a b; c -a)."""
-        neg_a = -a
-        return cls([[a, b], [c, neg_a]])
+        out = cls.__new__(cls)
+        a, b, c, neg_a = (x if type(x) is RatFn else _coerce_bipoly(x) for x in (a, b, c, -a))
+        out._e = ((a, b), (c, neg_a))
+        return out
 
     def entry(self, i: int, j: int) -> Entry:
         return self._e[i][j]
@@ -414,6 +423,9 @@ class PolyMat2:
         )
 
     __repr__ = __str__
+
+
+_ZERO_MAT = PolyMat2([[0, 0], [0, 0]])
 
 
 # ---------------------------------------------------------------------------

@@ -286,10 +286,10 @@ def test_batch_lines_do_not_depend_on_the_order(capsys, tmp_path):
 
     from cohiggs import chern
 
-    c1s = [(a, b) for a in range(-17, 17) for b in range(-17, 17)]
+    c1s = [(a, b) for a in range(-33, 33) for b in range(-33, 33)]
     assert len(c1s) > chern._reduce_c1.cache_info().maxsize
-    inner = [[a, b, g] for a, b in c1s for g in range(-3, 3)]
-    outer = [[a, b, g] for g in range(-3, 3) for a, b in c1s]
+    inner = [[a, b, g] for a, b in c1s for g in range(-1, 1)]
+    outer = [[a, b, g] for g in range(-1, 1) for a, b in c1s]
     shuffled = list(inner)
     random.Random(5).shuffle(shuffled)
 
@@ -305,6 +305,20 @@ def test_batch_lines_do_not_depend_on_the_order(capsys, tmp_path):
         assert lines(grid) == [by_tuple[tuple(t)] for t in grid]
     info = chern._reduce_c1.cache_info()
     assert info.currsize == info.maxsize < info.misses
+
+
+def test_the_memo_holds_the_benchmark_grid(capsys, tmp_path):
+    """The benchmark grid's 1,681 distinct c1 fit in the memo, so with gamma
+    outermost (no two neighbours share c1) each c1 misses once."""
+    from cohiggs import chern
+
+    grid = [[a, b, g] for g in range(-10, 11) for a in range(-20, 21) for b in range(-20, 21)]
+    path = write_json(tmp_path, "grid.json", {"tuples": grid})
+    chern._reduce_c1.cache_clear()
+    assert main(["moduli", "nonempty", "--batch", path]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == len(grid) == 35301
+    info = chern._reduce_c1.cache_info()
+    assert (info.misses, info.hits) == (1681, len(grid) - 1681)
 
 
 class _CountingStdout(io.StringIO):

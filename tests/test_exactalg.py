@@ -412,3 +412,72 @@ def test_constants_hash_as_the_scalars_they_equal():
     assert len({BiPoly(), 0}) == 1 and len({BiPoly.const(F(1, 2)), F(1, 2)}) == 1
     assert {F(1, 2): "half"}[BiPoly.const(F(1, 2))] == "half" and Z1 + 1 - Z1 in {1}
     assert len({Z1, Z1 * 1, 2 * Z1 - Z1, Z2, Z1 + 1}) == 3
+
+
+# ---------------------------------------------------------------------------
+# zero and scalar operands
+# ---------------------------------------------------------------------------
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize("c", [0, 1, -7, True, False, F(0), F(-3, 4), F(10**40, 3), _Int(5)])
+def test_const_has_the_storage_of_the_general_constructor(c):
+    got, want = BiPoly.const(c), BiPoly({(0, 0): c})
+    assert got._terms == want._terms and got._den == want._den and _canonical(got)
+
+
+def test_zero_operands_match_fraction_oracle():
+    for a, _ in _operand_pairs(71, 100):
+        da = poly_dict(a)
+        neg_a = {t: -c for t, c in da.items()}
+        for zero in (0, F(0), False, BiPoly()):
+            assert _same(a * zero, mul_oracle(da, {})) and _same(zero * a, mul_oracle({}, da))
+            assert _same(a + zero, add_oracle(da, {})) and _same(zero + a, add_oracle({}, da))
+            assert _same(a - zero, add_oracle(da, {})) and _same(zero - a, add_oracle({}, neg_a))
+
+
+def test_float_operands_are_still_refused():
+    with pytest.raises(TypeError, match="^expected an integer or Fraction, got float$"):
+        BiPoly.const(1.5)
+    with pytest.raises(TypeError, match="^expected an integer or Fraction, got BiPoly$"):
+        BiPoly.const(Z1)
+    for p in (Z1, BiPoly()):
+        assert p.__mul__(1.5) is NotImplemented
+        with pytest.raises(TypeError):
+            p * 1.5
+
+
+def _count_calls(monkeypatch) -> dict:
+    """Counts of the calls of exactalg._normalized and BiPoly.__init__ from now on."""
+    from cohiggs import exactalg
+
+    calls = {"_normalized": 0, "__init__": 0}
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(exactalg, "_normalized", counting("_normalized", exactalg._normalized))
+    monkeypatch.setattr(BiPoly, "__init__", counting("__init__", BiPoly.__init__))
+    return calls
+
+
+def test_products_with_the_zero_matrix_normalize_nothing(monkeypatch):
+    from cohiggs import higgs
+
+    m = PolyMat2.trace_free(Z1 + F(1, 2), 3 * Z1 * Z1 - Z2, Z1 - 7)
+    calls = _count_calls(monkeypatch)
+    assert higgs.commute(m, PolyMat2.zero()) and higgs.commute(PolyMat2.zero(), m)
+    assert calls["_normalized"] == 0
+
+
+def test_scalar_constants_skip_the_general_constructor(monkeypatch):
+    calls = _count_calls(monkeypatch)
+    for c in (0, 3, -7, True, F(-3, 4), F(10**40, 3), _Int(5)):
+        BiPoly.const(c)
+    assert calls["__init__"] == 0
