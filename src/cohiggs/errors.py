@@ -80,7 +80,3 @@ class InconsistentRho(CoHiggsError):
 
 class NotUnivariate(CoHiggsError):
     """Polynomial expected to depend on a single chart variable."""
-
-
-class SqrtCostCap(CoHiggsError):
-    """An exact square root would cost more than its documented cap."""

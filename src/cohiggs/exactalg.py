@@ -15,9 +15,10 @@ Everything downstream is built from four value types:
   what :func:`conjugate2` returns entrywise, serves only its callers (no
   library procedure conjugates) and carries no arithmetic.
 
-Square roots of rationals are exact too, at a capped cost: :func:`exact_sqrt`
-returns an :class:`EtaValue` ``coef * sqrt(radicand)`` with a squarefree
-radicand or raises ``SqrtCostCap``; :func:`rational_sqrt` is its first step.
+Square roots of rationals are exact too, at polynomial cost: :func:`exact_sqrt`
+returns an :class:`EtaValue` ``coef * sqrt(radicand)`` whose radicand has no
+square factor p^2 with p < 1000, and is squarefree when its part with no prime
+below 1000 is under 10^9; :func:`rational_sqrt` is its first step.
 
 All arithmetic is polynomial: determinants, and the one 2x2 product
 (``_mul2``) behind :func:`conjugate2` and :func:`commutator2`, stay inside
@@ -35,13 +36,12 @@ printing and JSON serialization.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
-from .errors import SingularAutomorphism, SqrtCostCap
+from .errors import SingularAutomorphism
 
 Rat = Fraction
 
@@ -472,124 +472,23 @@ def conjugate2(phi: PolyMat2, psi: PolyMat2) -> PolyMat2:
 
 
 # Trial division runs over the primes below _B: those up to 31 and the numbers
-# prime to them all.  A cofactor below _B**3 with none of them is p, pq or p^2.
+# prime to them all.  A cofactor below _B**3 with none of them is 1, p, pq or
+# p^2, and one isqrt tells p^2 apart.
 _B = 1000
 _SMALL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 _PRIMES = [*_SMALL, *(n for n in range(32, _B) if math.gcd(math.prod(_SMALL), n) == 1)]
-# Miller-Rabin to the first 13 prime bases (2, ..., 41) is exact below psi_13
-# (Sorenson & Webster, Math. Comp. 86, 2017).
-_PSI13 = 3_317_044_064_679_887_385_961_981
-# Pollard-Brent steps one square root may take: about 1 s of CPU on x86-64
-# with CPython 3.11.  A step on a cofactor of b bits is charged
-# 1 + b // 96 + (b // 512)**2 of them, as CPython's long arithmetic costs.
-SQRT_RHO_STEPS = 2**21
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin for odd n in (41, psi_13), where its answer is exact."""
-    d, r = n - 1, 0
-    while not d & 1:
-        d, r = d >> 1, r + 1
-    for a in _PRIMES[:13]:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _step_charge(n: int) -> int:
-    """Steps charged for one Pollard-Brent or Newton step on n."""
-    b = n.bit_length()
-    return 1 + b // 96 + (b >> 9) ** 2
-
-
-def _residue_prime(k: int) -> int:
-    """The least q = 1 (mod 2k) that passes a base-2 Fermat test; for each
-    odd prime k < _B it is the least prime q = 1 (mod k)."""
-    return next(q for q in itertools.count(2 * k + 1, 2 * k) if pow(2, q - 1, q) == 1)
-
-
-def _odd_power(c: int, steps: int) -> tuple[int, int, int]:
-    """(r, k, steps left) with c = r^k, k an odd prime or 1; c has no prime
-    factor below _B, so r > _B and only the k with _B**k <= c are tried (all
-    of them while c < 10**3027).  c = r^k makes c a k-th power modulo the
-    prime q = 1 (mod k), as only about 1 in k other c are; only those get
-    an integer Newton root, each step charged like a Pollard-Brent step."""
-    charge = _step_charge(c)
-    for k in _PRIMES[1:]:
-        if _B**k > c:
-            break
-        q = _residue_prime(k)
-        if pow(c, (q - 1) // k, q) > 1:
-            continue
-        # floats overflow at these sizes, so one gives only the top bits of
-        # 2**(log2(c)/k); the margin 2**-30 starts Newton above the root,
-        # from where it descends to floor(c**(1/k))
-        s = max(c.bit_length() // k - 52, 0)
-        x = (int(2 ** (math.log2(c) / k - s) * (1 + 2**-30)) + 1) << s
-        while True:
-            if steps < charge:
-                return c, 1, 0
-            steps -= charge
-            y = ((k - 1) * x + c // x ** (k - 1)) // k
-            if y >= x:
-                break
-            x = y
-        if x**k == c:
-            return x, k, steps
-    return c, 1, steps
-
-
-def _rho_split(n: int, steps: int) -> tuple[int, int]:
-    """(d, steps left): d a proper factor of the odd composite n by Pollard rho
-    in Brent's variant (Brent, BIT 20, 1980), walking y -> y^2 + c from 2 for
-    c = 1, 2, ...; d is 0 once the steps run out.  A round is r skip steps
-    and r compare steps; the last round spends what is left on compares."""
-    charge = _step_charge(n)
-    for c in itertools.count(1):
-        y, r, q, g = 2, 1, 1, 1
-        while g == 1:
-            m = min(r, steps // charge - r)  # the compare steps this round affords
-            if m <= 0:
-                return 0, steps
-            steps -= (r + m) * charge
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            for k in range(0, m, 128):  # one gcd per batch of products
-                ys = y
-                for _ in range(min(128, m - k)):
-                    y = (y * y + c) % n
-                    q = q * (x - y) % n
-                g = math.gcd(q, n)
-                if g != 1:
-                    break
-            r *= 2
-        if g == n:  # the batch overshot: redo it one gcd at a time
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(x - ys, n)
-        if g != n:
-            return g, steps
 
 
 def _squarefree_decompose(n: int) -> tuple[int, int]:
-    """n = s^2 * m with m squarefree (sign carried by m); n is nonzero.
+    """n = s^2 * m (sign carried by m) by trial division and one isqrt; n is nonzero.
 
-    After trial division, a part that is a square, below 10^9 or a prime
-    below psi_13 is done, and an odd prime power r^k is r^(k-1) * r; any
-    other is split by Pollard-Brent, all splits sharing SQRT_RHO_STEPS.
-    Raises SqrtCostCap when those run out.
+    m has no square factor p^2 with p < _B, and |m| is 1 or not a square; m
+    is squarefree whenever the cofactor left after trial division is below
+    _B**3.  A larger cofactor that is not a square goes into m whole: no
+    method is known to find its square part faster than factoring it.
     """
     sign = -1 if n < 0 else 1
-    n = size = abs(n)
+    n = abs(n)
     s, m = 1, 1
     for p in _PRIMES:
         if p * p > n:
@@ -602,40 +501,21 @@ def _squarefree_decompose(n: int) -> tuple[int, int]:
             s *= p ** (e // 2)
             if e % 2:
                 m *= p
-    todo, steps = [n], SQRT_RHO_STEPS
-    while todo:
-        c = todo.pop()
-        r = math.isqrt(c)
-        if r * r == c:
-            s *= r
-        elif c < _B**3 or (c < _PSI13 and _is_prime(c)):
-            g = math.gcd(m, c)  # c is squarefree but may share primes with m
-            s, m = s * g, m // g * (c // g)
-        else:
-            r, k, steps = _odd_power(c, steps)
-            if k > 1:
-                s *= r ** (k // 2)  # k is odd
-                todo.append(r)
-                continue
-            d, steps = _rho_split(c, steps)
-            if not d:
-                digits = size.bit_length() * 3 // 10  # str() refuses big ints
-                while 10**digits <= size:
-                    digits += 1
-                raise SqrtCostCap(
-                    f"the squarefree part of a {digits}-digit integer was not found "
-                    f"within the cap of {SQRT_RHO_STEPS} Pollard-Brent steps"
-                )
-            todo += [d, c // d]
-    return s, sign * m
+    r = math.isqrt(n)
+    if r * r == n:
+        return s * r, sign * m
+    return s, sign * m * n
 
 
 @dataclass(frozen=True)
 class EtaValue:
-    """Exact value coef * sqrt(radicand) with squarefree radicand.
+    """Exact value coef * sqrt(radicand).
 
-    Rational values have radicand 1; negative radicands encode imaginary
-    square roots.  coef = 0 always pairs with radicand 1.
+    Rational values have radicand 1, and any other radicand is not a square;
+    negative radicands encode imaginary square roots.  coef = 0 always pairs
+    with radicand 1.  The radicand need not be squarefree (see
+    :func:`exact_sqrt`), so a number may have more than one representation;
+    ``==`` compares representations.
     """
 
     coef: Fraction
@@ -674,8 +554,9 @@ def rational_sqrt(q: Fraction) -> Fraction | None:
 def exact_sqrt(q: Fraction) -> EtaValue:
     """The principal square root of q as coef * sqrt(radicand), exactly.
 
-    A square or a negated square costs one isqrt (:func:`rational_sqrt`); for
-    any other, :func:`_squarefree_decompose` may raise SqrtCostCap.
+    A square or a negated square costs one isqrt (:func:`rational_sqrt`); any
+    other goes through :func:`_squarefree_decompose`, whose radicand is
+    squarefree below 10^9 and free of p^2 for p < 1000 everywhere.
     """
     root = rational_sqrt(abs(q))
     if root is not None:

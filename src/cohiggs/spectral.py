@@ -19,8 +19,9 @@ consistent data rho12 != 0 rules out a generic rho1 or rho2:
 rho12^2 = 4 rho1 rho2 makes rho1(z1) rho2(z2) a square, which forces each
 factor to be a constant times a square.  Consistent data therefore lands
 in a product case or in the non-generic class.  Irrational fibre
-coordinates are reported exactly as coef * sqrt(radicand) with a
-squarefree radicand, never as floats.
+coordinates are reported exactly as coef * sqrt(radicand), never as
+floats; the radicand is squarefree when its part with no prime below 1000
+is under 10^9 (see ``exactalg.exact_sqrt``).
 """
 
 from __future__ import annotations

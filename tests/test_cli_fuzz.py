@@ -30,8 +30,8 @@ KEYS = [
 PAYLOAD = "@payload"
 
 # |num|, |den| < 10**40: far beyond what a square root could factor by trial
-# division; the exact square root behind `spectral fibre` either answers or
-# ends as SqrtCostCap (exit 1) within its step cap
+# division; the exact square root behind `spectral fibre` answers them all,
+# with one trial division and one isqrt and no factoring
 ints = st.integers(-(10**40) + 1, 10**40 - 1).map(str)
 rationals = ints | st.builds("{}/{}".format, ints, st.integers(1, 10**40 - 1))
 quads = st.lists(rationals, min_size=4, max_size=4).map(",".join)

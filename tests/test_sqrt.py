@@ -1,5 +1,5 @@
-"""The exact square root: the squarefree decomposition behind ``exact_sqrt``
-against sympy and the trial-division oracle, and its bounded cost."""
+"""The exact square root: the decomposition behind ``exact_sqrt`` against
+its contract, sympy and the trial-division oracle, and its polynomial cost."""
 
 from __future__ import annotations
 
@@ -13,17 +13,16 @@ import pytest
 
 from cohiggs import exactalg, jsonio
 from cohiggs.cli import main
-from cohiggs.errors import SqrtCostCap
 from cohiggs.exactalg import BiPoly, EtaValue, _squarefree_decompose, exact_sqrt
 from oracles import squarefree_by_trial_division
 
 # the least strong pseudoprime to the 13 bases 2, ..., 41 (= 1287836182261 *
-# 2575672364521): Miller-Rabin is exact only below it
+# 2575672364521): a composite with no prime factor below 1000
 PSI13 = 3_317_044_064_679_887_385_961_981
 P12, Q12 = 999_999_999_989, 100_000_000_003
-# a 13-digit prime: Pollard-Brent cannot split its odd powers within the cap
+# a 13-digit prime, whose odd powers are no squares
 P13 = 1_000_000_000_039
-# two 22-digit primes: Pollard rho needs about 10^11 steps to split their product
+# two 22-digit primes, far beyond trial division
 P22, Q22 = 2_000_000_000_000_000_000_069, 3_000_000_000_000_000_000_053
 
 SPECIAL = [
@@ -34,7 +33,7 @@ SPECIAL = [
     997**3, 1009**3, 1009**2 * 1013, 997 * 1009 * 1013, 999_999_937, 1_000_000_007,
     1009 * 1_000_003, 1009**2 * 1_000_003,
     # squares of the base-2 Wieferich primes, and strong pseudoprimes to base 2
-    # with such a square factor: one Miller-Rabin base would call them prime
+    # with such a square factor
     1093**2, 3511**2, 1093**2 * 3511, 2 * 1093**2 * 3511**2,
     1093**2 * 4733, 3511**2 * 1969111,
     # a strong pseudoprime to the bases 2, 3, 5, 7 (151 * 751 * 28351) and
@@ -44,7 +43,7 @@ SPECIAL = [
     P12**2, 7 * Q12**2, P12**2 * 1_000_003, 1009 * P12**2 * Q12**2, P12 * Q12,
     # just below and just above psi_13, and psi_13 itself
     PSI13 - 2, PSI13 - 1, PSI13, PSI13 + 1, PSI13 + 2,
-    # odd powers: found as powers before Pollard-Brent
+    # odd powers of primes above 1000, which are no squares
     P13**3, 7 * P13**3, P13**5, (1009 * P13) ** 3, (1013**2 * P13) ** 3, 1009**7 * P13**7,
 ]
 
@@ -60,17 +59,52 @@ def _seeded(rng: random.Random, count: int, digits: int) -> list[int]:
     return out
 
 
+def _cofactor(n: int) -> int:
+    """|n| with every prime below 1000 divided out."""
+    n = abs(n)
+    for p in range(2, 1000):
+        while n % p == 0:
+            n //= p
+    return n
+
+
+def _check_contract(n: int, s: int, m: int) -> None:
+    """s^2 * m = n with s > 0, no p^2 with p < 1000 divides m, and |m| is 1 or no square."""
+    assert s > 0 and s * s * m == n, (n, s, m)
+    assert all(m % (d * d) for d in range(2, 1000)), (n, m)
+    r = math.isqrt(abs(m))
+    assert abs(m) == 1 or r * r != abs(m), (n, m)
+
+
+def _contract_answer(n: int, reference) -> tuple[int, int]:
+    """What the contract fixes, from a reference decomposition: the part of n
+    with primes below 1000 decomposed, times the cofactor's root when it is a
+    square, or else times the whole cofactor in m."""
+    c = _cofactor(n)
+    s, m = reference(n // c)
+    sc, mc = reference(c)
+    return (s * sc, m) if mc == 1 else (s, m * c)
+
+
+def _check_against(values: list[int], reference) -> int:
+    """Each value's decomposition keeps the contract, is the answer it fixes,
+    and is the reference's own where the cofactor is below 10^9; the count of
+    values whose answer is not the reference's."""
+    moved = 0
+    for n in values:
+        got = _squarefree_decompose(n)
+        _check_contract(n, *got)
+        assert got == _contract_answer(n, reference), n
+        if _cofactor(n) < 10**9:
+            assert got == reference(n), n
+        moved += got != reference(n)
+    return moved
+
+
 def test_trial_division_primes_and_psi13():
-    assert exactalg._PSI13 == PSI13
     assert exactalg._PRIMES[-1] == 997 and len(exactalg._PRIMES) == 168
-
-
-def test_residue_primes_are_prime():
-    # the power test needs a prime q = 1 (mod k); it finds one by a base-2
-    # Fermat test, which no pseudoprime fools first for these k
-    for k in exactalg._PRIMES[1:]:
-        q = exactalg._residue_prime(k)
-        assert q % k == 1 and all(q % p for p in range(2, math.isqrt(q) + 1)), k
+    # psi_13 has no prime factor below 1000 and is no square: it is its own radicand
+    assert _squarefree_decompose(PSI13) == (1, PSI13)
 
 
 def test_squarefree_decompose_matches_factorint():
@@ -84,15 +118,22 @@ def test_squarefree_decompose_matches_factorint():
         return s, m if n > 0 else -m
 
     values = SPECIAL + _seeded(random.Random(20170), 400, 18)
-    for n in values + [-n for n in SPECIAL if n < 10**12]:
-        assert _squarefree_decompose(n) == reference(n), n
+    moved = _check_against(values + [-n for n in values], reference)
+    # the seeded values plant square factors up to 10^9: some of them land in
+    # a cofactor above 10^9, where they stay in the radicand
+    assert 0 < moved < len(values)
 
 
 def test_squarefree_decompose_matches_trial_division():
     rng = random.Random(1980)
     values = [n for n in SPECIAL if n < 10**12] + _seeded(rng, 400, 9) + _seeded(rng, 40, 12)
-    for n in values + [-n for n in values[:40]]:
-        assert _squarefree_decompose(n) == squarefree_by_trial_division(n), n
+    _check_against(values + [-n for n in values[:40]], squarefree_by_trial_division)
+
+
+def test_large_cofactor_keeps_its_square_factor():
+    # 1009^2 * 1013 > 10^9 is left after trial division and is no square
+    assert _squarefree_decompose(-(1009**2) * 1013 * 7) == (1, -7219212371)
+    assert exact_sqrt(F(-(1009**2) * 1013 * 7)) == EtaValue(F(1), -7219212371)
 
 
 def test_seventeen_digit_radicand_is_fast():
@@ -104,7 +145,8 @@ def test_seventeen_digit_radicand_is_fast():
 
 @pytest.mark.parametrize(
     "n, expected",
-    [(P13**3, (P13, P13)), (7 * P13**3, (P13, 7 * P13)), (P13**5, (P13**2, P13)), (-(P13**5), (P13**2, -P13))],
+    [(P13**3, (1, P13**3)), (7 * P13**3, (1, 7 * P13**3)), (P13**5, (1, P13**5)),
+     (-(P13**5), (1, -(P13**5)))],
     ids=["p^3", "7p^3", "p^5", "-p^5"],
 )
 def test_odd_prime_powers_are_fast(n, expected):
@@ -128,14 +170,20 @@ def _fibre_of_constant_rho(capsys, tmp_path, rho: int):
 
 
 @pytest.mark.parametrize(
-    "rho, digits", [(P22 * Q22, 43), (P22**20 * Q22, 448)], ids=["43-digit", "448-digit"]
+    "rho, digits",
+    [(P22 * Q22, 43), (P22**20 * Q22, 448), (P22**187 * Q22, 4005)],
+    ids=["43-digit", "448-digit", "4005-digit"],
 )
-def test_fibre_cli_ends_at_the_cost_cap(capsys, tmp_path, rho, digits):
+def test_fibre_cli_answers_large_constants(capsys, tmp_path, rho, digits):
+    """No prime below 1000 divides rho and rho is no square, so -rho is the
+    radicand, found in one trial division and one isqrt (CPython reads at
+    most 4,300 digits)."""
+    assert len(str(rho)) == digits
     code, out, elapsed = _fibre_of_constant_rho(capsys, tmp_path, rho)
-    assert code == 1 and elapsed < 2
-    assert out["error"]["kind"] == "SqrtCostCap"
-    assert f"{digits}-digit" in out["error"]["detail"]
-    assert str(exactalg.SQRT_RHO_STEPS) in out["error"]["detail"]
+    assert code == 0 and elapsed < 0.5
+    eta1, disc1 = out["points"][0]["eta1"], out["disc1"]
+    assert eta1["radicand"] == -rho and disc1 == {"num": -rho, "den": 1}
+    assert F(eta1["num"], eta1["den"]) ** 2 * eta1["radicand"] == F(disc1["num"], disc1["den"])
 
 
 def test_fibre_cli_zero_eta_has_radicand_one(capsys, tmp_path):
@@ -161,32 +209,3 @@ def test_eta_value_accessors():
     with pytest.raises(ValueError, match="irrational"):
         EtaValue(F(1), -2).as_fraction()
     assert EtaValue(F(0), -2) == EtaValue(F(0), 1)
-
-
-def test_newton_root_ends_at_the_cost_cap(monkeypatch):
-    """1013^3 has no prime factor below 1000 and is a cube modulo 7, so the
-    cube test sends it to Newton, which finds the root within the cap and
-    runs out of steps without one."""
-    assert exact_sqrt(F(1013**3)) == EtaValue(F(1013), 1013)
-    monkeypatch.setattr(exactalg, "SQRT_RHO_STEPS", 0)
-    with pytest.raises(SqrtCostCap):
-        exact_sqrt(F(1013**3))
-
-
-def test_last_rho_round_spends_what_is_left(monkeypatch):
-    """Steps charged before the split shorten its last round, not drop it.
-
-    n = pq is split in the round of r = 64, so the budget of the whole rounds
-    r = 1, ..., 64 is just enough.  n is a cube modulo 7, so the cube test
-    charges a couple of Newton steps first; the split must still succeed."""
-    p, q = 40009, 40031
-    n, budget = p * q, 2 * (2**7 - 1)
-    assert exactalg._rho_split(n, budget)[0] in (p, q)
-    assert exactalg._rho_split(n, budget - 2 * 64) == (0, budget - 2 * 64 - 2 * 63)
-    assert exactalg._rho_split(n, budget - 3)[0] in (p, q)
-    assert 0 < budget - exactalg._odd_power(n, budget)[2] <= 5
-    monkeypatch.setattr(exactalg, "SQRT_RHO_STEPS", budget)
-    assert _squarefree_decompose(n) == (1, n)
-    monkeypatch.setattr(exactalg, "SQRT_RHO_STEPS", budget - 2 * 64)
-    with pytest.raises(SqrtCostCap):
-        _squarefree_decompose(n)
