@@ -297,7 +297,7 @@ COMMANDS = [
             _opts("--field", required=True), _higgs_check),
     Command("higgs normal-form", "conjugacy normal form by bundle type",
             _opts("--field", required=True), _higgs_normal_form),
-    Command("higgs graded", "associated graded object (O+O)",
+    Command("higgs graded", "associated graded object (L+L)",
             _opts("--field", required=True), _higgs_graded),
     Command("higgs section-q", "stable field (0 -rho; 1 0) from a quartic",
             _opts("--rho", required=True) + _AXIS, _section_q),

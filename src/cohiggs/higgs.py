@@ -15,22 +15,22 @@ C1*A2 = A1*C2, which :func:`commute` states once for this module and the
 extension family.  No procedure here multiplies matrices.
 
 Stability is slope stability for the polarization H = C0 + F against
-Phi-invariant sub-line bundles.  Classification is implemented exactly for
-the cases with a complete criterion: unequal-slope split bundles (the
-dominant summand is the unique destabilizer), O+O (strict semistability is
-equivalent to a common eigenvector of the six coefficient matrices) and
-the O(1,0)+O(-1,0) / O(0,1)+O(0,-1) pairs; every other equal-slope bundle
-reports Unsupported rather than guessing.  A common eigenvector (a common
-root of the eigenvector quadratics) is decided by one :func:`linalg.rank`.
+Phi-invariant sub-line bundles.  A twist E -> E + M keeps it, so the class
+reads the bundle only through its twist class d = L1 - L2, as the slots do.
+It is decided where a complete criterion exists: every d of nonzero slope
+(the dominant summand is the unique destabilizer) and d = O(0,0), the
+twists L+L of O+O (strict semistability is a common eigenvector of the six
+coefficient matrices, decided by one :func:`linalg.rank`).  The other
+classes of slope 0, L1 != L2 with equal slopes, are Unsupported.
 
 Nothing here conjugates.  The graded object of a strictly semistable field
-on O+O is the diagonal of its eigenvalues along a rational common
+on L+L is the diagonal of its eigenvalues along a rational common
 eigenvector, and the normal forms are fixed by det Phi in closed form.
 
 A field is immutable, so what the entry points ask of it is derived once per
 field and kept on it (see :class:`HiggsField`): the slot verdict, the
 integrability verdict, the spectral datum, the stability class, the graded
-object and, on O+O, the eigenvector quadratics that the last two both read.
+object and, on L+L, the eigenvector quadratics that the last two both read.
 Every entry point still runs its own checks on each call.
 """
 
@@ -84,15 +84,20 @@ class HiggsShape(NamedTuple):
     c2: LineBundle
 
 
+def _difference(b: DecomposableBundle) -> LineBundle:
+    """d = L1 - L2, the twist class that a field's slots and class read."""
+    return O(b.L1.a - b.L2.a, b.L1.b - b.L2.b)
+
+
 def higgs_shape(b: DecomposableBundle) -> HiggsShape:
-    da, db = b.L1.a - b.L2.a, b.L1.b - b.L2.b
+    d = _difference(b)
     return HiggsShape(
         a1=O(2, 0),
-        b1=O(da + 2, db),
-        c1=O(-da + 2, -db),
+        b1=O(d.a + 2, d.b),
+        c1=O(-d.a + 2, -d.b),
         a2=O(0, 2),
-        b2=O(da, db + 2),
-        c2=O(-da, -db + 2),
+        b2=O(d.a, d.b + 2),
+        c2=O(-d.a, -d.b + 2),
     )
 
 
@@ -161,28 +166,26 @@ class HiggsField:
 
     @cached_property
     def _quadratics(self) -> list[tuple[Fraction, Fraction, Fraction]]:
-        """The nonzero eigenvector quadratics of the coefficient matrices (O+O)."""
+        """The nonzero eigenvector quadratics of the coefficient matrices (L+L)."""
         return _eigen_quadratics(_coefficient_matrices(self))
 
     @cached_property
     def _stability(self) -> StabilityClass:
         """What :func:`stability_classify` returns once its checks pass."""
-        l1, l2 = self.bundle.L1, self.bundle.L2
-        mu1, mu2 = l1.slope(), l2.slope()
-        if mu1 == mu2:
-            if l1 == l2 == O(0, 0):
-                if _share_a_root(self._quadratics):
-                    return StabilityClass.STRICTLY_SEMISTABLE
-                return StabilityClass.STABLE
-            return StabilityClass.UNSUPPORTED
+        d = _difference(self.bundle)
+        mu = d.slope()
+        if not mu:
+            if d.a:  # equal slopes, L1 != L2
+                return StabilityClass.UNSUPPORTED
+            if _share_a_root(self._quadratics):
+                return StabilityClass.STRICTLY_SEMISTABLE
+            return StabilityClass.STABLE
         # the lower-left entries with the dominant summand first: putting L2
         # first conjugates by the permutation matrix, which exchanges B and C
-        low = (1, 0) if mu1 > mu2 else (0, 1)
+        low = (1, 0) if mu > 0 else (0, 1)
         if not self.phi1.entry(*low) and not self.phi2.entry(*low):
             return StabilityClass.UNSTABLE
-        if (mu1 + mu2) % 2 != 0 or frozenset({l1, l2}) in (_PM10, _PM01):
-            return StabilityClass.STABLE
-        return StabilityClass.UNSUPPORTED
+        return StabilityClass.STABLE
 
     @cached_property
     def _graded(self) -> HiggsField:
@@ -298,30 +301,25 @@ class StabilityClass(enum.Enum):
 
 def _coefficient_matrices(f: HiggsField) -> list[list[list[Fraction]]]:
     """The six constant matrices M0,M1,M2 (z1-coefficients of Phi_1) and
-    N0,N1,N2 (z2-coefficients of Phi_2) for a field on O+O."""
+    N0,N1,N2 (z2-coefficients of Phi_2) for a field on L+L."""
     terms = [(f.phi1, (k, 0)) for k in range(3)] + [(f.phi2, (0, k)) for k in range(3)]
     return [[[m.entry(i, j).coeff(*t) for j in range(2)] for i in range(2)] for m, t in terms]
 
 
-_PM10 = frozenset({O(1, 0), O(-1, 0)})
-_PM01 = frozenset({O(0, 1), O(0, -1)})
-
-
 def stability_classify(f: HiggsField) -> StabilityClass:
-    """Slope-stability classification of a validated integrable field.
+    """Stability class of a validated integrable field, from d = L1 - L2 and mu = slope(d).
 
-    Unequal slopes: the dominant summand is the unique destabilizing
-    sub-line bundle; it is invariant iff both lower-left entries (after
-    putting the dominant summand first) vanish, giving Unstable.  When it
-    is not invariant the pair is semistable; mu(E) is a half-integer for
-    odd total slope, hence unattained by sub-line bundles, giving Stable.
-    Even total slope is decided only for the classified pairs
-    O(1,0)+O(-1,0) and O(0,1)+O(0,-1) (every slope-0 sub-line bundle sits
-    inside the dominant summand), else Unsupported.
+    mu != 0: the dominant summand is the unique destabilizing sub-line
+    bundle; it is invariant iff both lower-left entries (after putting it
+    first) vanish, giving Unstable.  Otherwise the field is Stable: an
+    invariant sub-line bundle N is then not inside the dominant summand, so
+    it maps to the other one, L', and slope N <= slope L' < mu(E).  Only odd
+    mu and d = +-(2,0), +-(0,2), the twists of O(1,0)+O(-1,0) and
+    O(0,1)+O(0,-1), leave a lower-left slot that is not forced to zero.
 
-    Equal slopes: only O+O has a complete criterion (common eigenvector of
-    the coefficient matrices <=> strictly semistable, never unstable);
-    everything else is Unsupported.
+    mu = 0: only d = O(0,0), a bundle L+L, has a complete criterion (common
+    eigenvector of the coefficient matrices <=> strictly semistable, never
+    unstable); every other class is Unsupported.
     """
     if not validate_field(f):
         raise SlotViolation("field violates its shape slots or trace-freeness")
@@ -331,7 +329,7 @@ def stability_classify(f: HiggsField) -> StabilityClass:
 
 
 def graded_object(f: HiggsField) -> HiggsField:
-    """Associated graded of a strictly semistable field on O+O.
+    """Associated graded of a strictly semistable field on L+L.
 
     It is the diagonal (lambda_i, -lambda_i) of the eigenvalues along a
     rational common eigenvector v, which every coefficient matrix shares:
@@ -349,7 +347,7 @@ def graded_object(f: HiggsField) -> HiggsField:
 def s_equiv_rep(f: HiggsField) -> tuple[BiPoly, BiPoly]:
     """Canonical (A1, A2) representative of the S-equivalence class.
 
-    Two strictly semistable fields on O+O are S-equivalent iff their graded
+    Two strictly semistable fields on L+L are S-equivalent iff their graded
     diagonals agree up to a common sign; the sign is fixed by making the
     leading coefficient (graded-lex) of A1 + A2 positive, falling back to
     A1 then A2 when the sum vanishes.

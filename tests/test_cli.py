@@ -435,7 +435,7 @@ def test_reduce_command(capsys):
     assert out == {"tag": "Zero", "twist": [-2, -1], "gamma_prime": 1}
 
 
-def test_higgs_check(capsys, diag_field, nonintegrable_field):
+def test_higgs_check(capsys, tmp_path, diag_field, nonintegrable_field):
     code, (out,) = run(capsys, "higgs", "check", "--field", diag_field)
     assert code == 0
     assert out == {"valid": True, "integrable": True, "stability": "StrictlySemistable"}
@@ -443,6 +443,13 @@ def test_higgs_check(capsys, diag_field, nonintegrable_field):
     code, (out,) = run(capsys, "higgs", "check", "--field", nonintegrable_field)
     assert code == 0
     assert out == {"valid": True, "integrable": False, "stability": None}
+
+    # a twist of O+O keeps the class: L+L is decided as O+O is
+    f = field(DecomposableBundle(O(1, 1), O(1, 1)), a1=Z1, a2=Z2)
+    code, (out,) = run(capsys, "higgs", "check",
+                       "--field", write_json(tmp_path, "twisted.json", jsonio.field_to_json(f)))
+    assert code == 0
+    assert out == {"valid": True, "integrable": True, "stability": "StrictlySemistable"}
 
 
 def test_higgs_check_missing_file_is_input_error(capsys):
@@ -523,11 +530,14 @@ def test_higgs_normal_form_unknown_bundle(capsys, tmp_path):
 
 
 def test_higgs_graded(capsys, tmp_path):
-    f = field(DecomposableBundle(O(0, 0), O(0, 0)), a1=-Z1)
-    path = write_json(tmp_path, "ss.json", jsonio.field_to_json(f))
-    code, (out,) = run(capsys, "higgs", "graded", "--field", path)
-    assert code == 0
-    assert out["s_equiv_rep"]["A1"]["monomials"] == [{"i": 1, "j": 0, "num": 1, "den": 1}]
+    # O(1,1)+O(1,1) is a twist of O+O, decided by the same criterion
+    for line in (O(0, 0), O(1, 1)):
+        f = field(DecomposableBundle(line, line), a1=-Z1)
+        path = write_json(tmp_path, "ss.json", jsonio.field_to_json(f))
+        code, (out,) = run(capsys, "higgs", "graded", "--field", path)
+        assert code == 0
+        assert out["s_equiv_rep"]["A1"]["monomials"] == [{"i": 1, "j": 0, "num": 1, "den": 1}]
+        assert jsonio.field_from_json(out["field"]).bundle == f.bundle
 
 
 # stdout of the three closed-form commands, byte for byte: the F0 normal

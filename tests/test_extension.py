@@ -574,6 +574,29 @@ def test_weak_iso_is_equivalence_relation():
                     assert weak_iso(a, c)
 
 
+def test_scaling_the_class_keeps_every_answer():
+    # (u, v) -> (lam*u, lam*v) is the same point of the moduli: weakly
+    # isomorphic, with the same dimension count, the same integrability
+    # verdict for each pair of parameters and the same normalized point
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(40):
+        e = _random_ext(rng)
+        lam = random_rat(rng, 5) or F(-1)
+        scaled = ExtParams(lam * e.u, lam * e.v)
+        assert weak_iso(e, scaled) and weak_iso(scaled, e)
+        assert end0T_dimension(scaled) == end0T_dimension(e)
+        d1, d2 = rng.choice((0, 0.5, 1)), rng.choice((0, 0.5, 1))
+        p1 = Phi1Params(*(random_rat(rng, 6) if rng.random() < d1 else F(0) for _ in range(6)))
+        p2 = Phi2Params(*(random_rat(rng, 6) if rng.random() < d2 else F(0) for _ in range(5)))
+        seen.add(got := dichotomy_check(e, p1, p2))
+        assert dichotomy_check(scaled, p1, p2) is got
+        for stratum, params in ((Stratum.S1, p1), (Stratum.S2, p2)):
+            assert (stratum_classify(ModuliPoint(scaled, stratum, params))
+                    == stratum_classify(ModuliPoint(e, stratum, params)))
+    assert seen == set(Dichotomy)
+
+
 def test_stratum_parameter_counts():
     # free parameters: 6 on the Phi_1 side, 5 on the Phi_2 side (the fibre
     # X_{u,v} is their union, dimension 6); the split stratum carries

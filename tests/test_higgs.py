@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from cohiggs.chern import ChernData, cohiggs_moduli_nonempty
 from cohiggs.cohomology import LineBundle as O
 from cohiggs.errors import (
     BundleMismatch,
@@ -327,12 +330,112 @@ def test_stability_never_unstable_on_OO():
 
 
 def test_stability_unsupported_cases():
-    # equal slopes but not O+O
+    # equal slopes, L1 != L2: the one class still Unsupported
     b = DecomposableBundle(O(1, 0), O(0, 1))
     assert stability_classify(field(b, a1=Z1)) is StabilityClass.UNSUPPORTED
-    # unequal slopes, integer mu(E), outside the classified pairs
+    # d = (2,0), a twist of O(1,0)+O(-1,0), is decided
     b = DecomposableBundle(O(2, 0), O(0, 0))
-    assert stability_classify(field(b, c1=1)) is StabilityClass.UNSUPPORTED
+    assert stability_classify(field(b, c1=1)) is StabilityClass.STABLE
+    # d = (4,0): the lower-left slots O(-2,0) and O(-4,2) are forced to zero,
+    # so every field is Unstable and none is Unsupported
+    b = DecomposableBundle(O(3, 0), O(-1, 0))
+    assert stability_classify(field(b, a1=Z1, b1=Z1**6)) is StabilityClass.UNSTABLE
+    with pytest.raises(SlotViolation):
+        stability_classify(field(b, c1=1))
+
+
+def test_unequal_slopes_leave_a_lower_left_slot_only_at_odd_slope_or_two_classes():
+    # why mu(d) != 0 never needs Unsupported: where the dominant summand's
+    # lower-left slots are not both forced to zero, mu(d) is odd or d is
+    # +-(2,0), +-(0,2), the twists of O(1,0)+O(-1,0) and O(0,1)+O(0,-1)
+    open_even = set()
+    for a, b in itertools.product(range(-6, 7), repeat=2):
+        mu = a + b
+        if not mu:
+            continue
+        s = higgs_shape(DecomposableBundle(O(a, b), O(0, 0)))
+        low = (s.c1, s.c2) if mu > 0 else (s.b1, s.b2)
+        if any(min(slot.a, slot.b) >= 0 for slot in low) and mu % 2 == 0:
+            open_even.add((a, b))
+    assert open_even == {(2, 0), (-2, 0), (0, 2), (0, -2)}
+
+
+# -- twist classes and invariances ------------------------------------------------
+
+_BOX = range(-2, 3)
+
+
+@functools.lru_cache(maxsize=None)
+def _box_fields(seed: int) -> tuple[HiggsField, ...]:
+    """Three seeded integrable fields on each O(a1,b1)+O(a2,b2) with |a|, |b| <= 2."""
+    rng = random.Random(seed)
+    return tuple(random_integrable_field(rng, DecomposableBundle(O(a1, b1), O(a2, b2)))
+                 for a1, b1, a2, b2 in itertools.product(_BOX, repeat=4) for _ in range(3))
+
+
+def _twist(f: HiggsField, m: O) -> HiggsField:
+    """The same matrices on (L1 + M) + (L2 + M), whose slots are those of L1 + L2."""
+    l1, l2 = f.bundle.L1, f.bundle.L2
+    return HiggsField(DecomposableBundle(O(l1.a + m.a, l1.b + m.b), O(l2.a + m.a, l2.b + m.b)),
+                      f.phi1, f.phi2)
+
+
+def _mirror(f: HiggsField) -> HiggsField:
+    """The axis mirror: O(b,a)+O(d,c) for O(a,b)+O(c,d), Phi_1 and Phi_2
+    exchanged along with z1 and z2."""
+    def swap(m: PolyMat2) -> PolyMat2:
+        return PolyMat2([[BiPoly({(j, i): c for i, j, c in m.entry(r, s).terms()})
+                          for s in range(2)] for r in range(2)])
+
+    l1, l2 = f.bundle.L1, f.bundle.L2
+    return HiggsField(DecomposableBundle(O(l1.b, l1.a), O(l2.b, l2.a)), swap(f.phi2), swap(f.phi1))
+
+
+def test_stability_is_twist_invariant_over_the_box():
+    # Unsupported is left at equal slopes with L1 != L2 alone
+    for f in _box_fields(5):
+        got = stability_classify(f)
+        l1, l2 = f.bundle.L1, f.bundle.L2
+        assert (got is StabilityClass.UNSUPPORTED) == (l1.slope() == l2.slope() and l1 != l2)
+        for m in (O(1, 0), O(0, -1), O(-2, 3)):
+            assert stability_classify(_twist(f, m)) is got, (f.bundle, m)
+
+
+def test_semistable_split_fields_lie_in_nonempty_moduli():
+    # a Stable or StrictlySemistable field on L1+L2 is a point of the co-Higgs
+    # moduli at c1 = c1(L1) + c1(L2), c2 = c1(L1).c1(L2); O(a,b) is b*C0 + a*F
+    seen = set()
+    for f in _box_fields(5):
+        got = stability_classify(f)
+        if got in (StabilityClass.STABLE, StabilityClass.STRICTLY_SEMISTABLE):
+            seen.add(got)
+            (a1, b1), (a2, b2) = (f.bundle.L1.a, f.bundle.L1.b), (f.bundle.L2.a, f.bundle.L2.b)
+            assert cohiggs_moduli_nonempty(ChernData(b1 + b2, a1 + a2, b1 * a2 + a1 * b2)), f.bundle
+    assert seen == {StabilityClass.STABLE, StabilityClass.STRICTLY_SEMISTABLE}
+
+
+def test_stability_is_mirror_invariant_over_the_box():
+    for f in _box_fields(5):
+        g = _mirror(f)
+        assert validate_field(g) and is_integrable(g)
+        assert stability_classify(g) is stability_classify(f), f.bundle
+        assert _mirror(g) == f
+
+
+def test_stability_is_invariant_under_constant_conjugation_on_LL():
+    # a constant invertible psi is an automorphism of L+L
+    rng = random.Random(8)
+    seen = set()
+    for line in (O(0, 0), O(1, -2), O(-1, 3)):
+        b = DecomposableBundle(line, line)
+        for _ in range(40):
+            f = random_integrable_field(rng, b)
+            psi = random_constant_invertible(rng)
+            g = HiggsField(b, conjugate2(f.phi1, psi).to_bipoly(), conjugate2(f.phi2, psi).to_bipoly())
+            assert validate_field(g) and is_integrable(g)
+            seen.add(got := stability_classify(f))
+            assert stability_classify(g) is got
+    assert seen == {StabilityClass.STABLE, StabilityClass.STRICTLY_SEMISTABLE}
 
 
 def test_stability_requires_valid_field():
