@@ -399,7 +399,10 @@ class PolyMat2:
         return all(not x for row in self._e for x in row)
 
     def is_trace_free(self) -> bool:
-        return not (self._e[0][0] + self._e[1][1])
+        # storage is canonical: d = -a iff d holds a's numerators negated over a's denominator
+        a, d = self._e[0][0], self._e[1][1]
+        return (a._den == d._den and len(a._terms) == len(d._terms)
+                and all(d._terms.get(t) == -c for t, c in a._terms.items()))
 
     def to_bipoly(self) -> "PolyMat2":
         """Every entry as a BiPoly; ValueError for a RatFn entry whose
@@ -476,7 +479,8 @@ def conjugate2(phi: PolyMat2, psi: PolyMat2) -> PolyMat2:
 # p^2, and one isqrt tells p^2 apart.
 _B = 1000
 _SMALL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
-_PRIMES = [*_SMALL, *(n for n in range(32, _B) if math.gcd(math.prod(_SMALL), n) == 1)]
+_WHEEL = math.prod(_SMALL)
+_PRIMES = [*_SMALL, *(n for n in range(32, _B) if math.gcd(_WHEEL, n) == 1)]
 
 
 def _squarefree_decompose(n: int) -> tuple[int, int]:

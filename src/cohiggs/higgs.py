@@ -40,6 +40,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import isqrt
 from typing import NamedTuple
 
 from ._univariate import shifted_rows
@@ -55,7 +56,7 @@ from .errors import (
     ZeroC,
     ZeroC1,
 )
-from .exactalg import BiPoly, PolyMat2, _as_rat, det2, rational_sqrt
+from .exactalg import BiPoly, PolyMat2, _as_rat, _over_lcm, det2
 from .linalg import rank
 
 O = LineBundle
@@ -165,7 +166,7 @@ class HiggsField:
         return SpectralData(det2(self.phi1), (a1 * a2 + b1 * c2) * (-2), det2(self.phi2))
 
     @cached_property
-    def _quadratics(self) -> list[tuple[Fraction, Fraction, Fraction]]:
+    def _quadratics(self) -> list[tuple[int, int, int]]:
         """The nonzero eigenvector quadratics of the coefficient matrices (L+L)."""
         return _eigen_quadratics(_coefficient_matrices(self))
 
@@ -234,21 +235,24 @@ def is_integrable(f: HiggsField) -> bool:
 
 
 def eigen_quadratic(rows) -> tuple[Fraction, Fraction, Fraction]:
-    """Eigenvector form of a constant trace-free matrix (a b; c -a), given as rows.
-
-    v = (x, y) is an eigenvector iff q(v) = 0, with
-    q(x, y) = c x^2 - 2a xy - b y^2, returned as (q20, q11, q02) = (c, -2a, -b).
-    """
+    """Eigenvector form of a constant trace-free matrix (a b; c -a), given as
+    rows of ``int`` or ``Fraction`` entries; see :func:`_quadratic`."""
     (a, b), (c, d) = ((_as_rat(v) for v in row) for row in rows)
     if a + d != 0:
         raise ValueError("matrix is not trace-free")
+    return _quadratic(a, b, c)
+
+
+def _quadratic(a, b, c):
+    """v = (x, y) is an eigenvector of (a b; c -a) iff q(v) = 0, with
+    q(x, y) = c x^2 - 2a xy - b y^2, returned as (q20, q11, q02) = (c, -2a, -b)."""
     return c, -2 * a, -b
 
 
-def _eigen_quadratics(mats) -> list[tuple[Fraction, Fraction, Fraction]]:
-    """The nonzero eigenvector quadratics of the family; a zero matrix has
-    every vector as an eigenvector and drops out."""
-    return [q for q in map(eigen_quadratic, mats) if any(q)]
+def _eigen_quadratics(mats) -> list[tuple[int, int, int]]:
+    """The nonzero quadratics of the matrices (a b; c -a), given as (a, b, c); a
+    zero matrix has every vector as an eigenvector and drops out."""
+    return [q for a, b, c in mats if any(q := _quadratic(a, b, c))]
 
 
 def common_eigenvector_exists(mats) -> bool:
@@ -260,7 +264,7 @@ def common_eigenvector_exists(mats) -> bool:
     divides every row, and two quadratics without one already span all
     cubics (their Sylvester matrix is nonsingular).
     """
-    return _share_a_root(_eigen_quadratics(mats))
+    return _share_a_root(map(eigen_quadratic, mats))
 
 
 def _share_a_root(quads) -> bool:
@@ -268,23 +272,26 @@ def _share_a_root(quads) -> bool:
     return rank(rows) <= 3  # the rows y*q, x*q, with the power of x as the column
 
 
-def _rational_common_eigenvector(quads: list[tuple[Fraction, Fraction, Fraction]]):
-    """A projective rational common root (x, y) of the family, or None.
+def _rational_common_eigenvector(quads: list[tuple[int, int, int]]):
+    """A projective rational common root (x, y) of the integer family, or None.
 
     Prefers [1:0] when available (it keeps upper-triangular input fixed),
     then the smallest rational affine root.  Returns None when the common
-    roots are irrational.
+    roots are irrational.  A root x = n/d is tested as a n^2 + b n d + c d^2 = 0.
     """
     q = next((q for q in quads if q[0]), None)
     if q is None:
         return (Fraction(1), Fraction(0))
-    q20, q11, q02 = q
-    root = rational_sqrt(q11 * q11 - 4 * q20 * q02)
-    if root is None:
+    q20, q11, q02 = q if q[0] > 0 else (-x for x in q)  # the same roots, and d > 0
+    disc = q11 * q11 - 4 * q20 * q02
+    root = isqrt(max(disc, 0))
+    if root * root != disc:
         return None
-    xs = ((-q11 - root) / (2 * q20), (-q11 + root) / (2 * q20))
-    common = [x for x in xs if all(not (a * x + b) * x + c for a, b, c in quads)]
-    return (min(common), Fraction(1)) if common else None
+    d = 2 * q20
+    for n in (-q11 - root, -q11 + root):
+        if all(not (a * n + b * d) * n + c * d * d for a, b, c in quads):
+            return (Fraction(n, d), Fraction(1))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +306,13 @@ class StabilityClass(enum.Enum):
     UNSUPPORTED = "Unsupported"
 
 
-def _coefficient_matrices(f: HiggsField) -> list[list[list[Fraction]]]:
-    """The six constant matrices M0,M1,M2 (z1-coefficients of Phi_1) and
-    N0,N1,N2 (z2-coefficients of Phi_2) for a field on L+L."""
-    terms = [(f.phi1, (k, 0)) for k in range(3)] + [(f.phi2, (0, k)) for k in range(3)]
-    return [[[m.entry(i, j).coeff(*t) for j in range(2)] for i in range(2)] for m, t in terms]
+def _coefficient_matrices(f: HiggsField) -> list[tuple[int, int, int]]:
+    """The six constant matrices (a b; c -a) of a field on L+L, as (a, b, c):
+    M0,M1,M2 (z1-coefficients of Phi_1) and N0,N1,N2 (z2-coefficients of Phi_2),
+    each times its component's common denominator, which keeps its eigenvectors."""
+    one, two = _over_lcm(*f.entries()[:3]), _over_lcm(*f.entries()[3:])
+    return ([tuple(x.get((k, 0), 0) for x in one) for k in range(3)]
+            + [tuple(x.get((0, k), 0) for x in two) for k in range(3)])
 
 
 def stability_classify(f: HiggsField) -> StabilityClass:

@@ -13,11 +13,12 @@ elimination): each column that holds a one-entry row counts into the rank
 and is deleted from every row, until no such row is left.  It reads only
 which entries are present, so the extension ansatz runs it once per twist
 and shape and ranks only what it leaves of each class.  Then each row is
-scaled to a primitive integer row: times the lcm of its denominators (an
+scaled once to a primitive integer row: times the lcm of its denominators (an
 entry is an ``int`` or ``Fraction``), over its numerators' gcd.  An update sets
-row <- (p/g)*row - (f/g)*pivot_row, where p is the pivot, f the row's
-entry in its column and g = gcd(p, f), and divides the new row by its
-content (Knuth, TAOCP vol. 2, 4.6.1), so no ``Fraction`` is built.
+row <- (p/g)*row - (f/g)*pivot_row, where p is the pivot, f the row's entry in
+its column and g = gcd(p, f), so no ``Fraction`` is built; on these few-step
+matrices a content division after it costs more than it saves (Knuth, TAOCP
+vol. 2, 4.6.1), so there is none.
 """
 
 from __future__ import annotations
@@ -30,16 +31,13 @@ from typing import Any, Union
 Row = Union[list[Fraction], dict[Any, Fraction]]
 
 
-def _content_free(row: dict[Any, int]) -> dict[Any, int]:
-    """The integer row over the gcd of its entries."""
-    c = gcd(*row.values())
-    return {j: a // c for j, a in row.items()} if c > 1 else row
-
-
 def _primitive(row: dict) -> dict[Any, int]:
-    """The row times the lcm of its denominators, over the gcd of the numerators."""
-    d = lcm(*(a.denominator for a in row.values()))
-    return _content_free({j: a.numerator * (d // a.denominator) for j, a in row.items()})
+    """A new row: this one times the lcm of its denominators, over the numerators' gcd."""
+    if not all(type(a) is int for a in row.values()):
+        d = lcm(*(a.denominator for a in row.values()))
+        row = {j: a.numerator * (d // a.denominator) for j, a in row.items()}
+    c = gcd(*row.values())
+    return {j: a // c for j, a in row.items()}
 
 
 def _clear_singletons(rows: list[dict]) -> tuple[int, list[dict]]:
@@ -55,7 +53,8 @@ def _clear_singletons(rows: list[dict]) -> tuple[int, list[dict]]:
 
 
 def rank(rows: list[Row]) -> int:
-    """Rank of the matrix with these rows; the rows passed in are not modified."""
+    """Rank of the matrix with these rows, each made primitive once and never
+    divided by its content again; the rows passed in are not modified."""
     m = [row if type(row) is dict and all(row.values()) else {j: a for j, a in
          (row.items() if type(row) is dict else enumerate(row)) if a} for row in rows]
     singletons, m = _clear_singletons(m)
@@ -76,6 +75,8 @@ def rank(rows: list[Row]) -> int:
             row = m[i]
             if col in row:
                 f = row.pop(col)
+                if not rest:  # a pivot row with one entry: the pop is the whole update
+                    continue
                 g = gcd(pv, f)
                 s, f = pv // g, f // g
                 row = {j: s * a for j, a in row.items()} if s != 1 else row
@@ -85,6 +86,6 @@ def rank(rows: list[Row]) -> int:
                         row[j] = a
                     else:
                         del row[j]
-                m[i] = _content_free(row)
+                m[i] = row
         r += 1
     return singletons + r

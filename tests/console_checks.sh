@@ -107,6 +107,31 @@ assert {(t["i"], t["j"]): Q(t["num"], t["den"]) for t in h["rho1"]["monomials"]}
 assert h["rho12"] == h["rho2"] == {"monomials": []} and h["consistent"] is True
 assert check == {"valid": True, "integrable": True, "stability": "Stable"}, check
 EOF
+# O+O fields whose nine Phi_1 coefficients are fractions with unrelated
+# 4,000-digit numerators and denominators, so the coefficient matrices
+# are read over the lcm of nine such denominators (about 120,000 bits).
+# Nine random fractions share no eigenvector: Stable.  With A = p_k/q_k,
+# C = r_k/q_k and B = C - 2A at each degree k, (1, 1) is a common
+# eigenvector of the three coefficient matrices, and the graded object
+# is diag(C - A, A - C)
+python - <<'EOF'
+import json, random
+rng = random.Random(4000)
+big = lambda: rng.randrange(10**3999, 10**4000)
+m = lambda i, num, den: {"i": i, "j": 0, "num": num, "den": den}
+tf = lambda a, b, c: {"m": [[{"monomials": a}, {"monomials": b}], [{"monomials": c}, {"monomials": [dict(t, num=-t["num"]) for t in a]}]]}
+zero = tf([], [], [])
+free = tf(*([m(k, big(), big()) for k in range(3)] for _ in range(3)))
+p, r, q = ([big() for _ in range(3)] for _ in range(3))
+ss = tf([m(k, p[k], q[k]) for k in range(3)], [m(k, r[k] - 2 * p[k], q[k]) for k in range(3)], [m(k, r[k], q[k]) for k in range(3)])
+json.dump({"bundle": {"L1": [0, 0], "L2": [0, 0]}, "phi1": free, "phi2": zero}, open("oo_free.json", "w"))
+json.dump({"bundle": {"L1": [0, 0], "L2": [0, 0]}, "phi1": ss, "phi2": zero}, open("oo_ss.json", "w"))
+json.dump([[k, r[k] - p[k], q[k]] for k in range(3)], open("oo_ss_graded.json", "w"))
+EOF
+test "$(timeout 5 "${cohiggs[@]}" higgs check --field oo_free.json)" = '{"valid": true, "integrable": true, "stability": "Stable"}'
+test "$(timeout 5 "${cohiggs[@]}" higgs check --field oo_ss.json)" = '{"valid": true, "integrable": true, "stability": "StrictlySemistable"}'
+timeout 5 "${cohiggs[@]}" higgs graded --field oo_ss.json > oo_ss.out.json
+python -c 'import json, sys; from fractions import Fraction as Q; sys.set_int_max_str_digits(0); g = json.load(open("oo_ss.out.json"))["field"]["phi1"]["m"]; want = {(k, 0): Q(n, d) for k, n, d in json.load(open("oo_ss_graded.json"))}; assert g[1][0] == g[0][1] == {"monomials": []}; assert {(t["i"], t["j"]): Q(t["num"], t["den"]) for t in g[0][0]["monomials"]} == want'
 # a generic quartic rho1 whose five coefficients are fractions with
 # 4,000-digit numerator and denominator: the Sylvester rows of rho1
 # and rho1' are eliminated as integer rows, well within 5 s

@@ -127,6 +127,35 @@ def brute_force_common_eigenvector(mats) -> bool:
     return False
 
 
+def coefficient_matrices_by_coeff(f: HiggsField) -> list[list[list[Fraction]]]:
+    """The six constant matrices of a field on L+L as ``Fraction`` rows, read
+    coefficient by coefficient: M0, M1, M2 (z1-coefficients of Phi_1), then
+    N0, N1, N2 (z2-coefficients of Phi_2).  ``higgs._coefficient_matrices``
+    reads the same six on integers, each times a positive factor."""
+    terms = [(f.phi1, (k, 0)) for k in range(3)] + [(f.phi2, (0, k)) for k in range(3)]
+    return [[[m.entry(i, j).coeff(*t) for j in range(2)] for i in range(2)] for m, t in terms]
+
+
+def rational_common_eigenvector_by_fractions(mats):
+    """``higgs._rational_common_eigenvector`` in ``Fraction`` arithmetic, on
+    the quadratics (c, -2a, -b) of the matrices (a b; c -a): [1:0] when every
+    quadratic vanishes there, else the smaller rational root x of the first
+    quadratic with an x^2 term that all of them share, as (x, 1); None when
+    there is none."""
+    quads = [(c, -2 * a, -b) for (a, b), (c, _) in mats if a or b or c]
+    q = next((q for q in quads if q[0]), None)
+    if q is None:
+        return (Fraction(1), Fraction(0))
+    q20, q11, q02 = q
+    disc = q11 * q11 - 4 * q20 * q02
+    if not _is_square(disc):
+        return None
+    root = _sqrt_fraction(disc)
+    xs = ((-q11 - root) / (2 * q20), (-q11 + root) / (2 * q20))
+    common = [x for x in xs if all(not (a * x + b) * x + c for a, b, c in quads)]
+    return (min(common), Fraction(1)) if common else None
+
+
 # ---------------------------------------------------------------------------
 # matrix oracles
 # ---------------------------------------------------------------------------

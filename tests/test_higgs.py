@@ -26,6 +26,7 @@ from cohiggs.higgs import (
     _coefficient_matrices,
     _eigen_quadratics,
     _rational_common_eigenvector,
+    _share_a_root,
     common_eigenvector_exists,
     eigen_quadratic,
     field,
@@ -43,6 +44,7 @@ from cohiggs.higgs import (
 from oracles import (
     brute_force_common_eigenvector,
     check_conjugation,
+    coefficient_matrices_by_coeff,
     graded_object_by_conjugation,
     mat_mul_oracle,
     mat_scale,
@@ -55,6 +57,8 @@ from oracles import (
     random_rat,
     random_strictly_semistable_field,
     random_univariate,
+    rational_common_eigenvector_by_fractions,
+    slot_poly,
     storage,
     trace_free_part,
     wedge,
@@ -531,6 +535,58 @@ def test_graded_object_equals_conjugation_reference(height):
         assert g == ref
         assert storage(g.phi1) == storage(ref.phi1) and storage(g.phi2) == storage(ref.phi2)
     assert {"zero", "[1:0]", "x0 != 0"} <= seen
+
+
+def _irrational_field(rng: random.Random, height: int) -> HiggsField:
+    """g1 K d/dz1 + g2 K d/dz2 with K = (0 1; d 0) for a non-square d, so the
+    common eigenvectors (1, +-sqrt(d)) are irrational, conjugated by a random
+    constant automorphism."""
+    d = rng.choice([2, 3, 5, 6, 7, 10])
+    g1, g2 = random_univariate(rng, 2, 1, height), random_univariate(rng, 2, 2, height)
+    f = field(B_OO, b1=g1, c1=g1 * d, b2=g2, c2=g2 * d)
+    psi = random_constant_invertible(rng)
+    return HiggsField(B_OO, conjugate2(f.phi1, psi).to_bipoly(), conjugate2(f.phi2, psi).to_bipoly())
+
+
+def _positive_multiple(ints, fracs) -> bool:
+    """ints = t * fracs entry by entry, for one rational t > 0."""
+    pairs = [(i, q) for i, q in zip(ints, fracs) if q]
+    if not pairs:
+        return not any(ints)
+    t = F(pairs[0][0]) / pairs[0][1]
+    return t > 0 and all(F(i) == t * q for i, q in zip(ints, fracs))
+
+
+@pytest.mark.parametrize("height", [9, 2**60], ids=["height9", "bits60"])
+def test_integer_eigenvector_path_matches_fraction_oracle(height):
+    # the O+O facts on integer numerators agree with the Fraction reference:
+    # each component's matrices are one positive multiple of its rational
+    # ones, and the shared-root verdict and the rational common eigenvector
+    # are the same; the zero field, rational, irrational and no common
+    # roots all occur
+    rng = random.Random(height + 7)
+    seen = set()
+    for k in range(160):
+        kind = k % 4
+        if kind == 0:
+            f = random_strictly_semistable_field(rng, height) if k else field(B_OO)
+        elif kind == 1:
+            f = _irrational_field(rng, height)
+        else:
+            a1, b1, c1 = (slot_poly(rng, O(2, 0), height) for _ in range(3))
+            f = field(B_OO, a1=a1, b1=b1, c1=c1)
+        ints, mats = _coefficient_matrices(f), coefficient_matrices_by_coeff(f)
+        for comp in (slice(0, 3), slice(3, 6)):
+            flat = [(a, b, c) for (a, b), (c, _) in mats[comp]]
+            assert _positive_multiple(sum(ints[comp], ()), sum(flat, ()))
+        quads = _eigen_quadratics(ints)
+        shared = _share_a_root(quads)
+        v = _rational_common_eigenvector(quads)
+        assert shared == brute_force_common_eigenvector(mats)
+        assert v == rational_common_eigenvector_by_fractions(mats)
+        seen.add("zero" if not quads else "none" if not shared
+                 else "irrational" if v is None else "rational")
+    assert seen == {"zero", "rational", "irrational", "none"}
 
 
 @pytest.mark.parametrize("height", [9, 2**60], ids=["height9", "bits60"])

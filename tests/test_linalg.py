@@ -5,12 +5,14 @@ whose full rank stands for a nonzero resultant."""
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 
-from cohiggs import extension
+from cohiggs import extension, spectral
 from cohiggs._univariate import shifted_rows
+from cohiggs.exactalg import BiPoly
 from cohiggs.extension import ExtParams, end0T_dimension
 from cohiggs.linalg import _clear_singletons, rank
 from oracles import (
@@ -441,3 +443,47 @@ def test_elimination_does_no_fraction_arithmetic():
         assert rank(guarded) == rank(as_dicts(guarded)) == dense_rank(rows)
         eliminated += singleton_passes(rows) == 0 and dense_rank(rows) > 1
     assert eliminated > 10
+
+
+def widest_entry_of_rank(rows) -> tuple[int, int]:
+    """rank(rows), and the bit length of the largest integer the elimination
+    holds in its rows at any line of ``rank``, read by a trace function."""
+    widest = 0
+
+    def local(frame, event, arg):
+        nonlocal widest
+        for row in frame.f_locals.get("m") or ():
+            widest = max([widest, *(abs(a).bit_length() for a in row.values() if type(a) is int)])
+        return local
+
+    outer = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is rank.__code__ else None)
+    try:
+        r = rank(rows)
+    finally:
+        sys.settrace(outer)
+    return r, widest
+
+
+@pytest.mark.parametrize("digits", [500, 1000])
+def test_elimination_growth_on_the_limit_quartic(monkeypatch, digits):
+    """The README's limit-family quartic rho1, whose coefficient i is
+    (-1)^i (n + i)/(d + 2i) with n = 77...7 and d = 33...31 of this many
+    digits: rows made primitive once and never divided by their content
+    again hold entries of at most 52 times the bits of the largest numerator
+    or denominator (51.9x at 500, 1,000 and 4,000 digits; a content division
+    after each update held them to 18.0x)."""
+    n, d = int("7" * digits), int("3" * (digits - 1) + "1")
+    rho = BiPoly({(i, 0): F((-1) ** i * (n + i), d + 2 * i) for i in range(5)})
+    bits = max(max(c.numerator.bit_length(), c.denominator.bit_length()) for *_, c in rho.terms())
+    seen = []
+
+    def traced_rank(rows):
+        seen.append(widest_entry_of_rank(rows))
+        return seen[-1][0]
+
+    monkeypatch.setattr(spectral, "rank", traced_rank)
+    assert spectral.is_generic_quartic(rho)
+    ((r, widest),) = seen
+    assert r == 7
+    assert 51 * bits < widest <= 52 * bits
