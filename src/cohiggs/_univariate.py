@@ -1,7 +1,7 @@
 """Sylvester-type rows of univariate polynomials ({degree: coefficient}).
 
-The package asks only root questions of them (a repeated root, a common
-root), each answered by :func:`cohiggs.linalg.rank` of shifted rows.
+The package asks one root question of them, a common root of the
+eigenvector quadratics of ``higgs``, answered by :func:`cohiggs.linalg.rank`.
 """
 
 from __future__ import annotations

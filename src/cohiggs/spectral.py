@@ -14,14 +14,14 @@ inside the total space of the tangent bundle; over a base point with
 rho1 != 0 it consists of exactly two points, the third equation selecting
 the eigenvalue pairing (eta1, eta2 = -rho12/(2 eta1)).
 
-A quartic is "generic" when it has four distinct projective roots.  On
-consistent data rho12 != 0 rules out a generic rho1 or rho2:
-rho12^2 = 4 rho1 rho2 makes rho1(z1) rho2(z2) a square, which forces each
-factor to be a constant times a square.  Consistent data therefore lands
-in a product case or in the non-generic class.  Irrational fibre
-coordinates are reported exactly as coef * sqrt(radicand), never as
-floats; the radicand is squarefree when its part with no prime below 1000
-is under 10^9 (see ``exactalg.exact_sqrt``).
+A quartic is "generic" when it has four distinct projective roots (its
+invariants I and J decide it).  On consistent data rho12 != 0 rules out a
+generic rho1 or rho2: rho12^2 = 4 rho1 rho2 makes rho1(z1) rho2(z2) a
+square, which forces each factor to be a constant times a square.
+Consistent data therefore lands in a product case or in the non-generic
+class.  Irrational fibre coordinates are reported exactly as coef *
+sqrt(radicand), never as floats; the radicand is squarefree when its part
+with no prime below 1000 is under 10^9 (see ``exactalg.exact_sqrt``).
 """
 
 from __future__ import annotations
@@ -30,11 +30,9 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._univariate import shifted_rows
 from .errors import InconsistentRho, NotIntegrable, NotUnivariate, SlotViolation
 from .exactalg import BiPoly, EtaValue, _as_rat, _over_lcm, exact_sqrt
 from .higgs import HiggsField, SpectralData, is_integrable, validate_field
-from .linalg import rank
 
 
 @dataclass(frozen=True)
@@ -139,12 +137,12 @@ def fibre_over_point(f: HiggsField, z1: Fraction, z2: Fraction) -> Fibre:
 def is_generic_quartic(rho: BiPoly) -> bool:
     """Four distinct projective roots of the binary quartic homogenizing rho.
 
-    rho must be univariate (either variable).  A degree deficit counts as
-    multiplicity at infinity, so a generic rho has degree d >= 3; its finite
-    roots are simple iff f and f' share no root, i.e. their Sylvester
-    matrix (d - 1 shifts of f over d shifts of f') has full rank 2d - 1.
-    f holds rho's integer numerators, rho times its positive denominator,
-    which leaves every rank as it is.
+    rho is univariate (either variable); its integer numerators of degree
+    4..0 (0 where missing) are a..e in a x^4 + b x^3 y + c x^2 y^2 + d x y^3
+    + e y^4, whose discriminant is (4 I^3 - J^2)/27 with I = 12ae - 3bd + c^2
+    and J = 72ace + 9bcd - 27ad^2 - 27b^2 e - 2c^3 (Olver, Classical
+    Invariant Theory, 1999, ch. 2).  A multiple root, at infinity too, and
+    zero give 4 I^3 = J^2; a scale l takes I to l^2 I and J to l^3 J.
     """
     (num,) = _over_lcm(rho)
     # the variable whose partner's exponent is always 0, z1 first
@@ -152,13 +150,12 @@ def is_generic_quartic(rho: BiPoly) -> bool:
     if k is None:
         raise NotUnivariate("genericity test needs a univariate quartic")
     f = {t[k]: c for t, c in num.items()}
-    d = max(f, default=-1)
-    if d > 4:
+    if max(f, default=0) > 4:
         raise SlotViolation("degree exceeds the quartic slot")
-    if d < 3:
-        return False  # zero, or a multiple root at infinity
-    df = {i - 1: i * c for i, c in f.items() if i}
-    return rank(shifted_rows(f, d - 1) + shifted_rows(df, d)) == 2 * d - 1
+    e, d, c, b, a = (f.get(i, 0) for i in range(5))
+    i = 12 * a * e - 3 * b * d + c * c
+    j = 72 * a * c * e + 9 * b * c * d - 27 * a * d * d - 27 * b * b * e - 2 * c * c * c
+    return 4 * i * i * i != j * j
 
 
 class FibreClass(enum.Enum):

@@ -133,18 +133,29 @@ test "$(timeout 5 "${cohiggs[@]}" higgs check --field oo_ss.json)" = '{"valid": 
 timeout 5 "${cohiggs[@]}" higgs graded --field oo_ss.json > oo_ss.out.json
 python -c 'import json, sys; from fractions import Fraction as Q; sys.set_int_max_str_digits(0); g = json.load(open("oo_ss.out.json"))["field"]["phi1"]["m"]; want = {(k, 0): Q(n, d) for k, n, d in json.load(open("oo_ss_graded.json"))}; assert g[1][0] == g[0][1] == {"monomials": []}; assert {(t["i"], t["j"]): Q(t["num"], t["den"]) for t in g[0][0]["monomials"]} == want'
 # a generic quartic rho1 whose five coefficients are fractions with
-# 4,000-digit numerator and denominator: the Sylvester rows of rho1
-# and rho1' are eliminated as integer rows, well within 5 s
+# 4,000-digit numerator and denominator: its invariants I and J take a
+# few products of integers of about 20,000 digits, well within 2 s
 python -c 'import json; n = int("7" * 4000); d = int("3" * 3999 + "1"); m = lambda i: {"i": i, "j": 0, "num": (-1) ** i * (n + i), "den": d + 2 * i}; print(json.dumps({"rho1": {"monomials": [m(i) for i in range(5)]}, "rho12": {"monomials": []}, "rho2": {"monomials": []}}))' > rho4000.json
-test "$(timeout 5 "${cohiggs[@]}" spectral classify --rho rho4000.json)" = '{"classification": "ProductCaseAxis1"}'
-# the rank-deficient case at the limit: rho1 = (z1 - a)^2 (z1 - b)(z1 - c)
+test "$(timeout 2 "${cohiggs[@]}" spectral classify --rho rho4000.json)" = '{"classification": "ProductCaseAxis1"}'
+# the repeated-root case at the limit: rho1 = (z1 - a)^2 (z1 - b)(z1 - c)
 # with a, b, c fractions of 975-digit numerator and denominator, so its
 # coefficients have about 3,900 digits over about 3,900; the double
-# root leaves the Sylvester rows one short of full rank
+# root makes 4 I^3 = J^2
 python -c 'from fractions import Fraction as Q; import json; a = Q(int("7" * 974 + "3"), int("3" * 974 + "1")); b = Q(-int("5" * 974 + "1"), int("9" * 974 + "7")); c = Q(int("2" * 974 + "9"), int("1" * 974 + "3")); f = [Q(1)]
 for r in (a, a, b, c): f = [x - r * y for x, y in zip([0] + f, f + [0])]
 print(json.dumps({"rho1": {"monomials": [{"i": k, "j": 0, "num": q.numerator, "den": q.denominator} for k, q in enumerate(f)]}, "rho12": {"monomials": []}, "rho2": {"monomials": []}}))' > rho_double.json
-test "$(timeout 5 "${cohiggs[@]}" spectral classify --rho rho_double.json)" = '{"classification": "NonGenericOther"}'
+test "$(timeout 2 "${cohiggs[@]}" spectral classify --rho rho_double.json)" = '{"classification": "NonGenericOther"}'
+# both cases again at CPython's 4,300-digit int<->str cap: the same
+# generic family with 4,300-digit numerators and denominators, and
+# 10 (z1 - a)^2 (z1 - b)(z1 - c) with 1,075-digit a, b, c, whose largest
+# numerator has exactly 4,300 digits
+python -c 'import json; n = int("7" * 4300); d = int("3" * 4299 + "1"); m = lambda i: {"i": i, "j": 0, "num": (-1) ** i * (n + i), "den": d + 2 * i}; print(json.dumps({"rho1": {"monomials": [m(i) for i in range(5)]}, "rho12": {"monomials": []}, "rho2": {"monomials": []}}))' > rho4300.json
+test "$(timeout 2 "${cohiggs[@]}" spectral classify --rho rho4300.json)" = '{"classification": "ProductCaseAxis1"}'
+python -c 'from fractions import Fraction as Q; import json; a = Q(int("7" * 1074 + "3"), int("3" * 1074 + "1")); b = Q(-int("5" * 1074 + "1"), int("9" * 1074 + "7")); c = Q(int("2" * 1074 + "9"), int("1" * 1074 + "3")); f = [Q(10)]
+for r in (a, a, b, c): f = [x - r * y for x, y in zip([0] + f, f + [0])]
+assert max(len(str(abs(x))) for q in f for x in (q.numerator, q.denominator)) == 4300
+print(json.dumps({"rho1": {"monomials": [{"i": k, "j": 0, "num": q.numerator, "den": q.denominator} for k, q in enumerate(f)]}, "rho12": {"monomials": []}, "rho2": {"monomials": []}}))' > rho_double4300.json
+test "$(timeout 2 "${cohiggs[@]}" spectral classify --rho rho_double4300.json)" = '{"classification": "NonGenericOther"}'
 # exact square roots: the fibre of the section-q field of a constant rho
 # has radicand -rho when no prime below 1000 divides rho and rho is no
 # square.  A 17-digit rho, a 43-digit semiprime and the 4,005-digit

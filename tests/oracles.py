@@ -15,8 +15,9 @@ from fractions import Fraction
 
 from cohiggs import _laurent as lau
 from cohiggs.cohomology import LineBundle
-from cohiggs.errors import BundleMismatch, SlotViolation
-from cohiggs.exactalg import BiPoly, PolyMat2, RatFn, Z1, Z2, commutator2, conjugate2
+from cohiggs._univariate import shifted_rows
+from cohiggs.errors import BundleMismatch, NotUnivariate, SlotViolation
+from cohiggs.exactalg import BiPoly, PolyMat2, RatFn, Z1, Z2, _over_lcm, commutator2, conjugate2
 from cohiggs.higgs import (
     DecomposableBundle,
     HiggsField,
@@ -30,6 +31,7 @@ from cohiggs.higgs import (
     stability_classify,
     validate_field,
 )
+from cohiggs.linalg import rank
 from cohiggs.spectral import hitchin_map
 
 # ---------------------------------------------------------------------------
@@ -405,6 +407,58 @@ def poly_from_roots(lead: Fraction, roots: list[Fraction]) -> list[Fraction]:
     for r in roots:
         p = [a - r * b for a, b in zip([Fraction(0)] + p, p + [Fraction(0)])]
     return p
+
+
+def big_rat(rng: random.Random, digits: int) -> Fraction:
+    """A fraction whose numerator and denominator have about this many digits."""
+    num, den = (rng.randrange(10 ** (digits - 1), 10**digits) for _ in range(2))
+    return Fraction(rng.choice([-1, 1]) * num, den)
+
+
+def planted_quartics(seed: int, count: int):
+    """Ascending coefficients of quartics with 200-digit roots and leading
+    coefficient, with the rank 7 - deg gcd(f, f') their Sylvester rows must
+    have: 7 for four distinct roots, 6 for one double root, 5 for two
+    double roots or a triple root, 4 for a fourfold root."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        r, s, t, u, lead = (big_rat(rng, 200) for _ in range(5))
+        for roots, expected in (([r, s, t, u], 7), ([r, r, s, t], 6), ([r, r, s, s], 5),
+                                ([r, r, r, s], 5), ([r, r, r, r], 4)):
+            yield poly_from_roots(lead, roots), expected
+
+
+def quartic_sylvester_rows(f: dict[int, Fraction | int]) -> list[dict[int, Fraction | int]]:
+    """The Sylvester rows of f ({degree: coefficient}, degree d) and f':
+    d - 1 shifts of f over d shifts of f', of full rank 2d - 1 exactly when
+    f and f' share no root."""
+    d = max(f)
+    df = {i - 1: i * c for i, c in f.items() if i}
+    return shifted_rows(f, d - 1) + shifted_rows(df, d)
+
+
+def quartic_numerators(rho: BiPoly) -> dict[int, int]:
+    """rho's integer numerators over its denominator, as {degree: coefficient}
+    of the one variable rho is in."""
+    (num,) = _over_lcm(rho)
+    k = next((k for k in (0, 1) if not any(t[1 - k] for t in num)), None)
+    if k is None:
+        raise NotUnivariate("genericity test needs a univariate quartic")
+    f = {t[k]: c for t, c in num.items()}
+    if max(f, default=-1) > 4:
+        raise SlotViolation("degree exceeds the quartic slot")
+    return f
+
+
+def is_generic_quartic_by_sylvester(rho: BiPoly) -> bool:
+    """Four distinct projective roots, by the rank rule that
+    ``spectral.is_generic_quartic`` used before its invariants: a degree
+    deficit counts as multiplicity at infinity, so a generic rho has degree
+    d >= 3, and its finite roots are simple iff f and f' share no root, i.e.
+    their Sylvester rows have full rank 2d - 1."""
+    f = quartic_numerators(rho)
+    d = max(f, default=-1)
+    return d >= 3 and rank(quartic_sylvester_rows(f)) == 2 * d - 1
 
 
 def random_matrix(

@@ -10,16 +10,20 @@ from fractions import Fraction as F
 
 import pytest
 
-from cohiggs import extension, spectral
+from cohiggs import extension
 from cohiggs._univariate import shifted_rows
 from cohiggs.exactalg import BiPoly
 from cohiggs.extension import ExtParams, end0T_dimension
 from cohiggs.linalg import _clear_singletons, rank
 from oracles import (
+    big_rat,
     cofactor_det,
     dense_rank,
     minor_rank,
+    planted_quartics,
     poly_from_roots,
+    quartic_numerators,
+    quartic_sylvester_rows,
     random_matrix,
     random_rat,
     sylvester_matrix,
@@ -355,12 +359,6 @@ def test_rank_takes_int_and_mixed_rows():
     assert mixed > 50
 
 
-def big_rat(rng: random.Random, digits: int) -> F:
-    """A fraction whose numerator and denominator have about this many digits."""
-    num, den = (rng.randrange(10 ** (digits - 1), 10**digits) for _ in range(2))
-    return F(rng.choice([-1, 1]) * num, den)
-
-
 def big_matrices(seed: int, count: int):
     """Products of nrows x k and k x ncols factors (so of rank at most k) whose
     entries have 50-500 digits over as many, giving entries of 100-1,000."""
@@ -389,40 +387,22 @@ def test_rank_of_entries_of_100_to_1000_digits():
     assert deficient > 10 and {1, 9} <= sizes
 
 
-def quartic_sylvester_rows(roots: list[F], lead: F) -> list[dict[int, F]]:
-    """The rows of f = lead * prod (x - r) and f', as ``is_generic_quartic`` builds them."""
-    f = dict(enumerate(poly_from_roots(lead, roots)))
-    df = {k - 1: k * c for k, c in f.items() if k}
-    return shifted_rows(f, len(f) - 2) + shifted_rows(df, len(f) - 1)
-
-
-def planted_quartics(seed: int, count: int):
-    """Sylvester rows of quartics with 200-digit roots and leading coefficient,
-    with the rank 7 - deg gcd(f, f') they must have: 7 for four distinct
-    roots, 6 for one double root, 5 for two double roots or a triple root,
-    4 for a fourfold root."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        r, s, t, u, lead = (big_rat(rng, 200) for _ in range(5))
-        for roots, expected in (([r, s, t, u], 7), ([r, r, s, t], 6), ([r, r, s, s], 5),
-                                ([r, r, r, s], 5), ([r, r, r, r], 4)):
-            yield quartic_sylvester_rows(roots, lead), expected
-
-
 def dense(rows: list[dict[int, F]]) -> list[list[F]]:
     width = 1 + max((j for r in rows for j in r), default=-1)
     return [[r.get(j, F(0)) for j in range(width)] for r in rows]
 
 
 def test_quartic_sylvester_rows_with_planted_repeated_roots():
-    for rows, expected in planted_quartics(73, 4):
+    for f, expected in planted_quartics(73, 4):
+        rows = quartic_sylvester_rows(dict(enumerate(f)))
         before = [dict(row) for row in rows]
         assert rank(rows) == expected == dense_rank(dense(rows))
         assert rows == before
 
 
 def test_planted_quartics_sympy_cross_check():
-    for rows, expected in planted_quartics(89, 1):
+    for f, expected in planted_quartics(89, 1):
+        rows = quartic_sylvester_rows(dict(enumerate(f)))
         assert rank(rows) == expected == sympy_rank(dense(rows))
 
 
@@ -466,25 +446,19 @@ def widest_entry_of_rank(rows) -> tuple[int, int]:
 
 
 @pytest.mark.parametrize("digits", [500, 1000])
-def test_elimination_growth_on_the_limit_quartic(monkeypatch, digits):
-    """The README's limit-family quartic rho1, whose coefficient i is
-    (-1)^i (n + i)/(d + 2i) with n = 77...7 and d = 33...31 of this many
-    digits.  Rows made primitive once and never divided by their content
-    again hold entries of at most 26 times the input's bits, the largest
-    coefficient's numerator and denominator bits together (25.97x to 26.00x
-    at 500, 1,000 and 4,000 digits).  Dividing each updated row by its content kept
-    the rows at 9.0x, with 17.5x before the division."""
+def test_elimination_growth_on_the_limit_quartic(digits):
+    """The Sylvester rows of the README's limit-family quartic rho1, whose
+    coefficient i is (-1)^i (n + i)/(d + 2i) with n = 77...7 and
+    d = 33...31 of this many digits, built from rho1's integer numerators
+    over its denominator (three shifts of f over four of f').  Rows made
+    primitive once and never divided by their content again hold entries
+    of at most 26 times the input's bits, the largest coefficient's
+    numerator and denominator bits together (25.97x to 26.00x at 500, 1,000
+    and 4,000 digits).  Dividing each updated row by its content kept the
+    rows at 9.0x, with 17.5x before the division."""
     n, d = int("7" * digits), int("3" * (digits - 1) + "1")
     rho = BiPoly({(i, 0): F((-1) ** i * (n + i), d + 2 * i) for i in range(5)})
     bits = max(c.numerator.bit_length() + c.denominator.bit_length() for *_, c in rho.terms())
-    seen = []
-
-    def traced_rank(rows):
-        seen.append(widest_entry_of_rank(rows))
-        return seen[-1][0]
-
-    monkeypatch.setattr(spectral, "rank", traced_rank)
-    assert spectral.is_generic_quartic(rho)
-    ((r, widest),) = seen
+    r, widest = widest_entry_of_rank(quartic_sylvester_rows(quartic_numerators(rho)))
     assert r == 7
     assert 25.5 * bits < widest <= 26 * bits

@@ -29,8 +29,12 @@ from cohiggs.spectral import (
     spectral_residual,
 )
 from oracles import (
+    big_rat,
     constant_rows,
+    is_generic_quartic_by_sylvester,
     mat_scale,
+    planted_quartics,
+    poly_from_roots,
     product_case_verify,
     random_integrable_field,
     random_rat,
@@ -248,10 +252,11 @@ def test_is_generic_quartic_errors():
 
 
 def test_is_generic_quartic_ignores_a_rational_scale():
-    """The rows are rho's integer numerators, so a scale by a 4,000-digit
-    fraction (either sign) changes no answer, on either axis, for four
-    distinct roots, a double root, a generic and a non-generic cubic, a
-    quadratic, a constant and zero."""
+    """The test reads rho's integer numerators, and a scale l multiplies I by
+    l^2 and J by l^3, so a scale by a 4,000-digit fraction (either sign)
+    changes no answer, on either axis, for four distinct roots, a double
+    root, a generic and a non-generic cubic, a quadratic, a constant and
+    zero."""
     k = F(7 * 10**3999 + 1, 3 * 10**3999 - 7)
     cases = [(Z1 - 1) * (Z1 - 2) * (Z1 + 3) * (2 * Z1 - 5), (Z1 - 1) ** 2 * (Z1 + 2) * Z1,
              Z1 * (Z1 - 1) * (Z1 + 1), Z1**3, Z1 * Z1 - 1, BiPoly.const(F(-2, 3)), BiPoly.zero()]
@@ -262,6 +267,43 @@ def test_is_generic_quartic_ignores_a_rational_scale():
             answers.append(is_generic_quartic(p))
             assert is_generic_quartic(k * p) == is_generic_quartic(-k * p) == answers[-1], p
     assert answers == [True] * 2 + [False] * 2 + [True] * 2 + [False] * 8
+
+
+def planted_genericity_cases(seed: int):
+    """Ascending coefficients of univariate polynomials with 200-digit roots
+    and leading coefficient, each with the verdict its roots plant: the
+    planted quartics (four distinct roots, one double root, two double
+    roots, a triple root, a fourfold root; generic iff their Sylvester rank
+    is 7), cubics (a simple root at infinity) with distinct, double and
+    triple roots, quadratics and lines (a multiple root at infinity),
+    constants, and zero."""
+    rng = random.Random(seed)
+    for f, rank in planted_quartics(seed, 3):
+        yield f, rank == 7
+    for _ in range(3):
+        r, s, t, lead = (big_rat(rng, 200) for _ in range(4))
+        yield poly_from_roots(lead, [r, s, t]), True
+        yield poly_from_roots(lead, [r, r, s]), False
+        yield poly_from_roots(lead, [r, r, r]), False
+        yield poly_from_roots(lead, [r, s]), False
+        yield poly_from_roots(lead, [r]), False
+        yield [lead], False
+    yield [], False
+
+
+def test_is_generic_quartic_matches_sylvester_oracle_and_planted_roots():
+    """The invariant test 4 I^3 != J^2 against the Sylvester-rank rule it
+    replaced and against each polynomial's planted roots, on both axes and
+    under the scales +-1 and +-k of a 200-digit fraction k."""
+    k = big_rat(random.Random(7), 200)
+    verdicts = []
+    for f, planted in planted_genericity_cases(97):
+        for axis in (1, 2):
+            rho = BiPoly.from_univariate(f, axis)
+            for p in (rho, -rho, k * rho, -k * rho):
+                assert is_generic_quartic(p) == is_generic_quartic_by_sylvester(p) == planted, (f, axis)
+        verdicts.append(planted)
+    assert verdicts.count(True) == 6 and verdicts.count(False) == 28
 
 
 def test_fibre_decomposability_examples():

@@ -1,6 +1,7 @@
-"""sympy cross-checks of the two root questions that Sylvester-type ranks
-answer (skipped where sympy is absent): distinct roots of a quartic, and a
-common root of the eigenvector quadratics."""
+"""sympy cross-checks of the two root questions (skipped where sympy is
+absent): distinct roots of a quartic, which the invariants I and J decide,
+and a common root of the eigenvector quadratics, which a Sylvester-type
+rank decides."""
 
 from __future__ import annotations
 
