@@ -19,11 +19,10 @@ pole.  ``_irregular_rows`` states that once, as sparse linear forms in the
 chart-V1 coefficients: ``glue_check`` evaluates them on one section over one
 denominator; the ansatz ranks them, with one singleton pass per twist and shape.
 
-The global Higgs-field components then come in closed form, as BiPoly
-arithmetic in the cocycle q = u*z1 + v: C1 carries six free coefficients
-which determine A1 and B1, and (A2, B2) carry five free coefficients.  The
-closed forms and the ansatz must (and do) agree on the dimension counts
-(6, 5, 11).
+The global Higgs-field components then come in closed form in q = u*z1 + v,
+written on the integers U, V, d with u = U/d, v = V/d: C1 carries six free
+coefficients which determine A1 and B1, and (A2, B2) carry five.  The closed
+forms and the ansatz must (and do) agree on the dimension counts (6, 5, 11).
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from .errors import (
     SlotViolation,
     TrivialExtension,
 )
-from .exactalg import BiPoly, PolyMat2, Z2, _as_rat, _over_lcm
+from .exactalg import BiPoly, PolyMat2, _as_rat, _normalized, _over_lcm
 from .higgs import DecomposableBundle, HiggsField, commute, validate_field
 from .linalg import _clear_singletons, rank
 
@@ -72,10 +71,11 @@ class ExtParams:
         return not (self.u or self.v)
 
     @cached_property
-    def _cocycle(self) -> tuple[BiPoly, BiPoly, BiPoly]:
-        """q = u*z1 + v, q^2 and q*z2."""
-        q = BiPoly({(1, 0): self.u, (0, 0): self.v})
-        return q, q * q, q * Z2
+    def _ints(self) -> tuple[int, int, int]:
+        """(U, V, d) with u = U/d, v = V/d and d = lcm(den u, den v)."""
+        u, v = _as_rat(self.u), _as_rat(self.v)
+        d = math.lcm(u.denominator, v.denominator)
+        return u.numerator * (d // u.denominator), v.numerator * (d // v.denominator), d
 
     @cached_property
     def _v2_columns(self) -> dict[int, tuple[Column, Column, Column]]:
@@ -143,15 +143,13 @@ def _v1_to_v2(e: ExtParams, twist: Twist) -> tuple[Column, Column, Column]:
     b, memo = twist[1], e._v2_columns
     if b in memo:
         return memo[b]
-    u, v = _as_rat(e.u), _as_rat(e.v)
-    d = math.lcm(u.denominator, v.denominator)
-    U, V, dd = u.numerator * (d // u.denominator), v.numerator * (d // v.denominator), d * d
+    U, V, d = e._ints
     columns = (
-        ((0, 0, -b, dd), (1, 1, 1 - b, 2 * U * d), (1, 0, 1 - b, 2 * V * d)),
-        ((1, 0, 2 - b, dd),),
+        ((0, 0, -b, d * d), (1, 1, 1 - b, 2 * U * d), (1, 0, 1 - b, 2 * V * d)),
+        ((1, 0, 2 - b, d * d),),
         ((0, 1, -1 - b, -U * d), (0, 0, -1 - b, -V * d),
          (1, 2, -b, -U * U), (1, 1, -b, -2 * U * V), (1, 0, -b, -V * V),
-         (2, 0, -2 - b, dd)),
+         (2, 0, -2 - b, d * d)),
     )
     memo[b] = tuple(tuple(t for t in column if t[3]) for column in columns)
     return memo[b]
@@ -190,9 +188,6 @@ def _irregular_rows(v2: tuple[Column, ...], twist: Twist, support: list[Coeffici
 # closed-form sections
 # ---------------------------------------------------------------------------
 
-_HALF = Fraction(1, 2)
-
-
 def build_phi1(e: ExtParams, p: Phi1Params) -> PolyMat2:
     """O(2,0)-component on chart V1 from the six free C1 coefficients.
 
@@ -201,21 +196,41 @@ def build_phi1(e: ExtParams, p: Phi1Params) -> PolyMat2:
     and r = c02 + c12 z1,
 
         A1 = q ((c01 + c11 z1)/2 + r z2),    B1 = -q^2 r.
+
+    B1 goes over d^2 Dr, A1 over 2 d Da and C1 over D1, where Dr | Da | D1 are the
+    lcms of the denominators of (c02, c12), of (c01, c11, c02, c12) and of all six.
     """
-    q, q2, _ = e._cocycle
-    r = BiPoly({(1, 0): p.c12, (0, 0): p.c02})
-    a1 = q * (BiPoly({(1, 0): p.c11, (0, 0): p.c01}) * _HALF + r * Z2)
-    c1 = BiPoly(
-        {(0, 0): p.c00, (0, 1): p.c01, (0, 2): p.c02, (1, 0): p.c10, (1, 1): p.c11, (1, 2): p.c12}
-    )
-    return PolyMat2.trace_free(a1, -(q2 * r), c1)
+    U, V, d = e._ints
+    c = map(_as_rat, (p.c00, p.c01, p.c02, p.c10, p.c11, p.c12))
+    (n00, m00), (n01, m01), (n02, m02), (n10, m10), (n11, m11), (n12, m12) = (
+        (x.numerator, x.denominator) for x in c)
+    dr = math.lcm(m02, m12)
+    da = math.lcm(dr, m01, m11)
+    d1 = math.lcm(da, m00, m10)
+    r02, r12, uu, uv, vv = n02 * (dr // m02), n12 * (dr // m12), U * U, 2 * U * V, V * V
+    a01, a11, k, s, t = n01 * (da // m01), n11 * (da // m11), 2 * (da // dr), d1 // da, d1 // dr
+    a1 = _normalized({(0, 0): V * a01, (1, 0): U * a01 + V * a11, (2, 0): U * a11,
+                      (0, 1): k * V * r02, (1, 1): k * (U * r02 + V * r12), (2, 1): k * U * r12},
+                     2 * d * da)
+    b1 = _normalized({(0, 0): -vv * r02, (1, 0): -vv * r12 - uv * r02,
+                      (2, 0): -uu * r02 - uv * r12, (3, 0): -uu * r12}, d * d * dr)
+    c1 = _normalized({(0, 0): n00 * (d1 // m00), (0, 1): a01 * s, (0, 2): r02 * t,
+                      (1, 0): n10 * (d1 // m10), (1, 1): a11 * s, (1, 2): r12 * t}, d1)
+    return PolyMat2.trace_free(a1, b1, c1)
 
 
 def build_phi2(e: ExtParams, p: Phi2Params) -> PolyMat2:
-    """O(0,2)-component on chart V1: upper triangular with
-    A2 = a00 + a01 z2 + a02 z2^2 and B2 = b00 + b10 z1 - 2 a02 q z2, q = u z1 + v."""
-    a2 = BiPoly({(0, 0): p.a00, (0, 1): p.a01, (0, 2): p.a02})
-    b2 = BiPoly({(0, 0): p.b00, (1, 0): p.b10}) - e._cocycle[2] * (2 * p.a02)
+    """O(0,2)-component on chart V1: upper triangular with A2 = a00 + a01 z2 + a02 z2^2
+    and B2 = b00 + b10 z1 - 2 a02 q z2, q = u z1 + v, over d lcm(den a02, b00, b10)."""
+    U, V, d = e._ints
+    (n00, m00), (n01, m01), (n02, m02), (k00, l00), (k10, l10) = (
+        (x.numerator, x.denominator) for x in map(_as_rat, (p.a00, p.a01, p.a02, p.b00, p.b10)))
+    da, db = math.lcm(m00, m01, m02), math.lcm(m02, l00, l10)
+    a2 = _normalized({(0, 0): n00 * (da // m00), (0, 1): n01 * (da // m01),
+                      (0, 2): n02 * (da // m02)}, da)
+    w = -2 * n02 * (db // m02)
+    b2 = _normalized({(0, 0): d * k00 * (db // l00), (1, 0): d * k10 * (db // l10),
+                      (0, 1): V * w, (1, 1): U * w}, d * db)
     return PolyMat2.trace_free(a2, b2, BiPoly.zero())
 
 
@@ -335,6 +350,8 @@ def stratum_classify(m: ModuliPoint) -> ModuliPoint:
     if m.stratum is Stratum.S0:
         if not (m.ext.is_trivial() and isinstance(m.params, TrivialFieldData)):
             raise InconsistentPoint("S0 needs a trivial extension with split field data")
+        for x in (m.params.p, *m.params.w):
+            _as_rat(x)  # a float raises TypeError; the values stay as they are
         return m
     if m.ext.is_trivial():
         raise InconsistentPoint(f"{m.stratum.value} needs a non-trivial extension class")
@@ -343,6 +360,8 @@ def stratum_classify(m: ModuliPoint) -> ModuliPoint:
         raise InconsistentPoint(
             f"{m.stratum.value} carries {expected.__name__}, got {type(m.params).__name__}"
         )
+    for x in vars(m.params).values():
+        _as_rat(x)
     scale = u if u else v
     return ModuliPoint(ExtParams(u / scale, v / scale), m.stratum, m.params)
 

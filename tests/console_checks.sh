@@ -42,6 +42,19 @@ python -c 'import json, sys; sys.set_int_max_str_digits(0); a = json.load(open("
 # Phi_2 alone commutes with the zero Phi_1: the dichotomy is Phi2Only
 timeout 5 "${cohiggs[@]}" ext build --u "$u" --v="$v" --phi2 phi2.json > phi2only.json
 python -c 'import json, sys; sys.set_int_max_str_digits(0); a = json.load(open("phi2only.json")); assert a["glue_check"] == {"phi1": True, "phi2": True} and a["dichotomy"] == "Phi2Only", (a["glue_check"], a["dichotomy"])'
+# the same class with all eleven free coefficients fractions of unrelated
+# 4,000-digit numerators and denominators: each entry goes over the lcm
+# of the denominators it reads, and the answer comes well within 5 s
+python - <<'EOF'
+import json, random
+rng = random.Random(4001)
+big = lambda: rng.randrange(10**3999, 10**4000)
+frac = lambda: {"num": rng.choice([-1, 1]) * big(), "den": big()}
+json.dump({k: frac() for k in ("c00", "c01", "c02", "c10", "c11", "c12")}, open("phi1_big.json", "w"))
+json.dump({k: frac() for k in ("a00", "a01", "a02", "b00", "b10")}, open("phi2_big.json", "w"))
+EOF
+timeout 5 "${cohiggs[@]}" ext build --u "$u" --v="$v" --phi1 phi1_big.json --phi2 phi2_big.json > build_big.json
+python -c 'import json, sys; sys.set_int_max_str_digits(0); a = json.load(open("build_big.json")); assert a["glue_check"] == {"phi1": True, "phi2": True} and a["dichotomy"] == "NotIntegrable", (a["glue_check"], a["dichotomy"])'
 # a batch with 4,000-digit alpha and beta: each line is written with
 # the int->str cap lifted (once per run), so gamma' of about 8,000
 # digits prints, one line per tuple.  The lines come from one

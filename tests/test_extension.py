@@ -271,6 +271,52 @@ def test_closed_forms_equal_termwise_reference():
             _assert_same_storage(build_phi2(e, p2), build_phi2_termwise(e, p2))
 
 
+_P1_SLOTS = ("c00", "c01", "c02", "c10", "c11", "c12")
+_P2_SLOTS = ("a00", "a01", "a02", "b00", "b10")
+
+
+@pytest.mark.parametrize("slot", _P1_SLOTS + _P2_SLOTS)
+def test_a_float_parameter_raises_type_error_on_every_call(slot):
+    e = ExtParams(F(3, 4), F(-5, 6))
+    build, params = (build_phi1, Phi1Params) if slot in _P1_SLOTS else (build_phi2, Phi2Params)
+    names = _P1_SLOTS if slot in _P1_SLOTS else _P2_SLOTS
+    p = params(**{k: (0.5 if k == slot else F(1, 3)) for k in names})
+    for _ in range(3):
+        with pytest.raises(TypeError, match="^expected an integer or Fraction, got float$"):
+            build(e, p)
+    # the same slot with an equal Fraction builds
+    assert build(e, dataclasses.replace(p, **{slot: F(1, 2)}))
+
+
+def test_a_float_class_derives_no_integers():
+    for e in (ExtParams(0.5, F(1)), ExtParams(F(1), 1.5)):
+        for call in (lambda: build_phi1(e, Phi1Params(c01=F(1))),
+                     lambda: build_phi2(e, Phi2Params(a02=F(1))), lambda: _v1_to_v2(e, TWIST_02)):
+            with pytest.raises(TypeError):
+                call()
+        assert "_ints" not in vars(e) and not vars(e).get("_v2_columns")
+
+
+def test_each_entry_keeps_the_denominators_it_reads():
+    """A1 goes over 2 d Da, B1 over d^2 Dr and C1 over D1 (the lcms of the
+    denominators of (c02, c12), of (c01, c11, c02, c12) and of all six), so a
+    huge denominator in c00 alone reaches C1 only."""
+    huge = 10**400 + 1
+    for e in (ExtParams(F(3, 4), F(-5, 6)), ExtParams(F(0), F(7, 9)), ExtParams(F(-2, 5), 0)):
+        u, v = F(e.u), F(e.v)
+        d = math.lcm(u.denominator, v.denominator)
+        small = Phi1Params(F(1, 2), F(3, 7), F(-5, 11), F(2, 13), F(-1, 3), F(4, 5))
+        for p in (small, dataclasses.replace(small, c00=F(1, huge))):
+            m = build_phi1(e, p)
+            _assert_same_storage(m, build_phi1_termwise(e, p))
+            a1, b1, c1 = m.entry(0, 0), m.entry(0, 1), m.entry(1, 0)
+            assert (2 * d * math.lcm(7, 3, 11, 5)) % a1._den == 0
+            assert (d * d * math.lcm(11, 5)) % b1._den == 0
+            assert c1._den == math.lcm(*(F(x).denominator for x in dataclasses.astuple(p)))
+        assert c1._den % huge == 0 and a1._den == build_phi1(e, small).entry(0, 0)._den
+        assert b1._den == build_phi1(e, small).entry(0, 1)._den
+
+
 def test_glue_check_accepts_constructors():
     rng = random.Random(13)
     for _ in range(100):
@@ -456,6 +502,30 @@ def test_stratum_classify_normalizes_int_classes_to_fractions():
 def test_stratum_classify_rejects_float_class(e, stratum, params):
     with pytest.raises(TypeError):
         stratum_classify(ModuliPoint(e, stratum, params))
+
+
+@pytest.mark.parametrize("e, stratum, params", [
+    (ExtParams(0, 0), Stratum.S0, TrivialFieldData(0.5, (F(1, 2), 2, F(3)))),
+    (ExtParams(0, 0), Stratum.S0, TrivialFieldData(F(1, 2), (1.5, 2, 3))),
+    (ExtParams(F(0), F(0)), Stratum.S0, TrivialFieldData(F(1, 2), (F(1), 2, 3.0))),
+    (ExtParams(1, 2), Stratum.S1, Phi1Params(c00=0.5)),
+    (ExtParams(F(1), F(2)), Stratum.S1, Phi1Params(c12=2.0)),
+    (ExtParams(F(-3), 0), Stratum.S2, Phi2Params(a02=0.25)),
+    (ExtParams(1, F(1, 3)), Stratum.S2, Phi2Params(b10=-1.0)),
+], ids=["S0-p", "S0-w0", "S0-w2", "S1-c00", "S1-c12", "S2-a02", "S2-b10"])
+def test_stratum_classify_rejects_float_params(e, stratum, params):
+    with pytest.raises(TypeError, match="^expected an integer or Fraction, got float$"):
+        stratum_classify(ModuliPoint(e, stratum, params))
+
+
+def test_stratum_classify_returns_exact_params_unchanged():
+    points = [ModuliPoint(ExtParams(0, 0), Stratum.S0, TrivialFieldData(F(1, 2), (F(1, 2), 2, F(3)))),
+              ModuliPoint(ExtParams(2, 4), Stratum.S1, Phi1Params(1, F(1, 2), 0, F(-3), 5, F(7, 9))),
+              ModuliPoint(ExtParams(0, F(3)), Stratum.S2, Phi2Params(F(1, 4), 2, 0, F(-1), 3))]
+    for point in points:
+        got = stratum_classify(point)
+        assert got.params is point.params and got.stratum is point.stratum
+    assert stratum_classify(points[0]) is points[0]
 
 
 def test_weak_iso_rejects_float_class():
@@ -674,10 +744,10 @@ def test_trivial_extension_normal_form_errors():
 
 
 # -- the class memo ------------------------------------------------------------------
-# An extension class derives its cocycle q = u z1 + v, q^2, q z2 and its V1 -> V2
-# columns once, on first use.  Every answer on a class that has answered before
-# equals the answer on a fresh equal class, the class keeps its value semantics,
-# and a float class raises TypeError on every call.
+# An extension class derives its integers (U, V, d), u = U/d, v = V/d, and its
+# V1 -> V2 columns once, on first use.  Every answer on a class that has answered
+# before equals the answer on a fresh equal class, the class keeps its value
+# semantics, and a float class raises TypeError on every call.
 
 
 def _fresh(e: ExtParams) -> ExtParams:
@@ -713,33 +783,48 @@ def _memo_chain(e: ExtParams) -> tuple:
 
 
 def test_each_class_derives_its_data_once(monkeypatch):
-    calls = {"_as_rat": 0, "BiPoly.__mul__": 0}
-
-    def counting(name, real):
-        def wrapper(*args):
-            calls[name] += 1
-            return real(*args)
-        return wrapper
-
-    # _v1_to_v2 reads u and v through _as_rat only when it builds columns
-    monkeypatch.setattr(ext, "_as_rat", counting("_as_rat", ext._as_rat))
-    monkeypatch.setattr(BiPoly, "__mul__", counting("BiPoly.__mul__", BiPoly.__mul__))
     e = ExtParams(F(3, 4), F(-5, 6))
+    calls = {"u, v": 0, "in commute": 0, "outside commute": 0}
+    depth = [0]
+
+    def reads(x):
+        # no parameter of _memo_chain equals 3/4 or -5/6
+        calls["u, v"] += x in (e.u, e.v)
+        return real_as_rat(x)
+
+    def products(*args):
+        calls["in commute" if depth[0] else "outside commute"] += 1
+        return real_mul(*args)
+
+    def commuting(*args):
+        depth[0] += 1
+        try:
+            return real_commute(*args)
+        finally:
+            depth[0] -= 1
+
+    real_as_rat, real_mul, real_commute = ext._as_rat, BiPoly.__mul__, ext.commute
+    monkeypatch.setattr(ext, "_as_rat", reads)
+    monkeypatch.setattr(BiPoly, "__mul__", products)
+    monkeypatch.setattr(ext, "commute", commuting)
     first = _memo_chain(e)
     once = dict(calls)
-    # the columns are built once per twist exponent
-    assert once["_as_rat"] == 4 and set(vars(e)["_v2_columns"]) == {TWIST_20[1], TWIST_02[1]}
+    # u and v are read once, into (U, V, d); the columns are built once per twist exponent
+    assert once["u, v"] == 2 and vars(e)["_ints"] == (3 * 3, -5 * 2, 12)
+    columns = dict(vars(e)["_v2_columns"])
+    assert set(columns) == {TWIST_20[1], TWIST_02[1]}
     assert _memo_chain(e) == first
-    # the second pass builds no column, and neither q^2 nor q z2
-    assert calls["_as_rat"] == 4
-    assert calls["BiPoly.__mul__"] - once["BiPoly.__mul__"] == once["BiPoly.__mul__"] - 2
+    assert calls["u, v"] == 2 and all(vars(e)["_v2_columns"][b] is columns[b] for b in columns)
+    # the sections and glue checks make no BiPoly product; commute makes the same ones again
+    assert once["outside commute"] == 0 < once["in commute"]
+    assert calls["outside commute"] == 0 and calls["in commute"] == 2 * once["in commute"]
     assert _v1_to_v2(e, TWIST_20) is _v1_to_v2(e, TWIST_20)
 
 
 def test_derived_class_data_leave_value_semantics_alone():
     e = ExtParams(F(3, 4), F(-5, 6))
     _memo_chain(e)
-    assert {"_cocycle", "_v2_columns"} <= vars(e).keys()
+    assert {"_ints", "_v2_columns"} <= vars(e).keys()
     g = _fresh(e)
     assert e == g and hash(e) == hash(g) and repr(e) == repr(g)
     names = [x.name for x in dataclasses.fields(e)]

@@ -10,10 +10,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from cohiggs import extension
+from cohiggs import extension, higgs
 from cohiggs._univariate import shifted_rows
+from cohiggs.cohomology import LineBundle
 from cohiggs.exactalg import BiPoly
 from cohiggs.extension import ExtParams, end0T_dimension
+from cohiggs.higgs import DecomposableBundle, StabilityClass, field, stability_classify
 from cohiggs.linalg import _clear_singletons, rank
 from oracles import (
     big_rat,
@@ -462,3 +464,43 @@ def test_elimination_growth_on_the_limit_quartic(digits):
     r, widest = widest_entry_of_rank(quartic_sylvester_rows(quartic_numerators(rho)))
     assert r == 7
     assert 25.5 * bits < widest <= 26 * bits
+
+
+def limit_oo_fields(digits: int):
+    """The two O+O fields of the console checks' limit family, at this many
+    digits: nine Phi_1 coefficients that are fractions of unrelated numerators
+    and denominators (Stable), and A = p_k/q_k, C = r_k/q_k, B = C - 2A at
+    each degree k, which share the eigenvector (1, 1) (StrictlySemistable)."""
+    rng = random.Random(digits)
+
+    def big():
+        return rng.randrange(10 ** (digits - 1), 10**digits)
+
+    oo = DecomposableBundle(LineBundle(0, 0), LineBundle(0, 0))
+    free = [BiPoly({(k, 0): F(big(), big()) for k in range(3)}) for _ in range(3)]
+    p, r, q = ([big() for _ in range(3)] for _ in range(3))
+    a, c = (BiPoly({(k, 0): F(x[k], q[k]) for k in range(3)}) for x in (p, r))
+    return [(field(oo, *free), StabilityClass.STABLE, 4, 8),
+            (field(oo, a, c - 2 * a, c), StabilityClass.STRICTLY_SEMISTABLE, 3, 1.5)]
+
+
+@pytest.mark.parametrize("digits", [500, 1000])
+def test_elimination_growth_on_the_limit_eigenvector_rows(digits, monkeypatch):
+    """The rows x*q, y*q that higgs._share_a_root hands rank for the O+O
+    limit family, read off the call itself: the quadratics of the three
+    coefficient matrices, on the int numerators over the lcm of nine
+    denominators.  The entries rank holds stay within k times the input's
+    bits, the largest coefficient's numerator and denominator bits together,
+    with k = 8 for the Stable field (7.99x at 500 and 1,000 digits, 8.00x at
+    4,000) and k = 1.5 for the StrictlySemistable one (1.50x at all three)."""
+    calls = []
+    monkeypatch.setattr(higgs, "rank", lambda rows: calls.append(rows) or rank(rows))
+    for f, verdict, want, k in limit_oo_fields(digits):
+        calls.clear()
+        assert stability_classify(f) is verdict
+        (rows,) = calls
+        coeffs = [c for x in f.entries()[:3] for *_, c in x.terms()]
+        bits = max(c.numerator.bit_length() + c.denominator.bit_length() for c in coeffs)
+        r, widest = widest_entry_of_rank(rows)
+        assert (r, len(rows)) == (want, 6)
+        assert 0.99 * k * bits < widest <= k * bits
