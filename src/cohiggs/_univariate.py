@@ -1,7 +1,7 @@
 """Sylvester-type rows of univariate polynomials ({degree: coefficient}).
 
-The package asks one root question of them, a common root of the
-eigenvector quadratics of ``higgs``, answered by :func:`cohiggs.linalg.rank`.
+The package's root questions are answered by invariants, with no rows: the
+tests build their rank references from these.
 """
 
 from __future__ import annotations

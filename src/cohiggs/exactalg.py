@@ -132,6 +132,10 @@ class BiPoly:
             max(j for _, j in self._terms),
         )
 
+    def within(self, a: int, b: int) -> bool:
+        """Every monomial z1^i z2^j has i <= a and j <= b (zero is within any box)."""
+        return all(i <= a and j <= b for i, j in self._terms)
+
     def leading_coefficient(self) -> Fraction:
         if not self._terms:
             return Fraction(0)

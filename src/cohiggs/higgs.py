@@ -20,8 +20,9 @@ reads the bundle only through its twist class d = L1 - L2, as the slots do.
 It is decided where a complete criterion exists: every d of nonzero slope
 (the dominant summand is the unique destabilizer) and d = O(0,0), the
 twists L+L of O+O (strict semistability is a common eigenvector of the six
-coefficient matrices, decided by one :func:`linalg.rank`).  The other
-classes of slope 0, L1 != L2 with equal slopes, are Unsupported.
+coefficient matrices, a common root of their eigenvector quadratics, which
+a cross product and the resultant of two binary quadratics decide).  The
+other classes of slope 0, L1 != L2 with equal slopes, are Unsupported.
 
 Nothing here conjugates.  The graded object of a strictly semistable field
 on L+L is the diagonal of its eigenvalues along a rational common
@@ -39,11 +40,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import isqrt
 from typing import NamedTuple
 
-from ._univariate import shifted_rows
 from .cohomology import LineBundle
 from .errors import (
     BundleMismatch,
@@ -57,7 +57,6 @@ from .errors import (
     ZeroC1,
 )
 from .exactalg import BiPoly, PolyMat2, _as_rat, _over_lcm, det2
-from .linalg import rank
 
 O = LineBundle
 
@@ -91,23 +90,30 @@ def _difference(b: DecomposableBundle) -> LineBundle:
 
 
 def higgs_shape(b: DecomposableBundle) -> HiggsShape:
-    d = _difference(b)
+    return _shape(b.L1.a - b.L2.a, b.L1.b - b.L2.b)
+
+
+@lru_cache(maxsize=1024)  # a fixed size bounds the memo's memory
+def _shape(a: int, b: int) -> HiggsShape:
+    """The slots of the twist class d = O(a, b), built once per class."""
     return HiggsShape(
         a1=O(2, 0),
-        b1=O(d.a + 2, d.b),
-        c1=O(-d.a + 2, -d.b),
+        b1=O(a + 2, b),
+        c1=O(-a + 2, -b),
         a2=O(0, 2),
-        b2=O(d.a, d.b + 2),
-        c2=O(-d.a, -d.b + 2),
+        b2=O(a, b + 2),
+        c2=O(-a, -b + 2),
     )
 
 
 def fits_slot(p: BiPoly, slot: LineBundle) -> bool:
     """True iff every monomial of p lies in the slot's box (zero always fits)."""
-    if not p:
-        return True
-    d1, d2 = p.bidegree()
-    return d1 <= slot.a and d2 <= slot.b
+    return p.within(slot.a, slot.b)
+
+
+# the slots of rho1, rho12 and rho2, and of a, b, c pulled back along each axis
+_RHO_SLOTS = (O(4, 0), O(2, 2), O(0, 4))
+_PULLBACK_BOUNDS = {1: ((2, 0), (3, 0), (1, 0)), 2: ((0, 2), (0, 3), (0, 1))}
 
 
 @dataclass(frozen=True)
@@ -119,11 +125,7 @@ class SpectralData:
     rho2: BiPoly
 
     def __post_init__(self):
-        for poly, slot in (
-            (self.rho1, O(4, 0)),
-            (self.rho12, O(2, 2)),
-            (self.rho2, O(0, 4)),
-        ):
+        for poly, slot in zip((self.rho1, self.rho12, self.rho2), _RHO_SLOTS):
             if not fits_slot(poly, slot):
                 raise SlotViolation(f"component does not fit the slot {slot}")
 
@@ -259,17 +261,29 @@ def common_eigenvector_exists(mats) -> bool:
     """True iff the given constant trace-free matrices share an eigenvector.
 
     An empty or all-zero family is vacuously True.  The quadratics share a
-    projective root over the algebraic closure iff the rows x*q, y*q span
-    at most 3 of the 4 dimensions of binary cubics: a common linear factor
-    divides every row, and two quadratics without one already span all
-    cubics (their Sylvester matrix is nonsingular).
+    projective root over the algebraic closure iff their span is at most a
+    line (a nonzero binary quadratic has a root), or a plane whose two basis
+    members have a zero resultant; a span of all quadratics holds x^2 and
+    y^2, which share none.
     """
     return _share_a_root(map(eigen_quadratic, mats))
 
 
 def _share_a_root(quads) -> bool:
-    rows = [r for q20, q11, q02 in quads for r in shifted_rows({2: q20, 1: q11, 0: q02}, 2)]
-    return rank(rows) <= 3  # the rows y*q, x*q, with the power of x as the column
+    """The rule of :func:`common_eigenvector_exists` on (q20, q11, q02) triples.
+    For the first nonzero p = (a, b, c) and the first q = (a', b', c') off its
+    line, n = p x q is normal to their plane, and their resultant
+    (ac' - a'c)^2 - (ab' - a'b)(bc' - b'c) is n1^2 - n0 n2 (Salmon, 1885)."""
+    quads = iter(quads)
+    a, b, c = next((q for q in quads if any(q)), (0, 0, 0))
+    for x, y, z in quads:
+        if any(n := (b * z - c * y, c * x - a * z, a * y - b * x)):
+            break
+    else:
+        return True  # span at most a line
+    # a member off the plane makes the span all quadratics
+    return (not any(n[0] * x + n[1] * y + n[2] * z for x, y, z in quads)
+            and n[1] * n[1] == n[0] * n[2])
 
 
 def _rational_common_eigenvector(quads: list[tuple[int, int, int]]):
@@ -454,7 +468,7 @@ def section_Q(rho: BiPoly, axis: int) -> HiggsField:
     O(0,1)+O(0,-1) (axis 2); det Phi_axis = rho, so this right-inverts the
     corresponding component of the Hitchin map."""
     _check_axis(axis)
-    slot = O(4, 0) if axis == 1 else O(0, 4)
+    slot = _RHO_SLOTS[0 if axis == 1 else 2]
     if not fits_slot(rho, slot):
         raise SlotViolation(f"rho does not fit the slot {slot}")
     return _on_axis(_PM1_BUNDLE, PolyMat2([[0, -rho], [1, 0]]), axis)
@@ -478,9 +492,8 @@ def pullback_from_line(a: BiPoly, b: BiPoly, c: BiPoly, axis: int) -> PullbackFi
     eta^2 = -rho(p) is eta^2 = a(p)^2 + b(p)c(p).
     """
     _check_axis(axis)
-    bounds = ((2, 0), (3, 0), (1, 0)) if axis == 1 else ((0, 2), (0, 3), (0, 1))
-    for poly, bound in zip((a, b, c), bounds):
-        if not fits_slot(poly, O(*bound)):
+    for poly, bound in zip((a, b, c), _PULLBACK_BOUNDS[axis]):
+        if not poly.within(*bound):
             raise SlotViolation(f"{poly} does not fit the slot O{bound}")
     if not c:
         raise ZeroC("the lower-left entry must be nonzero for stability")

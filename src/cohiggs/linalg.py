@@ -1,10 +1,9 @@
 """Exact rank over the rationals, eliminated on integer rows.
 
 One forward elimination serves every exact linear-algebra question in the
-package: the dimension counts of the extension ansatz, and the common-root
-question of ``higgs``, which asks whether Sylvester-type rows are of full
-rank.  Pivoting is by first nonzero entry over the sorted
-columns, where a column is any sortable key.  Rows are held sparsely, as
+package, the dimension counts of the extension ansatz; no root question
+reaches it.  Pivoting is by first nonzero entry over the sorted columns,
+where a column is any sortable key.  Rows are held sparsely, as
 ``{column: entry}`` dicts of their nonzero entries (``extension`` keys its
 forms by ``(comp, i, j)``; a dense list row is keyed by position).
 

@@ -145,6 +145,36 @@ test "$(timeout 5 "${cohiggs[@]}" higgs check --field oo_free.json)" = '{"valid"
 test "$(timeout 5 "${cohiggs[@]}" higgs check --field oo_ss.json)" = '{"valid": true, "integrable": true, "stability": "StrictlySemistable"}'
 timeout 5 "${cohiggs[@]}" higgs graded --field oo_ss.json > oo_ss.out.json
 python -c 'import json, sys; from fractions import Fraction as Q; sys.set_int_max_str_digits(0); g = json.load(open("oo_ss.out.json"))["field"]["phi1"]["m"]; want = {(k, 0): Q(n, d) for k, n, d in json.load(open("oo_ss_graded.json"))}; assert g[1][0] == g[0][1] == {"monomials": []}; assert {(t["i"], t["j"]): Q(t["num"], t["den"]) for t in g[0][0]["monomials"]} == want'
+# the two other branches of the common-root rule at the same size, each
+# within 2 s.  Three coefficient matrices whose eigenvector quadratics
+# q = (c, -2a, -b) are P, R and P + R, for 4,000-digit P and R with a
+# nonzero resultant, each over its own 4,000-digit denominator, span a
+# pencil with no common root: Stable.  Three multiples t_k (3 5; 7 -3)
+# span a line whose quadratic 7x^2 - 6xy - 5y^2 has the irrational roots
+# (3 +- 2 sqrt 11)/7: StrictlySemistable, with no rational graded object
+python - <<'EOF'
+import json, random
+rng = random.Random(4002)
+big = lambda: rng.randrange(10**3999, 10**4000)
+m = lambda i, num, den: {"i": i, "j": 0, "num": num, "den": den}
+tf = lambda a, b, c: {"m": [[{"monomials": a}, {"monomials": b}], [{"monomials": c}, {"monomials": [dict(t, num=-t["num"]) for t in a]}]]}
+zero = tf([], [], [])
+P, R = ((big(), 2 * big(), -big()) for _ in range(2))
+assert (P[0] * R[2] - R[0] * P[2]) ** 2 != (P[0] * R[1] - R[0] * P[1]) * (P[1] * R[2] - R[1] * P[2])
+q = [P, R, tuple(x + y for x, y in zip(P, R))]
+d = [big() for _ in range(3)]
+pencil = tf([m(k, -q[k][1] // 2, d[k]) for k in range(3)], [m(k, -q[k][2], d[k]) for k in range(3)], [m(k, q[k][0], d[k]) for k in range(3)])
+t = [(big(), big()) for _ in range(3)]
+line = tf(*([m(k, e * n, den) for k, (n, den) in enumerate(t)] for e in (3, 5, 7)))
+json.dump({"bundle": {"L1": [0, 0], "L2": [0, 0]}, "phi1": pencil, "phi2": zero}, open("oo_pencil.json", "w"))
+json.dump({"bundle": {"L1": [0, 0], "L2": [0, 0]}, "phi1": line, "phi2": zero}, open("oo_line.json", "w"))
+EOF
+test "$(timeout 2 "${cohiggs[@]}" higgs check --field oo_pencil.json)" = '{"valid": true, "integrable": true, "stability": "Stable"}'
+test "$(timeout 2 "${cohiggs[@]}" higgs check --field oo_line.json)" = '{"valid": true, "integrable": true, "stability": "StrictlySemistable"}'
+code=0
+out="$(timeout 2 "${cohiggs[@]}" higgs graded --field oo_line.json)" || code=$?
+test "$code" = 1
+echo "$out" | python -c 'import json, sys; assert json.load(sys.stdin)["error"]["kind"] == "IrrationalEigenvector"'
 # a generic quartic rho1 whose five coefficients are fractions with
 # 4,000-digit numerator and denominator: its invariants I and J take a
 # few products of integers of about 20,000 digits, well within 2 s

@@ -129,6 +129,49 @@ def brute_force_common_eigenvector(mats) -> bool:
     return False
 
 
+def share_a_root_by_sylvester(quads) -> bool:
+    """A common projective root of the binary quadratics (q20, q11, q02), by
+    the rank rule ``higgs._share_a_root`` used before its resultant: the rows
+    y*q and x*q span at most 3 of the 4 dimensions of binary cubics, since a
+    common linear factor divides every row and two quadratics without one
+    already span all cubics (their Sylvester matrix is nonsingular)."""
+    rows = [r for q20, q11, q02 in quads for r in shifted_rows({2: q20, 1: q11, 0: q02}, 2)]
+    return rank(rows) <= 3
+
+
+def quadratic_families(rng: random.Random, count: int):
+    """Families of 1-6 integer triples (q20, q11, q02) at heights 3, 10**6
+    and 10**30, some with zero members, in turn: multiples of one quadratic,
+    a planted common linear factor (y, the root [1:0], or a random one),
+    members of the pencil of two random quadratics, and random triples."""
+    for k in range(count):
+        h = rng.choice([3, 10**6, 10**30])
+
+        def r():
+            return rng.randint(-h, h)
+
+        def small():
+            return rng.randint(-3, 3)
+
+        size, kind = rng.randint(1, 6), k % 4
+        if kind == 0:
+            p = (r(), r(), r())
+            fam = [tuple(s * x for x in p) for s in (small() for _ in range(size))]
+        elif kind == 1:
+            l0, l1 = (0, 1) if rng.random() < 0.25 else (r(), r())
+            fam = [(l0 * m0, l0 * m1 + l1 * m0, l1 * m1)
+                   for m0, m1 in ((r(), r()) for _ in range(size))]
+        elif kind == 2:
+            p, q = (r(), r(), r()), (r(), r(), r())
+            fam = [tuple(s * x + t * y for x, y in zip(p, q))
+                   for s, t in ((small(), small()) for _ in range(size))]
+        else:
+            fam = [(r(), r(), r()) for _ in range(size)]
+        if rng.random() < 0.2:
+            fam.insert(rng.randint(0, len(fam)), (0, 0, 0))
+        yield fam
+
+
 def coefficient_matrices_by_coeff(f: HiggsField) -> list[list[list[Fraction]]]:
     """The six constant matrices of a field on L+L as ``Fraction`` rows, read
     coefficient by coefficient: M0, M1, M2 (z1-coefficients of Phi_1), then

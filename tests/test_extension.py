@@ -903,7 +903,7 @@ def test_a_float_class_raises_type_error_on_every_call(e):
         for call in calls:
             with pytest.raises(TypeError):
                 call()
-    assert "_cocycle" not in vars(e) and not vars(e).get("_v2_columns")
+    assert "_ints" not in vars(e) and not vars(e).get("_v2_columns")
 
 
 # -- the ansatz's singleton pass, once per twist and shape ----------------------

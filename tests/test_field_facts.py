@@ -141,6 +141,25 @@ def test_the_spectral_datum_is_built_once_per_field(monkeypatch):
     assert spectral.hitchin_map(g) == s and spectral.fibre_over_point(g, F(1), F(2)) == fibre
 
 
+@pytest.mark.parametrize("bundle", [DecomposableBundle(O(3, 1), O(3, 1)),
+                                    DecomposableBundle(O(2, -5), O(1, -5))], ids=str)
+def test_slot_checks_build_no_line_bundle_after_the_first_field_of_a_class(bundle, monkeypatch):
+    # the slots of a twist class are built once, and those of rho and of the
+    # pullbacks are module constants
+    rng = random.Random(5)
+    first, f = random_integrable_field(rng, bundle), random_integrable_field(rng, bundle)
+    assert higgs.validate_field(first) and spectral.hitchin_map(first)
+    built = []
+    real = O.__init__
+    monkeypatch.setattr(O, "__init__", lambda self, *args: built.append(args) or real(self, *args))
+    assert higgs.validate_field(f) and spectral.hitchin_map(f) == f._hitchin
+    higgs.section_Q(f._hitchin.rho1, 1)
+    higgs.pullback_from_line(Z1, Z1, BiPoly.const(1), 1)
+    assert built == []
+    higgs.stability_classify(f)  # its twist class d is a LineBundle
+    assert len(built) == 1  # which the wrapper sees
+
+
 @pytest.mark.parametrize("bad, error", [
     (field(B_F0, b1=Z1**4), (SlotViolation, "field violates its shape slots")),
     (field(B_OO, b1=BiPoly.const(1), c2=BiPoly.const(1)),

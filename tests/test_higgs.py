@@ -30,6 +30,7 @@ from cohiggs.higgs import (
     common_eigenvector_exists,
     eigen_quadratic,
     field,
+    fits_slot,
     graded_object,
     higgs_shape,
     is_integrable,
@@ -41,6 +42,7 @@ from cohiggs.higgs import (
     stability_classify,
     validate_field,
 )
+from cohiggs.linalg import rank
 from oracles import (
     brute_force_common_eigenvector,
     check_conjugation,
@@ -50,6 +52,7 @@ from oracles import (
     mat_scale,
     membership,
     normal_form_F0_by_conjugation,
+    quadratic_families,
     random_bipoly,
     random_constant_invertible,
     random_field,
@@ -58,6 +61,7 @@ from oracles import (
     random_strictly_semistable_field,
     random_univariate,
     rational_common_eigenvector_by_fractions,
+    share_a_root_by_sylvester,
     slot_poly,
     storage,
     trace_free_part,
@@ -81,6 +85,22 @@ def test_higgs_shape_examples():
     s = higgs_shape(B_OO)
     assert (s.a1, s.b1, s.c1) == (O(2, 0),) * 3
     assert (s.a2, s.b2, s.c2) == (O(0, 2),) * 3
+
+
+def test_fits_slot_is_the_bidegree_rule():
+    # one pass over the monomials answers what the bidegree's two maxima did,
+    # zero included, on boxes with negative sides too
+    rng = random.Random(36)
+    seen = set()
+    for _ in range(400):
+        d1, d2 = rng.randint(0, 4), rng.randint(0, 4)
+        p = random_bipoly(rng, d1, d2, density=rng.choice([0.0, 0.3, 0.8]))
+        slot = O(rng.randint(-1, 4), rng.randint(-1, 4))
+        hi1, hi2 = p.bidegree()
+        want = not p or (hi1 <= slot.a and hi2 <= slot.b)
+        assert fits_slot(p, slot) == p.within(slot.a, slot.b) == want, (p, slot)
+        seen.add((bool(p), want))
+    assert seen == {(False, True), (True, True), (True, False)}
 
 
 def test_validate_field_rejects_forced_zero_slot():
@@ -261,6 +281,24 @@ def test_eigen_quadratic_rejects_floats():
 def test_common_eigenvector_trivial_families():
     assert common_eigenvector_exists([])
     assert common_eigenvector_exists([[[0, 0], [0, 0]]])
+
+
+def test_share_a_root_matches_sylvester_rank():
+    # the closed form against the Sylvester rows' rank on a few thousand
+    # integer families, and on the same families as Fraction matrices
+    # (a b; c -a) with quadratic (c, -2a, -b); each case of the rule occurs
+    rng = random.Random(14)
+    cases = dict.fromkeys(("line", "pencil_root", "pencil_no_root", "all"), 0)
+    for k, quads in enumerate(quadratic_families(rng, 3000)):
+        want = share_a_root_by_sylvester(quads)
+        assert _share_a_root(quads) == want, quads
+        if k % 10 == 0:
+            mats = [[[F(-q11, 2), -q02], [q20, F(q11, 2)]] for q20, q11, q02 in quads]
+            assert common_eigenvector_exists(mats) == want, quads
+        span = rank([list(q) for q in quads])
+        cases["line" if span <= 1 else "all" if span == 3
+              else "pencil_root" if want else "pencil_no_root"] += 1
+    assert min(cases.values()) >= 300, cases
 
 
 def _random_family(rng: random.Random, planted: str, size: int):

@@ -94,6 +94,16 @@ def test_higgs_check_never_loads_extension(tmp_path):
     assert "cohiggs.extension" not in loaded and "cohiggs.spectral" not in loaded
 
 
+def test_higgs_check_on_o_plus_o_never_loads_elimination(tmp_path):
+    # the common eigenvector of an O+O field is a closed form, with no rows
+    path = tmp_path / "field.json"
+    f = field(DecomposableBundle(O(0, 0), O(0, 0)), a1=Z1, b1=Z1 + 1, c1=Z1 * Z1)
+    path.write_text(json.dumps(jsonio.field_to_json(f)), encoding="utf-8")
+    loaded = _loaded_after(_cli_call(["higgs", "check", "--field", str(path)]))["cohiggs"]
+    assert "cohiggs.higgs" in loaded
+    assert "cohiggs.linalg" not in loaded and "cohiggs._univariate" not in loaded
+
+
 def test_every_reexport_resolves():
     names = [name for names in EXPORTS.values() for name in names]
     code = "import cohiggs\n" + "".join(

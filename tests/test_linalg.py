@@ -480,27 +480,36 @@ def limit_oo_fields(digits: int):
     free = [BiPoly({(k, 0): F(big(), big()) for k in range(3)}) for _ in range(3)]
     p, r, q = ([big() for _ in range(3)] for _ in range(3))
     a, c = (BiPoly({(k, 0): F(x[k], q[k]) for k in range(3)}) for x in (p, r))
-    return [(field(oo, *free), StabilityClass.STABLE, 4, 8),
-            (field(oo, a, c - 2 * a, c), StabilityClass.STRICTLY_SEMISTABLE, 3, 1.5)]
+    return [(field(oo, *free), StabilityClass.STABLE, 3, 13.5),
+            (field(oo, a, c - 2 * a, c), StabilityClass.STRICTLY_SEMISTABLE, 2, 6)]
 
 
 @pytest.mark.parametrize("digits", [500, 1000])
-def test_elimination_growth_on_the_limit_eigenvector_rows(digits, monkeypatch):
-    """The rows x*q, y*q that higgs._share_a_root hands rank for the O+O
-    limit family, read off the call itself: the quadratics of the three
+def test_closed_form_growth_on_the_limit_eigenvector_quadratics(digits, monkeypatch):
+    """The integers that higgs._share_a_root's closed form builds for the O+O
+    limit family, from the quadratics it is handed (those of the three
     coefficient matrices, on the int numerators over the lcm of nine
-    denominators.  The entries rank holds stay within k times the input's
-    bits, the largest coefficient's numerator and denominator bits together,
-    with k = 8 for the Stable field (7.99x at 500 and 1,000 digits, 8.00x at
-    4,000) and k = 1.5 for the StrictlySemistable one (1.50x at all three)."""
+    denominators): the normal n = p x q of the first two independent ones,
+    then n.q of each member (span 3) or n1^2 and n0 n2 (the resultant).  No
+    row is eliminated.  The widest stays within k times the input's bits,
+    the largest coefficient's numerator and denominator bits together, with
+    k = 13.5 for the Stable field, a member off the plane (13.48x at 500 and
+    1,000 digits, 13.50x at 4,000), and k = 6 for the StrictlySemistable
+    one, a plane with a zero resultant (5.99x at 500, 6.00x at 1,000 and
+    4,000)."""
     calls = []
-    monkeypatch.setattr(higgs, "rank", lambda rows: calls.append(rows) or rank(rows))
+    real = higgs._share_a_root
+    monkeypatch.setattr(higgs, "_share_a_root", lambda q: calls.append(q) or real(q))
     for f, verdict, want, k in limit_oo_fields(digits):
         calls.clear()
         assert stability_classify(f) is verdict
-        (rows,) = calls
+        (quads,) = calls
         coeffs = [c for x in f.entries()[:3] for *_, c in x.terms()]
         bits = max(c.numerator.bit_length() + c.denominator.bit_length() for c in coeffs)
-        r, widest = widest_entry_of_rank(rows)
-        assert (r, len(rows)) == (want, 6)
+        (a, b, c), *rest = quads
+        n = next(n for x, y, z in rest if any(n := (b * z - c * y, c * x - a * z, a * y - b * x)))
+        dots = [n[0] * x + n[1] * y + n[2] * z for x, y, z in quads]
+        held = [*n, *dots] if any(dots) else [*n, n[1] * n[1], n[0] * n[2]]
+        assert (3 if any(dots) else 2, len(quads)) == (want, 3)
+        widest = max(abs(v).bit_length() for v in held)
         assert 0.99 * k * bits < widest <= k * bits

@@ -1,7 +1,7 @@
 """sympy cross-checks of the two root questions (skipped where sympy is
 absent): distinct roots of a quartic, which the invariants I and J decide,
-and a common root of the eigenvector quadratics, which a Sylvester-type
-rank decides."""
+and a common root of the eigenvector quadratics, which a cross product and
+the resultant of two binary quadratics decide."""
 
 from __future__ import annotations
 
@@ -11,9 +11,9 @@ from fractions import Fraction as F
 import pytest
 
 from cohiggs.exactalg import BiPoly
-from cohiggs.higgs import common_eigenvector_exists
+from cohiggs.higgs import _share_a_root, common_eigenvector_exists
 from cohiggs.spectral import is_generic_quartic
-from oracles import poly_from_roots, random_rat
+from oracles import poly_from_roots, quadratic_families, random_rat
 
 sympy = pytest.importorskip("sympy")
 X, Y = sympy.symbols("x y")
@@ -99,3 +99,18 @@ def test_common_eigenvector_matches_sympy_gcd():
         assert common_eigenvector_exists(mats) == expected, mats
         shared += expected
     assert 60 < shared < 140  # both answers occur
+
+
+def test_share_a_root_matches_sympy_gcd():
+    # the integer families of the closed form's differential test: a common
+    # root is a gcd of positive degree; both answers occur
+    rng = random.Random(15)
+    shared = 0
+    for quads in quadratic_families(rng, 200):
+        g = sympy.Poly(0, X, Y, domain="ZZ")
+        for q20, q11, q02 in quads:
+            g = g.gcd(sympy.Poly(q20 * X**2 + q11 * X * Y + q02 * Y**2, X, Y, domain="ZZ"))
+        expected = g.is_zero or g.total_degree() >= 1
+        assert _share_a_root(quads) == expected, quads
+        shared += expected
+    assert 60 < shared < 160
