@@ -150,17 +150,9 @@ def _higgs_check(args) -> dict:
 
 def _higgs_normal_form(args) -> dict:
     from . import higgs, jsonio
-    f = jsonio.field_from_json(_load_json(args.field))
-    degrees = (f.bundle.L1.a, f.bundle.L1.b, f.bundle.L2.a, f.bundle.L2.b)
-    if degrees == (0, 0, -1, 0):
-        rep, psi = higgs.normal_form_F0(f)
-        return {"field": jsonio.field_to_json(rep), "psi": jsonio.mat_to_json(psi)}
-    if degrees == (1, 0, -1, 0):
-        return {"field": jsonio.field_to_json(higgs.normal_form_pm1(f))}
-    if degrees == (0, -1, -1, 1):
-        from . import extension
-        return {"field": jsonio.field_to_json(extension.trivial_extension_normal_form(f))}
-    raise CoHiggsError(f"no normal form implemented for bundle {f.bundle}")
+    rep, psi = higgs.normal_form(jsonio.field_from_json(_load_json(args.field)))
+    psi = {} if psi is None else {"psi": jsonio.mat_to_json(psi)}
+    return {"field": jsonio.field_to_json(rep), **psi}
 
 
 def _higgs_graded(args) -> dict:

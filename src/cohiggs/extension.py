@@ -34,21 +34,11 @@ from fractions import Fraction
 from functools import cache, cached_property
 from typing import Union
 
-from .cohomology import LineBundle
-from .errors import (
-    InconsistentPoint,
-    LeadingCoefficientZero,
-    NotInNormalFormDomain,
-    SlotViolation,
-    TrivialExtension,
-)
+from .errors import InconsistentPoint, TrivialExtension
 from .exactalg import BiPoly, PolyMat2, _as_rat, _normalized, _over_lcm
-from .higgs import DecomposableBundle, HiggsField, commute, validate_field
+# the split bundle (u = v = 0) and its normal form, defined with the other forms
+from .higgs import TRIVIAL_EXTENSION_BUNDLE, commute, trivial_extension_normal_form
 from .linalg import _clear_singletons, rank
-
-O = LineBundle
-
-TRIVIAL_EXTENSION_BUNDLE = DecomposableBundle(O(0, -1), O(-1, 1))
 
 Twist = tuple[int, int]
 TWIST_20: Twist = (2, 0)
@@ -372,22 +362,3 @@ def weak_iso(e1: ExtParams, e2: ExtParams) -> bool:
     if e1.is_trivial() or e2.is_trivial():
         raise TrivialExtension("weak isomorphism compares non-trivial classes")
     return u1 * v2 == u2 * v1
-
-
-def trivial_extension_normal_form(f: HiggsField) -> HiggsField:
-    """Make B2 monic of the form z1 - p on the split bundle O(0,-1)+O(-1,1).
-
-    Requires Phi_1 = 0 and B2 with nonzero z1 coefficient b; conjugation by
-    diag(1, b) gives (A2, B2/b; b C2, -A2), preserving A2 and the determinant.
-    """
-    if f.bundle != TRIVIAL_EXTENSION_BUNDLE:
-        raise NotInNormalFormDomain(f"expected the split bundle {TRIVIAL_EXTENSION_BUNDLE}")
-    if not validate_field(f):
-        raise SlotViolation("field violates its shape slots")
-    if not f.phi1.is_zero():
-        raise NotInNormalFormDomain("normal form requires Phi_1 = 0")
-    a2, b2, c2 = (f.phi2.entry(i, j) for i, j in ((0, 0), (0, 1), (1, 0)))
-    b = b2.coeff(1, 0)
-    if not b:
-        raise LeadingCoefficientZero("B2 must have nonzero z1 coefficient")
-    return HiggsField(f.bundle, PolyMat2.zero(), PolyMat2.trace_free(a2, b2 * (1 / b), c2 * b))

@@ -26,7 +26,9 @@ other classes of slope 0, L1 != L2 with equal slopes, are Unsupported.
 
 Nothing here conjugates.  The graded object of a strictly semistable field
 on L+L is the diagonal of its eigenvalues along a rational common
-eigenvector, and the normal forms are fixed by det Phi in closed form.
+eigenvector.  The normal forms, fixed by det Phi in closed form, go by the
+twist class too: :func:`normal_form` serves d = O(1,0), O(2,0) and O(1,-2),
+each on every bundle of its class, and keeps the input's bundle.
 
 A field is immutable, so what the entry points ask of it is derived once per
 field and kept on it (see :class:`HiggsField`): the slot verdict, the
@@ -47,6 +49,7 @@ from typing import NamedTuple
 from .cohomology import LineBundle
 from .errors import (
     BundleMismatch,
+    CoHiggsError,
     IrrationalEigenvector,
     LeadingCoefficientZero,
     NotInNormalFormDomain,
@@ -392,20 +395,37 @@ def s_equiv_rep(f: HiggsField) -> tuple[BiPoly, BiPoly]:
 
 _F0_BUNDLE = DecomposableBundle(O(0, 0), O(-1, 0))
 _PM1_BUNDLE = DecomposableBundle(O(1, 0), O(-1, 0))
+TRIVIAL_EXTENSION_BUNDLE = DecomposableBundle(O(0, -1), O(-1, 1))  # u = v = 0 in `extension`
+# the twist class d = L1 - L2 of each form's domain: one LineBundle per check
+_F0_CLASS, _PM1_CLASS, _SPLIT_CLASS = O(1, 0), O(2, 0), O(1, -2)
 
 
-def _check_normal_form_domain(f: HiggsField, bundle: DecomposableBundle) -> None:
-    """The preconditions the normal forms share: the bundle, the slots, Phi_2 = 0."""
-    if f.bundle != bundle:
-        raise BundleMismatch(f"expected {bundle}, got {f.bundle}")
+def normal_form(f: HiggsField) -> tuple[HiggsField, PolyMat2 | None]:
+    """(representative, Psi or None) by f's twist class d = L1 - L2: O(1,0) takes
+    :func:`normal_form_F0`, O(2,0) :func:`normal_form_pm1` and O(1,-2)
+    :func:`trivial_extension_normal_form`; any other class raises CoHiggsError."""
+    d = _difference(f.bundle)
+    if d == _F0_CLASS:
+        return normal_form_F0(f)
+    if d == _PM1_CLASS:
+        return normal_form_pm1(f), None
+    if d == _SPLIT_CLASS:
+        return trivial_extension_normal_form(f), None
+    raise CoHiggsError(f"no normal form implemented for bundle {f.bundle}")
+
+
+def _check_normal_form_domain(f: HiggsField, d: LineBundle, other: int) -> None:
+    """The preconditions the normal forms share: the class d, the slots, Phi_other = 0."""
+    if _difference(f.bundle) != d:
+        raise BundleMismatch(f"expected L1 - L2 = {d}, got {f.bundle}")
     if not validate_field(f):
         raise SlotViolation("field violates its shape slots")
-    if not f.phi2.is_zero():
-        raise NotInNormalFormDomain("normal form requires Phi_2 = 0")
+    if not (f.phi1 if other == 1 else f.phi2).is_zero():
+        raise NotInNormalFormDomain(f"normal form requires Phi_{other} = 0")
 
 
 def normal_form_F0(f: HiggsField) -> tuple[HiggsField, PolyMat2]:
-    """Conjugacy-class representative on O+O(-1,0) with Phi_2 = 0.
+    """Conjugacy-class representative on d = O(1,0), as O+O(-1,0), with Phi_2 = 0.
 
     Writes C1 = alpha (z1 - p) (alpha = leading coefficient, required
     nonzero) and A1 = a20 z1^2 + a10 z1 + a00; Psi = (1 P; 0 Q) with
@@ -414,9 +434,9 @@ def normal_form_F0(f: HiggsField) -> tuple[HiggsField, PolyMat2]:
     determinant, which fixes the last entry: as A1 - A1(p) = -alpha P (z1 - p)
     and C1 = alpha (z1 - p), it is B = alpha (B1 - P (A1 + A1(p))).  The
     representative (A1(p), B; z1 - p, -A1(p)) is a fixed point of the map.
-    Returns it with Psi.
+    Returns it, on f's bundle, with Psi.
     """
-    _check_normal_form_domain(f, _F0_BUNDLE)
+    _check_normal_form_domain(f, _F0_CLASS, 2)
     c1 = f.phi1.entry(1, 0)
     alpha = c1.coeff(1, 0)
     if not alpha:
@@ -434,17 +454,31 @@ def normal_form_F0(f: HiggsField) -> tuple[HiggsField, PolyMat2]:
 
 
 def normal_form_pm1(f: HiggsField) -> HiggsField:
-    """Representative (0 B; 1 0) on O(1,0)+O(-1,0) with Phi_2 = 0.
+    """Representative (0 B; 1 0) on d = O(2,0), as O(1,0)+O(-1,0), with Phi_2 = 0.
 
     With C1 a nonzero constant, conjugating by a rescale and a shear clears
     the diagonal and leaves B = C1*B1 + A1^2 = -det Phi_1: the representative
-    is ``section_Q(det Phi_1, 1)``, so equal determinants give equal
-    representatives.
+    is ``section_Q(det Phi_1, 1)`` on f's bundle, so equal determinants give
+    equal representatives.
     """
-    _check_normal_form_domain(f, _PM1_BUNDLE)
+    _check_normal_form_domain(f, _PM1_CLASS, 2)
     if not f.phi1.entry(1, 0):
         raise ZeroC1("C1 vanishes identically")
-    return section_Q(det2(f.phi1), 1)
+    return HiggsField(f.bundle, PolyMat2([[0, -det2(f.phi1)], [1, 0]]), PolyMat2.zero())
+
+
+def trivial_extension_normal_form(f: HiggsField) -> HiggsField:
+    """Make B2 monic of the form z1 - p on d = O(1,-2), as the split O(0,-1)+O(-1,1).
+
+    Requires Phi_1 = 0 and B2 with nonzero z1 coefficient b; conjugation by
+    diag(1, b) gives (A2, B2/b; b C2, -A2), preserving A2 and the determinant.
+    """
+    _check_normal_form_domain(f, _SPLIT_CLASS, 1)
+    a2, b2, c2 = (f.phi2.entry(i, j) for i, j in ((0, 0), (0, 1), (1, 0)))
+    b = b2.coeff(1, 0)
+    if not b:
+        raise LeadingCoefficientZero("B2 must have nonzero z1 coefficient")
+    return HiggsField(f.bundle, PolyMat2.zero(), PolyMat2.trace_free(a2, b2 * (1 / b), c2 * b))
 
 
 def _check_axis(axis: int) -> None:

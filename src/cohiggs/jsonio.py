@@ -4,11 +4,12 @@ All rational numbers travel as {"num": int, "den": int} pairs; no floats
 anywhere.  Polynomials serialize their monomials in descending graded-lex
 order, which makes output byte-deterministic.  Decoders accept only JSON
 integers where an integer is expected (no floats, strings or booleans), a
-nonzero denominator, objects with no key they do not read and arrays of
-the expected length; they raise ValueError on anything else, which the CLI
-maps to exit code 2.  The extension types are imported by the codecs that
-build them, and spectral data is a ``higgs`` type, so decoding a Higgs field
-or spectral data loads neither ``extension`` nor ``spectral``.
+nonzero denominator, each exponent pair of a polynomial at most once (a
+repeat is refused, not summed), objects with no key they do not read and
+arrays of the expected length; they raise ValueError on anything else, which
+the CLI maps to exit code 2.  The extension types are imported by the codecs
+that build them, and spectral data is a ``higgs`` type, so decoding a Higgs
+field or spectral data loads neither ``extension`` nor ``spectral``.
 """
 
 from __future__ import annotations
@@ -81,8 +82,9 @@ def bipoly_from_json(obj) -> BiPoly:
     for m in monomials:
         m = _fields_of(m, ("i", "j", "num", "den"), "monomial")
         i, j = int_from_json(m["i"], "exponent"), int_from_json(m["j"], "exponent")
-        c = _fraction(m["num"], m.get("den", 1))
-        terms[(i, j)] = terms.get((i, j), Fraction(0)) + c
+        if (i, j) in terms:
+            raise ValueError(f"repeated monomial exponent (i, j) = ({i}, {j})")
+        terms[(i, j)] = _fraction(m["num"], m.get("den", 1))
     return BiPoly(terms)
 
 

@@ -81,6 +81,19 @@ grep -qx 'cohiggs DEBUG dispatch cohomology' stderr.txt
 # C1 = 2 goes to (0 -det Phi_1; 1 0) with -det Phi_1 = 7 z1^2 + z1 + 1/4
 echo '{"bundle": {"L1": [1, 0], "L2": [-1, 0]}, "phi1": {"m": [[{"monomials": [{"i": 1, "j": 0, "num": 1, "den": 1}, {"i": 0, "j": 0, "num": 1, "den": 2}]}, {"monomials": [{"i": 2, "j": 0, "num": 3, "den": 1}]}], [{"monomials": [{"i": 0, "j": 0, "num": 2, "den": 1}]}, {"monomials": [{"i": 1, "j": 0, "num": -1, "den": 1}, {"i": 0, "j": 0, "num": -1, "den": 2}]}]]}, "phi2": {"m": [[{"monomials": []}, {"monomials": []}], [{"monomials": []}, {"monomials": []}]]}}' > pm1.json
 test "$("${cohiggs[@]}" higgs normal-form --field pm1.json)" = '{"field": {"bundle": {"L1": [1, 0], "L2": [-1, 0]}, "phi1": {"m": [[{"monomials": []}, {"monomials": [{"i": 2, "j": 0, "num": 7, "den": 1}, {"i": 1, "j": 0, "num": 1, "den": 1}, {"i": 0, "j": 0, "num": 1, "den": 4}]}], [{"monomials": [{"i": 0, "j": 0, "num": 1, "den": 1}]}, {"monomials": []}]]}, "phi2": {"m": [[{"monomials": []}, {"monomials": []}], [{"monomials": []}, {"monomials": []}]]}}}'
+# the same field on O(2,0)+O(0,0), the twist of O(1,0)+O(-1,0) by O(1,0):
+# the normal form goes by the twist class, so the same answer on the
+# input's bundle
+sed 's/"L1": \[1, 0\], "L2": \[-1, 0\]/"L1": [2, 0], "L2": [0, 0]/' pm1.json > pm1_twisted.json
+grep -q '"L1": \[2, 0\], "L2": \[0, 0\]' pm1_twisted.json
+test "$("${cohiggs[@]}" higgs normal-form --field pm1_twisted.json)" = '{"field": {"bundle": {"L1": [2, 0], "L2": [0, 0]}, "phi1": {"m": [[{"monomials": []}, {"monomials": [{"i": 2, "j": 0, "num": 7, "den": 1}, {"i": 1, "j": 0, "num": 1, "den": 1}, {"i": 0, "j": 0, "num": 1, "den": 4}]}], [{"monomials": [{"i": 0, "j": 0, "num": 1, "den": 1}]}, {"monomials": []}]]}, "phi2": {"m": [[{"monomials": []}, {"monomials": []}], [{"monomials": []}, {"monomials": []}]]}}}'
+# O(2,2)+O(0,0) is in a class with no normal form: exit 1 with one
+# CoHiggsError line
+echo '{"bundle": {"L1": [2, 2], "L2": [0, 0]}, "phi1": {"m": [[{"monomials": []}, {"monomials": []}], [{"monomials": []}, {"monomials": []}]]}, "phi2": {"m": [[{"monomials": []}, {"monomials": []}], [{"monomials": []}, {"monomials": []}]]}}' > o22.json
+code=0
+out="$("${cohiggs[@]}" higgs normal-form --field o22.json)" || code=$?
+test "$code" = 1
+test "$out" = '{"error": {"kind": "CoHiggsError", "detail": "no normal form implemented for bundle O(2,2)+O(0,0)"}}'
 # the F0 normal form and the graded object at 4,000-digit
 # coefficients (n below) are closed forms: C1 = n z1 - 1 gives the
 # lower-left entry z1 - 1/n, and the O+O field (A B; 0 -A) with

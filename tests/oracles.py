@@ -738,8 +738,16 @@ def normal_form_F0_by_conjugation(f: HiggsField) -> tuple[HiggsField, PolyMat2]:
     return HiggsField(f.bundle, rep, PolyMat2.zero()), psi
 
 
+def normal_form_pm1_by_conjugation(f: HiggsField) -> HiggsField:
+    """``higgs.normal_form_pm1`` of a field in its domain as the conjugate of
+    Phi_1 by the shear (1 -A1; 0 1) times the rescale diag(C1, 1)."""
+    a1, c = f.phi1.entry(0, 0), f.phi1.entry(1, 0).coeff(0, 0)
+    psi = PolyMat2(mat_mul_oracle(PolyMat2([[1, -a1], [0, 1]]), PolyMat2([[c, 0], [0, 1]])))
+    return HiggsField(f.bundle, conjugate2(f.phi1, psi).to_bipoly(), PolyMat2.zero())
+
+
 def split_extension_normal_form_by_conjugation(f: HiggsField) -> HiggsField:
-    """``extension.trivial_extension_normal_form`` of a field in its domain as
+    """``higgs.trivial_extension_normal_form`` of a field in its domain as
     the conjugate of Phi_2 by diag(1, b), b the z1 coefficient of B2."""
     b = f.phi2.entry(0, 1).coeff(1, 0)
     psi = PolyMat2([[BiPoly.const(1), BiPoly.const(0)], [BiPoly.const(0), BiPoly.const(b)]])

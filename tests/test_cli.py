@@ -585,6 +585,15 @@ _PINNED = {
     ),
 }
 
+# the f0 field twisted by O(1,-1): the same twist class, so the same answer
+# on the input's bundle
+_PINNED["f0-twisted"] = (
+    "normal-form",
+    lambda: field(DecomposableBundle(O(1, -1), O(0, -1)),
+                  a1=2 * Z1 * Z1 - Z1 + F(1, 3), b1=Z1**3 - 5, c1=3 * Z1 - 2),
+    _PINNED["f0"][2].replace('"L1": [0, 0], "L2": [-1, 0]', '"L1": [1, -1], "L2": [0, -1]'),
+)
+
 
 @pytest.mark.parametrize("name", sorted(_PINNED))
 def test_closed_form_commands_print_pinned_stdout(capsys, tmp_path, name):
@@ -767,6 +776,14 @@ def run_input_error(capsys, tmp_path, argv, payload):
 )
 def test_zero_denominator_is_input_error(capsys, tmp_path, argv, payload):
     run_input_error(capsys, tmp_path, argv, payload)
+
+
+def test_repeated_monomial_is_input_error(capsys, tmp_path):
+    # the two constant terms would cancel, and section-q would answer for z1^4
+    rho = {"monomials": [{"i": 0, "j": 0, "num": 1, "den": 1}, {"i": 0, "j": 0, "num": -1, "den": 1},
+                         {"i": 4, "j": 0, "num": 1}]}
+    detail = run_input_error(capsys, tmp_path, ["higgs", "section-q", "--axis", "1", "--rho"], rho)
+    assert detail == "repeated monomial exponent (i, j) = (0, 0)"
 
 
 @pytest.mark.parametrize(

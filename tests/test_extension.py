@@ -14,6 +14,7 @@ from cohiggs import _laurent as lau
 from cohiggs import extension as ext
 from cohiggs.cohomology import LineBundle as O
 from cohiggs.errors import (
+    BundleMismatch,
     InconsistentPoint,
     LeadingCoefficientZero,
     NotInNormalFormDomain,
@@ -737,7 +738,8 @@ def test_trivial_extension_normal_form_errors():
         )
     with pytest.raises(NotInNormalFormDomain):
         trivial_extension_normal_form(field(TRIVIAL_EXTENSION_BUNDLE, a1=Z1, b2=Z1))
-    with pytest.raises(NotInNormalFormDomain):
+    # outside the class d = O(1,-2) it raises BundleMismatch, like the other two forms
+    with pytest.raises(BundleMismatch):
         trivial_extension_normal_form(field(DB(O(0, 0), O(0, 0))))
     with pytest.raises(SlotViolation):  # A2 = z2^3 exceeds its slot O(0,2)
         trivial_extension_normal_form(field(TRIVIAL_EXTENSION_BUNDLE, a2=Z2**3, b2=Z1))

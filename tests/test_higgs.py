@@ -11,6 +11,7 @@ from cohiggs.chern import ChernData, cohiggs_moduli_nonempty
 from cohiggs.cohomology import LineBundle as O
 from cohiggs.errors import (
     BundleMismatch,
+    CoHiggsError,
     LeadingCoefficientZero,
     NotInNormalFormDomain,
     NotStrictlySemistable,
@@ -20,6 +21,7 @@ from cohiggs.errors import (
 )
 from cohiggs.exactalg import BiPoly, PolyMat2, Z1, Z2, commutator2, conjugate2, det2
 from cohiggs.higgs import (
+    TRIVIAL_EXTENSION_BUNDLE,
     DecomposableBundle,
     HiggsField,
     StabilityClass,
@@ -34,12 +36,14 @@ from cohiggs.higgs import (
     graded_object,
     higgs_shape,
     is_integrable,
+    normal_form,
     normal_form_F0,
     normal_form_pm1,
     pullback_from_line,
     s_equiv_rep,
     section_Q,
     stability_classify,
+    trivial_extension_normal_form,
     validate_field,
 )
 from cohiggs.linalg import rank
@@ -48,10 +52,10 @@ from oracles import (
     check_conjugation,
     coefficient_matrices_by_coeff,
     graded_object_by_conjugation,
-    mat_mul_oracle,
     mat_scale,
     membership,
     normal_form_F0_by_conjugation,
+    normal_form_pm1_by_conjugation,
     quadratic_families,
     random_bipoly,
     random_constant_invertible,
@@ -63,6 +67,7 @@ from oracles import (
     rational_common_eigenvector_by_fractions,
     share_a_root_by_sylvester,
     slot_poly,
+    split_extension_normal_form_by_conjugation,
     storage,
     trace_free_part,
     wedge,
@@ -774,11 +779,7 @@ def test_normal_form_pm1_is_section_q_of_det():
         a1 = random_univariate(rng, 2, 1)
         c = random_rat(rng) or F(1)
         f = field(B_PM1, a1=a1, b1=random_univariate(rng, 4, 1), c1=c)
-        shear = PolyMat2([[1, -a1], [0, 1]])
-        rescale = PolyMat2([[c, 0], [0, 1]])
-        conjugated = conjugate2(f.phi1, PolyMat2(mat_mul_oracle(shear, rescale))).to_bipoly()
-        by_conjugation = HiggsField(B_PM1, conjugated, PolyMat2.zero())
-        assert normal_form_pm1(f) == section_Q(det2(f.phi1), 1) == by_conjugation
+        assert normal_form_pm1(f) == section_Q(det2(f.phi1), 1) == normal_form_pm1_by_conjugation(f)
 
 
 def test_normal_form_pm1_error_order():
@@ -791,6 +792,90 @@ def test_normal_form_pm1_error_order():
         normal_form_pm1(field(B_PM1, a1=Z1, a2=Z2))  # C1 = 0 as well
     with pytest.raises(ZeroC1):
         normal_form_pm1(field(B_PM1, a1=Z1))
+
+
+# -- normal forms by twist class -------------------------------------------------
+
+TWISTS = (O(1, 0), O(0, -1), O(-2, 3))
+
+
+def _twisted(f: HiggsField, m: O) -> HiggsField:
+    """f on E + M = (L1 + M) + (L2 + M): the same matrices and twist class."""
+    l1, l2 = f.bundle.L1, f.bundle.L2
+    bundle = DecomposableBundle(O(l1.a + m.a, l1.b + m.b), O(l2.a + m.a, l2.b + m.b))
+    return HiggsField(bundle, f.phi1, f.phi2)
+
+
+def _in_each_domain(rng: random.Random):
+    """(form, its conjugation reference, a random field of its domain on its
+    literal bundle) for each of the three normal forms."""
+    c = BiPoly.zero()
+    while not c.coeff(1, 0):
+        c = random_univariate(rng, 1, 1)
+    yield (lambda f: normal_form_F0(f)[0], lambda f: normal_form_F0_by_conjugation(f)[0],
+           field(B_F0, a1=random_univariate(rng, 2, 1), b1=random_univariate(rng, 3, 1), c1=c))
+    yield (normal_form_pm1, normal_form_pm1_by_conjugation,
+           field(B_PM1, a1=random_univariate(rng, 2, 1), b1=random_univariate(rng, 4, 1),
+                 c1=random_rat(rng) or F(1)))
+    b2 = BiPoly.from_univariate([random_rat(rng), random_rat(rng) or F(1)], 1)
+    yield (trivial_extension_normal_form, split_extension_normal_form_by_conjugation,
+           field(TRIVIAL_EXTENSION_BUNDLE, a2=random_univariate(rng, 2, 2), b2=b2))
+
+
+@pytest.mark.parametrize("m", TWISTS, ids=str)
+def test_normal_forms_follow_the_twist_class(m):
+    # a twist keeps End E, so the representative of f + M is that of f with
+    # the bundle relabelled, and it is still the conjugate the references build
+    rng = random.Random(m.a * 7 + m.b)
+    for _ in range(20):
+        for form, by_conjugation, f in _in_each_domain(rng):
+            g = _twisted(f, m)
+            rep = form(g)
+            assert rep == _twisted(form(f), m) == by_conjugation(g)
+            assert rep.bundle == g.bundle and form(rep) == rep
+            assert normal_form(g)[0] == rep
+
+
+@pytest.mark.parametrize("m", TWISTS, ids=str)
+def test_normal_form_F0_psi_conjugates_the_twisted_input(m):
+    rng = random.Random(m.a * 11 + m.b)
+    for _ in range(20):
+        _, _, f = next(_in_each_domain(rng))
+        g = _twisted(f, m)
+        rep, psi = normal_form_F0(g)
+        assert check_conjugation(rep.phi1, psi, g.phi1)
+        assert (rep, psi) == normal_form_F0_by_conjugation(g) == normal_form(g)
+        assert psi == normal_form_F0(f)[1]
+
+
+def test_each_normal_form_refuses_the_other_classes():
+    # the domain check reads the twist class: a twist of another form's
+    # bundle, or O+O, raises BundleMismatch before any slot is read
+    rng = random.Random(12)
+    cases = list(_in_each_domain(rng))
+    for k, (form, _, _) in enumerate(cases):
+        for j, (_, _, f) in enumerate(cases):
+            if j != k:
+                with pytest.raises(BundleMismatch):
+                    form(_twisted(f, O(1, 3)))
+        with pytest.raises(BundleMismatch):
+            form(field(DecomposableBundle(O(4, 1), O(4, 1))))
+
+
+def test_normal_form_dispatch_by_twist_class():
+    f0 = field(B_F0, a1=Z1 * Z1, c1=Z1)
+    pm1 = field(B_PM1, a1=Z1 * Z1, c1=1)
+    split = field(TRIVIAL_EXTENSION_BUNDLE, a2=Z2, b2=2 * Z1 - 2)
+    assert normal_form(f0) == normal_form_F0(f0)
+    assert normal_form(pm1) == (normal_form_pm1(pm1), None)
+    assert normal_form(split) == (trivial_extension_normal_form(split), None)
+    # the swap of summands (d -> -d) and the mirror z1 <-> z2 are other classes
+    for bundle in (DecomposableBundle(O(2, 2), O(0, 0)), B_OO, DecomposableBundle(O(-1, 0), O(0, 0)),
+                   DecomposableBundle(O(0, 2), O(0, 0))):
+        with pytest.raises(CoHiggsError) as info:
+            normal_form(field(bundle))
+        assert info.type is CoHiggsError
+        assert str(info.value) == f"no normal form implemented for bundle {bundle}"
 
 
 def test_section_q_nilpotent():

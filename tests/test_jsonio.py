@@ -77,3 +77,15 @@ def test_malformed_payloads_raise_value_error():
         jsonio.spectral_from_json({"rho1": {"monomials": []}})
     with pytest.raises(ValueError):
         jsonio.point_from_json({"ext": {}, "stratum": "S9", "params": {}})
+
+
+def test_repeated_monomial_is_refused():
+    # a polynomial lists each (i, j) once; a repeat is not summed, even one
+    # that would cancel, and the detail names the exponent
+    twice = {"monomials": [{"i": 0, "j": 0, "num": 1, "den": 1}, {"i": 0, "j": 0, "num": -1, "den": 1},
+                           {"i": 4, "j": 0, "num": 1}]}
+    with pytest.raises(ValueError, match=r"repeated monomial exponent \(i, j\) = \(0, 0\)"):
+        jsonio.bipoly_from_json(twice)
+    with pytest.raises(ValueError, match=r"\(2, 1\)"):
+        jsonio.bipoly_from_json({"monomials": [{"i": 2, "j": 1, "num": 3}, {"i": 2, "j": 1, "num": 3}]})
+    assert jsonio.bipoly_from_json({"monomials": twice["monomials"][1:]}) == Z1**4 - 1

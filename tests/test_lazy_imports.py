@@ -104,6 +104,16 @@ def test_higgs_check_on_o_plus_o_never_loads_elimination(tmp_path):
     assert "cohiggs.linalg" not in loaded and "cohiggs._univariate" not in loaded
 
 
+def test_higgs_normal_form_on_the_split_bundle_loads_no_extension(tmp_path):
+    # the split bundle's normal form lives in cohiggs.higgs with the other two
+    path = tmp_path / "field.json"
+    f = field(DecomposableBundle(O(0, -1), O(-1, 1)), a2=Z2, b2=2 * Z1 - 2)
+    path.write_text(json.dumps(jsonio.field_to_json(f)), encoding="utf-8")
+    loaded = _loaded_after(_cli_call(["higgs", "normal-form", "--field", str(path)]))["cohiggs"]
+    assert "cohiggs.higgs" in loaded
+    assert "cohiggs.extension" not in loaded and "cohiggs.linalg" not in loaded
+
+
 def test_every_reexport_resolves():
     names = [name for names in EXPORTS.values() for name in names]
     code = "import cohiggs\n" + "".join(
