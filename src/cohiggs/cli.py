@@ -29,8 +29,9 @@ from .errors import CoHiggsError, int_from_json
 def _parse_rat(text: str) -> Fraction:
     """An integer, p/q or plain decimal.  Exponent notation is refused:
     "1e400" would ask for a 400-digit number from five characters, while
-    the accepted forms cost no more than the length of the text."""
-    if "e" not in text.lower():
+    the accepted forms cost no more than the length of the text.  So is "_",
+    which ``Fraction`` reads as a digit separator from Python 3.11 on only."""
+    if "e" not in text.lower() and "_" not in text:
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError):

@@ -17,10 +17,14 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class LineBundle:
-    """O(a, b); all integer pairs are valid."""
+    """O(a, b); all integer pairs are valid, and only they."""
 
     a: int
     b: int
+
+    def __post_init__(self):
+        if type(self.a) is not int or type(self.b) is not int:  # 0.5 and True would pass
+            raise TypeError(f"degrees must be ints, got ({self.a!r}, {self.b!r})")
 
     def slope(self) -> int:
         """H-slope for H = C0 + F."""

@@ -48,8 +48,6 @@ Rat = Fraction
 Term = tuple[int, int]
 Scalar = Union[int, Fraction]
 
-NEG_INF = -math.inf
-
 
 def _as_rat(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -122,15 +120,6 @@ class BiPoly:
 
     def coeff(self, i: int, j: int) -> Fraction:
         return Fraction(self._terms.get((i, j), 0), self._den)
-
-    def bidegree(self) -> tuple[float, float]:
-        """(max z1-exponent, max z2-exponent); (-inf, -inf) for zero."""
-        if not self._terms:
-            return (NEG_INF, NEG_INF)
-        return (
-            max(i for i, _ in self._terms),
-            max(j for _, j in self._terms),
-        )
 
     def within(self, a: int, b: int) -> bool:
         """Every monomial z1^i z2^j has i <= a and j <= b (zero is within any box)."""
@@ -228,7 +217,7 @@ class BiPoly:
         if not self._terms:
             return Fraction(0)
         a, b, c, d = z1.numerator, z1.denominator, z2.numerator, z2.denominator
-        hi1, hi2 = self.bidegree()
+        hi1, hi2 = max(i for i, _ in self._terms), max(j for _, j in self._terms)
         total = sum(n * a**i * b ** (hi1 - i) * c**j * d ** (hi2 - j)
                     for (i, j), n in self._terms.items())
         return Fraction(total, self._den * b**hi1 * d**hi2)

@@ -34,15 +34,14 @@ from fractions import Fraction
 from functools import cache, cached_property
 from typing import Union
 
+from .cohomology import LineBundle
 from .errors import InconsistentPoint, TrivialExtension
 from .exactalg import BiPoly, PolyMat2, _as_rat, _normalized, _over_lcm
 # the split bundle (u = v = 0) and its normal form, defined with the other forms
 from .higgs import TRIVIAL_EXTENSION_BUNDLE, commute, trivial_extension_normal_form
 from .linalg import _clear_singletons, rank
 
-Twist = tuple[int, int]
-TWIST_20: Twist = (2, 0)
-TWIST_02: Twist = (0, 2)
+TWIST_20, TWIST_02 = LineBundle(2, 0), LineBundle(0, 2)  # the summands of T
 
 
 @dataclass(frozen=True)
@@ -122,15 +121,15 @@ Coefficient = tuple[int, int, int]  # (comp, i, j): z1^i z2^j in component comp 
 Column = tuple[tuple[int, int, int, int], ...]
 
 
-def _v1_to_v2(e: ExtParams, twist: Twist) -> tuple[Column, Column, Column]:
+def _v1_to_v2(e: ExtParams, twist: LineBundle) -> tuple[Column, Column, Column]:
     """Columns of d^2 times the V1 -> V2 transition, d = lcm(den u, den v), so
-    every factor is an int; with q = u z1 + v and b = twist[1] the transition is
+    every factor is an int; with q = u z1 + v and b = twist.b the transition is
 
         ( z2^-b            0           -q z2^(-1-b) )
         ( 2 q z2^(1-b)     z2^(2-b)    -q^2 z2^-b   )
         ( 0                0           z2^(-2-b)    )
     """
-    b, memo = twist[1], e._v2_columns
+    b, memo = twist.b, e._v2_columns
     if b in memo:
         return memo[b]
     U, V, d = e._ints
@@ -145,16 +144,16 @@ def _v1_to_v2(e: ExtParams, twist: Twist) -> tuple[Column, Column, Column]:
     return memo[b]
 
 
-def _v1_to_v3(twist: Twist) -> tuple[Column, Column, Column]:
-    """Columns of the V1 -> V3 transition diag(z1^-a, z1^(-1-a), z1^(1-a)), a = twist[0].
+def _v1_to_v3(twist: LineBundle) -> tuple[Column, Column, Column]:
+    """Columns of the V1 -> V3 transition diag(z1^-a, z1^(-1-a), z1^(1-a)), a = twist.a.
 
     It is also the V2 -> V4 transition: the z1 involution inside the
     w2 = 1/z2 charts has the same matrix."""
-    a = twist[0]
+    a = twist.a
     return ((0, -a, 0, 1),), ((1, -1 - a, 0, 1),), ((2, 1 - a, 0, 1),)
 
 
-def _irregular_rows(v2: tuple[Column, ...], twist: Twist, support: list[Coefficient]) -> dict:
+def _irregular_rows(v2: tuple[Column, ...], twist: LineBundle, support: list[Coefficient]) -> dict:
     """The image terms that charts V2 and V3 forbid, as linear forms in chart-V1 coefficients.
 
     Maps ``(chart, comp_out, i, j)`` (chart 0 is V2 with coordinates z1, 1/z2;
@@ -224,7 +223,7 @@ def build_phi2(e: ExtParams, p: Phi2Params) -> PolyMat2:
     return PolyMat2.trace_free(a2, b2, BiPoly.zero())
 
 
-def glue_check(e: ExtParams, phi_v1: PolyMat2, twist: Twist) -> bool:
+def glue_check(e: ExtParams, phi_v1: PolyMat2, twist: LineBundle) -> bool:
     """Does the chart-V1 matrix extend to a global twisted endomorphism?
 
     True iff every form of ``_irregular_rows`` vanishes on the coefficients
@@ -264,14 +263,14 @@ def end0T_dimension(e: ExtParams) -> tuple[int, int, int]:
 
 
 @cache
-def _ansatz_template(twist: Twist, shape: tuple[Column, ...]) -> tuple[int, list[dict]]:
+def _ansatz_template(twist: LineBundle, shape: tuple[Column, ...]) -> tuple[int, list[dict]]:
     """The singleton pass over the ansatz forms of each class whose V1 -> V2
     columns have this shape, its factors replaced by their index n in the
     column (V3's forms are one-entry rows).  Shared, so never edited in place."""
     return _clear_singletons(list(_irregular_rows(shape, twist, _ANSATZ_UNKNOWNS).values()))
 
 
-def _ansatz_kernel_dim(e: ExtParams, twist: Twist) -> int:
+def _ansatz_kernel_dim(e: ExtParams, twist: LineBundle) -> int:
     v2 = _v1_to_v2(e, twist)
     shape = tuple(tuple((*t[:3], n) for n, t in enumerate(column)) for column in v2)
     count, residue = _ansatz_template(twist, shape)

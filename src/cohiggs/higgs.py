@@ -114,9 +114,15 @@ def fits_slot(p: BiPoly, slot: LineBundle) -> bool:
     return p.within(slot.a, slot.b)
 
 
-# the slots of rho1, rho12 and rho2, and of a, b, c pulled back along each axis
-_RHO_SLOTS = (O(4, 0), O(2, 2), O(0, 4))
-_PULLBACK_BOUNDS = {1: ((2, 0), (3, 0), (1, 0)), 2: ((0, 2), (0, 3), (0, 1))}
+def _check_slot(p: BiPoly, slot: LineBundle, name: str) -> None:
+    """The one slot check that raises: SlotViolation naming the section and its slot."""
+    if not fits_slot(p, slot):
+        raise SlotViolation(f"{name} does not fit the slot {slot}")
+
+
+# the slots of rho1, rho12 and rho2 by field name, and of a, b, c pulled back along each axis
+_RHO_SLOTS = {"rho1": O(4, 0), "rho12": O(2, 2), "rho2": O(0, 4)}
+_PULLBACK_SLOTS = {1: (O(2, 0), O(3, 0), O(1, 0)), 2: (O(0, 2), O(0, 3), O(0, 1))}
 
 
 @dataclass(frozen=True)
@@ -128,9 +134,8 @@ class SpectralData:
     rho2: BiPoly
 
     def __post_init__(self):
-        for poly, slot in zip((self.rho1, self.rho12, self.rho2), _RHO_SLOTS):
-            if not fits_slot(poly, slot):
-                raise SlotViolation(f"component does not fit the slot {slot}")
+        for name, slot in _RHO_SLOTS.items():
+            _check_slot(getattr(self, name), slot, name)
 
 
 @dataclass(frozen=True)
@@ -502,9 +507,7 @@ def section_Q(rho: BiPoly, axis: int) -> HiggsField:
     O(0,1)+O(0,-1) (axis 2); det Phi_axis = rho, so this right-inverts the
     corresponding component of the Hitchin map."""
     _check_axis(axis)
-    slot = _RHO_SLOTS[0 if axis == 1 else 2]
-    if not fits_slot(rho, slot):
-        raise SlotViolation(f"rho does not fit the slot {slot}")
+    _check_slot(rho, _RHO_SLOTS["rho1" if axis == 1 else "rho2"], "rho")
     return _on_axis(_PM1_BUNDLE, PolyMat2([[0, -rho], [1, 0]]), axis)
 
 
@@ -526,9 +529,8 @@ def pullback_from_line(a: BiPoly, b: BiPoly, c: BiPoly, axis: int) -> PullbackFi
     eta^2 = -rho(p) is eta^2 = a(p)^2 + b(p)c(p).
     """
     _check_axis(axis)
-    for poly, bound in zip((a, b, c), _PULLBACK_BOUNDS[axis]):
-        if not poly.within(*bound):
-            raise SlotViolation(f"{poly} does not fit the slot O{bound}")
+    for name, poly, slot in zip("abc", (a, b, c), _PULLBACK_SLOTS[axis]):
+        _check_slot(poly, slot, name)
     if not c:
         raise ZeroC("the lower-left entry must be nonzero for stability")
     mat = PolyMat2.trace_free(a, b, c)

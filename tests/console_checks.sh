@@ -227,3 +227,25 @@ for rho in 30000005200000217 6000000000000000000313000000000000000003657 "$rho40
   test "$code" = 0
   echo "$out" | python -c 'import json, sys; assert json.load(sys.stdin)["points"][0]["eta1"]["radicand"] == -int(sys.argv[1])' "$rho"
 done
+# a slot violation names the section and its slot, O(a,b) with no space:
+# a = z1^3 overshoots a's slot O(2,0) in a pullback, and a degree-5 rho1
+# its slot O(4,0); each exits 1 with one SlotViolation line
+echo '{"monomials": [{"i": 3, "j": 0, "num": 1, "den": 1}]}' > z1cubed.json
+echo '{"monomials": []}' > zero.json
+echo '{"monomials": [{"i": 0, "j": 0, "num": 1, "den": 1}]}' > one.json
+code=0
+out="$("${cohiggs[@]}" higgs pullback --a z1cubed.json --b zero.json --c one.json --axis 1)" || code=$?
+test "$code" = 1
+test "$out" = '{"error": {"kind": "SlotViolation", "detail": "a does not fit the slot O(2,0)"}}'
+echo '{"rho1": {"monomials": [{"i": 5, "j": 0, "num": 1, "den": 1}]}, "rho12": {"monomials": []}, "rho2": {"monomials": []}}' > rho_deg5.json
+code=0
+out="$("${cohiggs[@]}" spectral classify --rho rho_deg5.json)" || code=$?
+test "$code" = 1
+test "$out" = '{"error": {"kind": "SlotViolation", "detail": "rho1 does not fit the slot O(4,0)"}}'
+# a rational option refuses "_", which Fraction reads as a digit separator
+# from Python 3.11 on only: exit 2 with one InputError line on every version
+code=0
+out="$("${cohiggs[@]}" ext weak-iso --u1=1_0 --v1=2 --u2=5 --v2=1 2>stderr.txt)" || code=$?
+test "$code" = 2
+test ! -s stderr.txt
+echo "$out" | python -c 'import json, sys; (line,) = sys.stdin.read().splitlines(); assert json.loads(line)["error"]["kind"] == "InputError"'

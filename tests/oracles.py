@@ -610,12 +610,12 @@ def end_rep3(g: list[list[BiPoly]], twist: BiPoly) -> list[list[BiPoly]]:
 def rep_v1_to_v2(e, twist) -> list[list[BiPoly]]:
     # conjugation by g21, the inverse of the unimodular V1 & V2 transition g12
     g21 = [[Z2, -ext_cocycle(e)], [BiPoly.zero(), lau.monomial(0, -1)]]
-    return end_rep3(g21, lau.monomial(0, -twist[1]))
+    return end_rep3(g21, lau.monomial(0, -twist.b))
 
 
 def rep_v1_to_v3(twist) -> list[list[BiPoly]]:
     g31 = [[BiPoly.const(1), BiPoly.zero()], [BiPoly.zero(), Z1]]
-    return end_rep3(g31, lau.monomial(-twist[0], 0))
+    return end_rep3(g31, lau.monomial(-twist.a, 0))
 
 
 def columns_of(rep: list[list[BiPoly]]) -> tuple:

@@ -639,10 +639,39 @@ def test_higgs_section_q_and_pullback(capsys, tmp_path):
 
 
 def test_higgs_section_q_slot_violation_is_domain_error(capsys, tmp_path):
-    rho = write_json(tmp_path, "rho5.json", jsonio.bipoly_to_json(Z1**5))
-    code, (out,) = run(capsys, "higgs", "section-q", "--rho", rho, "--axis", "1")
-    assert code == 1
-    assert out["error"]["kind"] == "SlotViolation"
+    for rho, axis, slot in ((Z1**5, "1", "O(4,0)"), (Z2**5, "2", "O(0,4)")):
+        path = write_json(tmp_path, "rho5.json", jsonio.bipoly_to_json(rho))
+        code, (out,) = run(capsys, "higgs", "section-q", "--rho", path, "--axis", axis)
+        assert code == 1
+        assert out["error"] == {"kind": "SlotViolation",
+                                "detail": f"rho does not fit the slot {slot}"}
+
+
+@pytest.mark.parametrize("axis, z, slots", [(1, Z1, ("O(2,0)", "O(3,0)", "O(1,0)")),
+                                            (2, Z2, ("O(0,2)", "O(0,3)", "O(0,1)"))])
+def test_higgs_pullback_slot_violation_names_the_entry(capsys, tmp_path, axis, z, slots):
+    fits = {"a": BiPoly.zero(), "b": BiPoly.zero(), "c": BiPoly.const(1)}
+    for (name, slot), bad in zip(zip("abc", slots), (z**3, z**4, z**2)):
+        argv = ["higgs", "pullback", "--axis", str(axis)]
+        for k, p in {**fits, name: bad}.items():
+            argv += [f"--{k}", write_json(tmp_path, f"{k}.json", jsonio.bipoly_to_json(p))]
+        code, (out,) = run(capsys, *argv)
+        assert code == 1
+        assert out["error"] == {"kind": "SlotViolation",
+                                "detail": f"{name} does not fit the slot {slot}"}
+
+
+@pytest.mark.parametrize("name, bad, slot", [("rho1", Z1**5, "O(4,0)"), ("rho12", Z1**3, "O(2,2)"),
+                                             ("rho2", Z2**5, "O(0,4)")])
+def test_spectral_slot_violation_names_the_component(capsys, tmp_path, name, bad, slot):
+    payload = {"rho1": _ZERO_POLY, "rho12": _ZERO_POLY, "rho2": _ZERO_POLY,
+               name: jsonio.bipoly_to_json(bad)}
+    rho = write_json(tmp_path, "rho.json", payload)
+    for argv in (["spectral", "classify"], ["spectral", "residual", "--point", "1,1,1,1"]):
+        code, (out,) = run(capsys, *argv, "--rho", rho)
+        assert code == 1
+        assert out["error"] == {"kind": "SlotViolation",
+                                "detail": f"{name} does not fit the slot {slot}"}
 
 
 def test_ext_dims(capsys):
@@ -720,6 +749,21 @@ def test_rational_flag_parsing(capsys):
     assert code == 0 and out == {"weak_iso": True}
     code, (out,) = run(capsys, "ext", "dims", "--u", "x", "--v", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["ext", "weak-iso", "--u1=1_0", "--v1=2", "--u2=5", "--v2=1"],
+    ["ext", "dims", "--u", "1/2_0", "--v", "1"],
+    ["spectral", "residual", "--rho", "RHO", "--point", "1,1,1_0,1"],
+])
+def test_rational_flag_refuses_underscores(capsys, tmp_path, argv):
+    # Fraction("1_0") is 10 from Python 3.11 on and an error before it; the
+    # option refuses "_" on every version
+    zero = {"rho1": _ZERO_POLY, "rho12": _ZERO_POLY, "rho2": _ZERO_POLY}
+    rho = write_json(tmp_path, "rho.json", zero)
+    code, (out,) = run(capsys, *(rho if a == "RHO" else a for a in argv))
+    assert code == 2 and out["error"]["kind"] == "InputError"
+    assert "not a rational number" in out["error"]["detail"]
 
 
 def test_version_flag(capsys):
@@ -919,6 +963,31 @@ def test_repeated_monomial_is_input_error(capsys, tmp_path):
 def test_non_integer_json_is_input_error(capsys, tmp_path, argv, payload, detail):
     got = run_input_error(capsys, tmp_path, argv, payload)
     assert detail is None or detail in got, got
+
+
+def _without(obj: dict, key: str) -> dict:
+    return {k: v for k, v in obj.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "argv, payload, key",
+    [
+        (["hitchin", "--field"], _without(_diag_json(), "bundle"), "bundle"),
+        (["hitchin", "--field"], {**_diag_json(), "bundle": {"L2": [0, 0]}}, "L1"),
+        (["spectral", "classify", "--rho"], {"rho1": _ZERO_POLY, "rho2": _ZERO_POLY}, "rho12"),
+        (["ext", "classify", "--point"], _without(_S1_POINT, "stratum"), "stratum"),
+        (
+            ["ext", "classify", "--point"],
+            {"ext": {"u": 0, "v": 0}, "stratum": "S0", "params": {"w": [1, 2, 3]}},
+            "p",
+        ),
+    ],
+    ids=["field-without-bundle", "bundle-without-L1", "spectral-without-rho12",
+         "point-without-stratum", "s0-params-without-p"],
+)
+def test_missing_json_key_is_input_error(capsys, tmp_path, argv, payload, key):
+    # the detail names the key; its wording around the key is not pinned
+    assert repr(key) in run_input_error(capsys, tmp_path, argv, payload)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
+import pytest
+
 from cohiggs.cohomology import LineBundle, h_dims
 
 GRID = range(-6, 7)
@@ -47,3 +51,12 @@ def test_slope_examples():
     assert LineBundle(-1, 0).slope() == -1
     assert LineBundle(0, 0).slope() == 0
     assert LineBundle(2, -5).slope() == -3
+
+
+@pytest.mark.parametrize(
+    "a, b", [(0.5, 1), (True, 0), (0, False), (2.5, 0), (Fraction(1), 0), ("1", 0)]
+)
+def test_line_bundle_refuses_non_int_degrees(a, b):
+    # each would build a box that fits_slot reads: O(2.5, 0) would let z1^2 in
+    with pytest.raises(TypeError, match="degrees must be ints"):
+        LineBundle(a, b)

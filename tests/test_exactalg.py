@@ -115,7 +115,6 @@ def test_operands_and_boundary_accessors():
         with pytest.raises(ValueError, match="non-negative"):
             Z1**n
     assert BiPoly.from_univariate([0, 1], 1) * BiPoly.from_univariate([0, 1], 2) == Z1 * Z2
-    assert BiPoly.zero().bidegree() == (-math.inf, -math.inf)
 
 
 def test_polymat2_accepts_generator_rows():

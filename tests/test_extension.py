@@ -33,7 +33,6 @@ from cohiggs.extension import (
     Phi2Params,
     Stratum,
     TrivialFieldData,
-    Twist,
     _ANSATZ_BOX,
     _v1_to_v2,
     _v1_to_v3,
@@ -134,13 +133,13 @@ def _g12E(e: ExtParams) -> list[list[BiPoly]]:
 _G13E = [[BiPoly.const(1), BiPoly.zero()], [BiPoly.zero(), lau.monomial(-1, 0)]]
 
 
-def rep_v2_to_v1(e: ExtParams, twist: Twist) -> list[list[BiPoly]]:
+def rep_v2_to_v1(e: ExtParams, twist: O) -> list[list[BiPoly]]:
     """Chart-V2 -> chart-V1 transition of the twisted trace-free endomorphisms."""
-    return end_rep3(_g12E(e), lau.monomial(0, twist[1]))
+    return end_rep3(_g12E(e), lau.monomial(0, twist.b))
 
 
-def rep_v3_to_v1(twist: Twist) -> list[list[BiPoly]]:
-    return end_rep3(_G13E, lau.monomial(twist[0], 0))
+def rep_v3_to_v1(twist: O) -> list[list[BiPoly]]:
+    return end_rep3(_G13E, lau.monomial(twist.a, 0))
 
 
 def test_derived_equals_displayed_transitions():
@@ -198,7 +197,7 @@ def test_transitions_are_immutable():
         assert _v1_to_v2(e, twist) == _v1_to_v2(ExtParams(F(3, 4), F(-5)), twist)
         # d = 4: the factors 1, 2u = 3/2 and 2v = -10, times d^2 = 16
         assert set(_v1_to_v2(e, twist)[0]) == {
-            (0, 0, -twist[1], 16), (1, 1, 1 - twist[1], 24), (1, 0, 1 - twist[1], -160)
+            (0, 0, -twist.b, 16), (1, 1, 1 - twist.b, 24), (1, 0, 1 - twist.b, -160)
         }
 
 
@@ -345,7 +344,7 @@ def test_glue_check_requires_trace_free_section():
         glue_check(ExtParams(F(1), F(1)), PolyMat2.identity(), TWIST_20)
 
 
-def v4_trivialization_regular(e: ExtParams, phi_v1: PolyMat2, twist: Twist) -> bool:
+def v4_trivialization_regular(e: ExtParams, phi_v1: PolyMat2, twist: O) -> bool:
     """Fourth-chart regularity (via V2), which glue_check does not test."""
     vec = [phi_v1.entry(0, 0), phi_v1.entry(0, 1), phi_v1.entry(1, 0)]
     in_v4 = mat_vec(rep_v1_to_v3(twist), mat_vec(rep_v1_to_v2(e, twist), vec))
@@ -814,7 +813,7 @@ def test_each_class_derives_its_data_once(monkeypatch):
     # u and v are read once, into (U, V, d); the columns are built once per twist exponent
     assert once["u, v"] == 2 and vars(e)["_ints"] == (3 * 3, -5 * 2, 12)
     columns = dict(vars(e)["_v2_columns"])
-    assert set(columns) == {TWIST_20[1], TWIST_02[1]}
+    assert set(columns) == {TWIST_20.b, TWIST_02.b}
     assert _memo_chain(e) == first
     assert calls["u, v"] == 2 and all(vars(e)["_v2_columns"][b] is columns[b] for b in columns)
     # the sections and glue checks make no BiPoly product; commute makes the same ones again
@@ -837,7 +836,7 @@ def test_derived_class_data_leave_value_semantics_alone():
         assert _memo_chain(twin) == _memo_chain(g)
 
 
-def _memo_answers(e: ExtParams, sections: list[tuple[PolyMat2, Twist]]) -> list:
+def _memo_answers(e: ExtParams, sections: list[tuple[PolyMat2, O]]) -> list:
     p1s = [Phi1Params(), Phi1Params(*[1] * 6), Phi1Params(F(2, 3), 0, F(-7), 1, 0, F(5, 11))]
     p2s = [Phi2Params(), Phi2Params(*[1] * 5), Phi2Params(F(-1, 4), 3, 0, F(9, 2), 1)]
     out = [_outcome(end0T_dimension, e), _v1_to_v2(e, TWIST_20), _v1_to_v2(e, TWIST_02)]
@@ -920,7 +919,7 @@ def _digits_class(rng: random.Random, digits: int, shape: str) -> ExtParams:
     return ExtParams(F(0) if shape == "u=0" else rat(), F(0) if shape == "v=0" else rat())
 
 
-def _shape_key(e: ExtParams, twist: Twist) -> tuple:
+def _shape_key(e: ExtParams, twist: O) -> tuple:
     return twist, tuple(tuple((*t[:3], n) for n, t in enumerate(col)) for col in _v1_to_v2(e, twist))
 
 

@@ -21,6 +21,7 @@ from cohiggs.errors import (
 )
 from cohiggs.exactalg import BiPoly, PolyMat2, Z1, Z2, commutator2, conjugate2, det2
 from cohiggs.higgs import (
+    _PULLBACK_SLOTS,
     TRIVIAL_EXTENSION_BUNDLE,
     DecomposableBundle,
     HiggsField,
@@ -92,8 +93,8 @@ def test_higgs_shape_examples():
     assert (s.a2, s.b2, s.c2) == (O(0, 2),) * 3
 
 
-def test_fits_slot_is_the_bidegree_rule():
-    # one pass over the monomials answers what the bidegree's two maxima did,
+def test_fits_slot_is_the_max_exponent_rule():
+    # one pass over the monomials answers what the two largest exponents do,
     # zero included, on boxes with negative sides too
     rng = random.Random(36)
     seen = set()
@@ -101,8 +102,8 @@ def test_fits_slot_is_the_bidegree_rule():
         d1, d2 = rng.randint(0, 4), rng.randint(0, 4)
         p = random_bipoly(rng, d1, d2, density=rng.choice([0.0, 0.3, 0.8]))
         slot = O(rng.randint(-1, 4), rng.randint(-1, 4))
-        hi1, hi2 = p.bidegree()
-        want = not p or (hi1 <= slot.a and hi2 <= slot.b)
+        want = not p or (max(i for i, _, _ in p.terms()) <= slot.a
+                         and max(j for _, j, _ in p.terms()) <= slot.b)
         assert fits_slot(p, slot) == p.within(slot.a, slot.b) == want, (p, slot)
         seen.add((bool(p), want))
     assert seen == {(False, True), (True, True), (True, False)}
@@ -917,10 +918,35 @@ def test_section_q_and_pullback_bundles_and_entries_on_both_axes():
 
 
 def test_section_q_slot_violation():
-    with pytest.raises(SlotViolation):
-        section_Q(Z1**5, 1)
-    with pytest.raises(SlotViolation):
-        section_Q(Z2, 1)
+    # the one slot check names the section and its slot on either axis
+    for rho, axis, slot in ((Z1**5, 1, "O(4,0)"), (Z2, 1, "O(4,0)"),
+                            (Z2**5, 2, "O(0,4)"), (Z1, 2, "O(0,4)")):
+        with pytest.raises(SlotViolation) as exc:
+            section_Q(rho, axis)
+        assert str(exc.value) == f"rho does not fit the slot {slot}"
+
+
+# per axis: an entry one degree over its slot, and the other variable, each with the slot
+_PULLBACK_OVERSHOOT = {
+    1: {"a": (Z1**3, Z2, "O(2,0)"), "b": (Z1**4, Z2, "O(3,0)"), "c": (Z1**2, Z1 * Z2, "O(1,0)")},
+    2: {"a": (Z2**3, Z1, "O(0,2)"), "b": (Z2**4, Z1, "O(0,3)"), "c": (Z2**2, Z1 * Z2, "O(0,1)")},
+}
+
+
+@pytest.mark.parametrize("axis", [1, 2])
+@pytest.mark.parametrize("name", ["a", "b", "c"])
+def test_pullback_slot_violation_names_the_entry(name, axis):
+    *bad, slot = _PULLBACK_OVERSHOOT[axis][name]
+    for poly in bad:
+        entries = {"a": BiPoly.zero(), "b": BiPoly.zero(), "c": BiPoly.const(1), name: poly}
+        with pytest.raises(SlotViolation) as exc:
+            pullback_from_line(**entries, axis=axis)
+        assert str(exc.value) == f"{name} does not fit the slot {slot}"
+
+
+def test_pullback_slots_of_axis_2_mirror_axis_1():
+    assert _PULLBACK_SLOTS[1] == (O(2, 0), O(3, 0), O(1, 0))
+    assert _PULLBACK_SLOTS[2] == tuple(O(s.b, s.a) for s in _PULLBACK_SLOTS[1])
 
 
 def test_section_q_and_pullback_reject_axis_3():

@@ -408,7 +408,12 @@ def test_commuting_matrix_lemma():
 
 
 def test_spectral_slots_enforced():
-    with pytest.raises(SlotViolation):
-        SpectralData(Z2, BiPoly.zero(), BiPoly.zero())
-    with pytest.raises(SlotViolation):
-        SpectralData(BiPoly.zero(), Z1**3, BiPoly.zero())
+    # each component over its slot, by degree or by the other variable; the
+    # detail names the component and its slot
+    for name, bad, slot in (("rho1", Z2, "O(4,0)"), ("rho1", Z1**5, "O(4,0)"),
+                            ("rho12", Z1**3, "O(2,2)"), ("rho12", Z2**3, "O(2,2)"),
+                            ("rho2", Z2**5, "O(0,4)"), ("rho2", Z1, "O(0,4)")):
+        parts = {"rho1": BiPoly.zero(), "rho12": BiPoly.zero(), "rho2": BiPoly.zero(), name: bad}
+        with pytest.raises(SlotViolation) as exc:
+            SpectralData(**parts)
+        assert str(exc.value) == f"{name} does not fit the slot {slot}"
